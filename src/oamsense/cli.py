@@ -14,6 +14,7 @@ import argparse
 import configparser
 import math
 import os
+import secrets
 import sys
 from pathlib import Path
 
@@ -209,9 +210,18 @@ def _ls_grid(cfg: RunConfig, dataset: device.DeviceDataset, branch: str) -> np.n
 
 
 def _atomic_write(path: Path, writer) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    """Run writer on a temp file unique to this call, then rename it to path.
+
+    The temp file sits in the target directory, so concurrent runs into one
+    directory do not collide and the rename is atomic; it is removed if the
+    writer fails.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once renamed
 
 
 def _out_dir(args) -> Path:
@@ -431,7 +441,7 @@ def cmd_fit_gm(args) -> int:
     groups: dict[float, list[tuple[float, float, float]]] = {}
     with open(data_path, "r", encoding="utf-8") as fh:
         header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -442,7 +452,13 @@ def cmd_fit_gm(args) -> int:
                         "fit-gm data must have header w_h_um,l_s_um,f_minus_hz,f_plus_hz"
                     )
                 continue
-            w_h, l_s, f_lo, f_hi = (float(v) for v in line.split(","))
+            cells = line.split(",")
+            try:
+                if len(cells) != 4:
+                    raise ValueError(f"expected 4 columns, found {len(cells)}")
+                w_h, l_s, f_lo, f_hi = (float(v) for v in cells)
+            except ValueError as exc:
+                raise ConfigError(f"{data_path}, line {lineno}: {exc}") from exc
             groups.setdefault(w_h, []).append((l_s, TWO_PI * f_lo, TWO_PI * f_hi))
 
     out = _out_dir(args)
@@ -517,7 +533,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, device.DatasetError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

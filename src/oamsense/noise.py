@@ -197,6 +197,11 @@ def shot_noise_psd(readout: OpticalReadout) -> float:
 
 def _transduction_torque(mode: MechanicalModeRecord, readout: OpticalReadout, power_noise: float) -> float:
     """Torque equivalent of an optical power noise density at the detector."""
+    if mode.g_om == 0.0:
+        raise ValueError(
+            f"g_om = 0 for the {mode.branch} mode at l_s = {mode.geometry.l_s_um} um: "
+            "the cavity does not transduce its motion, so no readout noise budget exists"
+        )
     slope = transmission_slope(readout)
     return (
         mode.m_eff
@@ -368,12 +373,9 @@ def write_budget_sweep(path, axis_name: str, axis_values, budgets) -> None:
     """
     lines = ["%s,tau_th,tau_sn,tau_dn,tau_ba,tau_min,p_min_w,n_min" % axis_name]
     for x, b in zip(axis_values, budgets):
-        n_min = "" if b.n_min is None else repr(b.n_min)
-        lines.append(
-            ",".join(
-                [repr(float(x)), repr(b.tau_th), repr(b.tau_sn), repr(b.tau_dn),
-                 repr(b.tau_ba), repr(b.tau_min), repr(b.p_min), n_min]
-            )
-        )
+        # float() first: the repr of a NumPy scalar is not a plain number
+        cells = [x, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min]
+        n_min = "" if b.n_min is None else repr(float(b.n_min))
+        lines.append(",".join([repr(float(v)) for v in cells] + [n_min]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

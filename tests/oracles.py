@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's frequency-domain / 2-D-grid code
-paths: the coupled-mode response is integrated in the time domain with a
-fixed-step fourth-order scheme, and mode overlaps are evaluated by dense
-1-D radial quadrature.
+These deliberately avoid the library's fast code paths: the coupled-mode
+response is integrated in the time domain with a fixed-step fourth-order
+scheme, mode overlaps are evaluated by dense 1-D radial quadrature, and the
+waist search of conversion_metrics is repeated on full 2-D reference modes
+instead of the library's radial projection.
 """
 
 from __future__ import annotations
@@ -118,3 +119,27 @@ def random_stable_model(rng, mechanics_module):
         m1=m1, m2=m2, omega1=w1, omega2=w2,
         gamma1=w1 / q1, gamma2=w2 / q2, g_m=g,
     )
+
+
+def grid_conversion_metrics(field_in, mask, target):
+    """conversion_metrics (z_eval = 0) scoring each waist on a full 2-D grid.
+
+    Every waist of the same golden-section search builds LG_{p,l} with
+    make_lg and overlaps it with beams.fidelity, pixel by pixel.  Returns
+    (fidelity, fidelity_fixed_waist, w0_opt).
+    """
+    from oamsense import beams
+
+    out = beams.apply_mask(field_in, mask)
+
+    def fid(w0):
+        ref = beams.make_lg(out.n, out.pitch, out.lam, beams.LGIndex(target.p, target.l, w0))
+        return beams.fidelity(out, ref)
+
+    f_fixed = fid(target.w0)
+    lo = max(0.3 * target.w0, 4.0 * field_in.pitch)
+    w_opt = beams._golden_section(lambda w: -fid(w), lo, 3.0 * target.w0)
+    f_opt = fid(w_opt)
+    if f_fixed > f_opt:
+        f_opt, w_opt = f_fixed, target.w0
+    return f_opt, f_fixed, w_opt

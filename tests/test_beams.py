@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamsense import beams, swg
-from oracles import lg_radial, radial_fidelity
+from oracles import grid_conversion_metrics, lg_radial, radial_fidelity
 
 N, PITCH, LAM, W0 = 512, 100e-9, 840e-9, 5e-6
 
@@ -233,6 +234,81 @@ class TestConversionMetrics:
         f10_oracle = radial_fidelity(
             lambda r: np.exp(-(r**2) / W0**2), 10, lg_radial(0, 10, W0), 10, 8.0 * W0)
         assert f10 == pytest.approx(f10_oracle, rel=0.01)
+
+
+class TestRadialProjection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([64, 128]),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(0, 2),
+        l=st.integers(-4, 4),
+        w0_frac=st.floats(0.0, 1.0),
+        src_frac=st.floats(0.0, 1.0),
+        noise=st.floats(0.0, 1.0),
+        mask_kind=st.sampled_from(["none", "random", "offset_disc"]),
+    )
+    def test_matches_grid_fidelity(self, n, seed, p, l, w0_frac, src_frac, noise, mask_kind):
+        pitch = 100e-9
+        w_lo, w_hi = 4.0 * pitch, n * pitch / 4.0
+        w0 = w_lo + w0_frac * (w_hi - w_lo)
+        rng = np.random.default_rng(seed)
+        # a same-order mode of another waist plus complex noise, so F spans [0, 1]
+        src = beams.make_lg(n, pitch, LAM, beams.LGIndex(p, l, w_lo + src_frac * (w_hi - w_lo)))
+        amps = src.amps + noise * 0.05 * (
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        if mask_kind == "random":
+            amps = amps * (rng.random((n, n)) < 0.7) * np.exp(2j * np.pi * rng.random((n, n)))
+        elif mask_kind == "offset_disc":
+            cx, cy = rng.integers(-n // 8, n // 8 + 1, size=2)
+            i = np.arange(n) - n // 2
+            amps = amps * ((i[None, :] - cx) ** 2 + (i[:, None] - cy) ** 2 <= (n // 3) ** 2)
+        field = beams.ScalarField(n=n, pitch=pitch, lam=LAM, amps=amps)
+        expected = beams.fidelity(field, beams.make_lg(n, pitch, LAM, beams.LGIndex(p, l, w0)))
+        assert beams._lg_fidelity_by_waist(field, p, l)(w0) == pytest.approx(expected, abs=1e-12)
+
+    def test_under_sampled_waist_raises(self, gauss):
+        mask = beams.vortex_mask(N, PITCH, 1)
+        with pytest.raises(ValueError, match="w0 >= 4"):
+            beams.conversion_metrics(gauss, mask, beams.LGIndex(0, 1, 3.0 * PITCH))
+        with pytest.raises(ValueError, match="w0 >= 4"):
+            beams._lg_fidelity_by_waist(gauss, 0, 1)(3.9 * PITCH)
+
+    def test_zero_power_raises(self, gauss):
+        with pytest.raises(ValueError, match="zero-power"):
+            beams.conversion_metrics(gauss, np.zeros((N, N)), beams.LGIndex(0, 1, W0))
+
+    def test_matches_grid_oracle_on_pillar_mask(self):
+        n, pitch, lam, w0 = 256, 80e-9, 840e-9, 2.5e-6
+        mask = swg.layout_to_mask(swg.generate_layout(swg.SWGDesign()), n, pitch, lam)
+        field_in = beams.make_gaussian(n, pitch, lam, w0)
+        target = beams.LGIndex(0, 1, w0)
+        m = beams.conversion_metrics(field_in, mask, target)
+        f_opt, f_fixed, w_opt = grid_conversion_metrics(field_in, mask, target)
+        assert m.fidelity == pytest.approx(f_opt, abs=1e-12)
+        assert m.fidelity_fixed_waist == pytest.approx(f_fixed, abs=1e-12)
+        assert m.w0_opt == pytest.approx(w_opt, rel=1e-6)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_mode_raises(self):
+        # |l| = 300 overflows sqrt(u)^|l| at the grid corners, as on the 2-D grid
+        field = beams.make_gaussian(64, 100e-9, LAM, 1e-6)
+        with pytest.raises(ValueError, match="finite"):
+            beams.make_lg(64, 100e-9, LAM, beams.LGIndex(0, 300, 4e-7))
+        with pytest.raises(ValueError, match="not finite"):
+            beams._lg_fidelity_by_waist(field, 0, 300)(4e-7)
+
+    def test_builds_no_reference_modes(self, gauss, monkeypatch):
+        calls = []
+        make_lg = beams.make_lg
+
+        def counting_make_lg(*args, **kwargs):
+            calls.append(args)
+            return make_lg(*args, **kwargs)
+
+        monkeypatch.setattr(beams, "make_lg", counting_make_lg)
+        beams.conversion_metrics(gauss, beams.vortex_mask(N, PITCH, 1), beams.LGIndex(0, 1, W0))
+        assert calls == []
 
 
 class TestWavelengthScan:

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from oamsense import cli, swg
+from oamsense import cli, device, swg
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +91,29 @@ class TestNoiseSweep:
         assert (out_a / "noise_sweep.csv").read_bytes() == \
             (out_b / "noise_sweep.csv").read_bytes()
 
+    def test_fig5_bytes_unchanged(self, tmp_path):
+        # sha256 of the paper-fig5 sweep as written before its cells were
+        # passed through float(): plain floats must keep their exact repr
+        assert cli.main(["noise-sweep", "--preset", "paper-fig5",
+                         "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "noise_sweep.csv").read_bytes()).hexdigest()
+        assert digest == "74816333d8871e416d971e1499a957b84fcc7e0cf1db3834c68b56ef2fc556b1"
+
+    def test_zero_coupling_dataset_fails_cleanly(self, tmp_path, capsys):
+        lines = device.sample_dataset_path().read_text(encoding="utf-8").splitlines()
+        header = lines.index(device.HEADER)
+        rows = [r.split(",") for r in lines[header + 1:] if r]
+        for r in rows:
+            r[-1] = "0"
+        data = tmp_path / "no_coupling.csv"
+        data.write_text("\n".join([device.HEADER] + [",".join(r) for r in rows]) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[device]\ndataset = {data}\n")
+        code = cli.main(["noise-sweep", "--preset", "paper-fig5", "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "g_om" in capsys.readouterr().err
+
 
 class TestPulseBudget:
     def test_fig8_preset(self, tmp_path):
@@ -105,6 +129,16 @@ class TestPulseBudget:
         # photon minimum sits at the mode crossing
         ls = column(tmp_path / "pulse_ls_sweep.csv", "l_s_um")
         assert ls[int(np.nanargmin(n_ls))] == pytest.approx(10.0, abs=0.5)
+
+    def test_every_cell_is_a_number(self, tmp_path):
+        assert cli.main(["pulse-budget", "--preset", "paper-fig8",
+                         "--out", str(tmp_path)]) == 0
+        for name in ("pulse_ls_sweep.csv", "pulse_ncav_sweep.csv"):
+            _, rows = read_csv(tmp_path / name)
+            assert rows
+            for row in rows:
+                for cell in row:
+                    float(cell)
 
     def test_delta_l_scaling(self, tmp_path):
         out10 = tmp_path / "d10"
@@ -241,6 +275,15 @@ class TestFitGm:
         assert float(good[1]) == pytest.approx(1e6, rel=1e-4)
         assert bad[1] == "nan" and "error" in bad[2]
 
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "cross.csv"
+        data.write_text("# comment\nw_h_um,l_s_um,f_minus_hz,f_plus_hz\n"
+                        "7.0,9.0,5.0e6,6.0e6\n7.0,9.5,5.1e6\n")
+        assert cli.main(["fit-gm", str(data), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{data}, line 4" in err
+        assert "expected 4 columns, found 3" in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["fit-gm", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path)]) == 2
@@ -265,3 +308,29 @@ class TestConfigHandling:
                          "--config", str(cfg), "--out", str(tmp_path)]) == 0
         ls = column(tmp_path / "noise_sweep.csv", "l_s_um")
         assert list(ls) == [9.0, 10.0, 11.0]
+
+
+class TestOutputFiles:
+    def test_out_under_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        code = cli.main(["swg-gen", "--out", str(blocker / "sub")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_atomic_write_temp_names(self, tmp_path):
+        seen = []
+
+        def failing(p):
+            seen.append(p)
+            p.write_text("partial")
+            raise RuntimeError("writer failed")
+
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                cli._atomic_write(tmp_path / "out.csv", failing)
+        assert seen[0] != seen[1]
+        assert all(p.parent == tmp_path for p in seen)
+        assert list(tmp_path.iterdir()) == []
+        cli._atomic_write(tmp_path / "out.csv", lambda p: p.write_text("done"))
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -331,6 +331,14 @@ class TestRefractive:
             noise.refractive_delta_l(math.pi / 2.0, 0.1, 1.0)
 
 
+class TestZeroCoupling:
+    def test_record_allowed_budget_rejected(self):
+        mode = make_mode(g_om_hz_per_m=0.0)
+        beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=1.0)
+        with pytest.raises(ValueError, match="g_om"):
+            noise.budget(mode, make_readout(), 4.0, beam)
+
+
 class TestSweepExport:
     def test_blank_n_min_for_cw(self, tmp_path):
         mode = make_mode()
