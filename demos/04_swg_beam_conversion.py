@@ -28,7 +28,7 @@ print(f"layout: {len(layout)} pillars "
 swg.export_layout(layout, out_dir / "swg_layout.csv")
 
 n, pitch, lam, w0 = 1024, 50e-9, 840e-9, 5e-6
-mask = swg.layout_to_mask(layout, n, pitch, lam)
+mask = swg.layout_to_mask(swg.retune_layout(design, layout, lam), n, pitch)
 beam_in = beams.make_gaussian(n, pitch, lam, w0)
 metrics = beams.conversion_metrics(beam_in, mask, beams.LGIndex(p=0, l=1, w0=w0))
 print(f"conversion to the l = 1 vortex mode at 840 nm:")

@@ -403,7 +403,7 @@ def fidelity_vs_wavelength(
     results = []
     for lam in lams:
         retuned = swg.retune_layout(design, layout, lam)
-        mask = swg.layout_to_mask(retuned, n, pitch, lam)
+        mask = swg.layout_to_mask(retuned, n, pitch)
         field_in = make_gaussian(n, pitch, lam, w0)
         metrics = conversion_metrics(
             field_in, mask, LGIndex(p=0, l=target_l, w0=w0), z_eval=z_eval

@@ -16,7 +16,9 @@ import math
 import os
 import secrets
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,12 +130,18 @@ class RunConfig:
                 raise ConfigError(f"missing required config key: {key}")
             return default
         try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key} = {raw!r} is not a number") from exc
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key} = {raw!r} is not a finite number")
+        return value
 
     def get_int(self, key: str, default: int | None = None) -> int:
-        return int(round(self.get_float(key, None if default is None else float(default))))
+        value = self.get_float(key, None if default is None else float(default))
+        if not value.is_integer():
+            raise ConfigError(f"config key {key} = {self.values[key]!r} is not an integer")
+        return int(value)
 
     def get_bool(self, key: str, default: bool) -> bool:
         raw = self.values.get(key)
@@ -159,18 +167,18 @@ def _load_cfg_dataset(cfg: RunConfig) -> device.DeviceDataset:
 
 
 def _readout(cfg: RunConfig) -> noise.OpticalReadout:
-    p_det_raw = cfg.raw("readout.p_det_w", "1e-7")
+    p_det_auto = cfg.raw("readout.p_det_w") == "auto"
     n_cav = cfg.get_float("readout.n_cav", 0.0)
     readout = noise.OpticalReadout(
         lambda0=cfg.get_float("readout.lambda0_m", 1.428e-6),
         q_o=cfg.get_float("readout.q_o", 1e6),
-        p_det=1.0 if p_det_raw == "auto" else float(p_det_raw),
+        p_det=1.0 if p_det_auto else cfg.get_float("readout.p_det_w", 1e-7),
         dip_depth=cfg.get_float("readout.dip_depth", 1.0),
         eta_qe=cfg.get_float("readout.eta_qe", 1.0),
         p_dn=cfg.get_float("readout.p_dn_w", 2.5e-12),
         n_cav=n_cav,
     )
-    if p_det_raw == "auto":
+    if p_det_auto:
         if n_cav <= 0.0:
             raise ConfigError("readout.p_det_w = auto requires readout.n_cav > 0")
         readout = noise.readout_at_ncav(readout, n_cav)
@@ -180,13 +188,10 @@ def _readout(cfg: RunConfig) -> noise.OpticalReadout:
 def _beam(cfg: RunConfig) -> noise.SignalBeam:
     kind = (cfg.raw("beam.modulation", "cw") or "cw").lower()
     if kind == "cw":
-        modulation: noise.CwModulation | noise.PulseTrain = noise.CwModulation(
-            omega_mod=TWO_PI * cfg.get_float("beam.f_mod_hz", 0.0)
-        )
+        modulation: noise.CwModulation | noise.PulseTrain = noise.CwModulation()
     elif kind == "pulse":
-        f_rep_raw = cfg.raw("beam.f_rep_hz", "auto")
-        f_rep = None if f_rep_raw == "auto" else float(f_rep_raw)
-        modulation = noise.PulseTrain(f_rep=f_rep)
+        resonant = cfg.raw("beam.f_rep_hz", "auto") == "auto"
+        modulation = noise.PulseTrain(None if resonant else cfg.get_float("beam.f_rep_hz"))
     else:
         raise ConfigError(f"beam.modulation must be 'cw' or 'pulse', got {kind!r}")
     return noise.SignalBeam(
@@ -272,58 +277,60 @@ def cmd_mech_response(args) -> int:
     return 0
 
 
-def _budget_row(dataset, branch, l_s, q_m, readout, t_k, beam, bandwidth):
-    mode = device.interpolate(dataset, branch, l_s, q_m_override=q_m)
-    return noise.budget(mode, readout, t_k, beam, bandwidth_hz=bandwidth)
+class _LsSweep(NamedTuple):
+    """Budgets over the sweep.l_s_* grid, and the inputs they were built from."""
+
+    mode_at: Callable[[float], device.MechanicalModeRecord]
+    readout: noise.OpticalReadout
+    beam: noise.SignalBeam
+    t_k: float
+    bandwidth: float
+    grid: np.ndarray
+    budgets: list[noise.NoiseBudget]
 
 
-def cmd_noise_sweep(args) -> int:
-    cfg = RunConfig.assemble(args.preset, args.config)
+def _ls_sweep(cfg: RunConfig, t_k_default: float) -> _LsSweep:
+    """The set-up noise-sweep and pulse-budget share: one budget per l_s."""
     dataset = _load_cfg_dataset(cfg)
     branch = cfg.raw("device.branch", "twist-like")
     readout = _readout(cfg)
     beam = _beam(cfg)
-    t_k = cfg.get_float("environment.t_k", 4.0)
+    t_k = cfg.get_float("environment.t_k", t_k_default)
     q_m = cfg.get_float("environment.q_m", 0.0) or None
     bandwidth = cfg.get_float("beam.bandwidth_hz", 1.0)
     grid = _ls_grid(cfg, dataset, branch)
+
+    def mode_at(l_s: float) -> device.MechanicalModeRecord:
+        return device.interpolate(dataset, branch, l_s, q_m_override=q_m)
+
     budgets = [
-        _budget_row(dataset, branch, ls, q_m, readout, t_k, beam, bandwidth) for ls in grid
+        noise.budget(mode_at(ls), readout, t_k, beam, bandwidth_hz=bandwidth) for ls in grid
     ]
+    return _LsSweep(mode_at, readout, beam, t_k, bandwidth, grid, budgets)
+
+
+def cmd_noise_sweep(args) -> int:
+    cfg = RunConfig.assemble(args.preset, args.config)
+    sweep = _ls_sweep(cfg, t_k_default=4.0)
     out = _out_dir(args)
     _atomic_write(
         out / "noise_sweep.csv",
-        lambda p: noise.write_budget_sweep(p, "l_s_um", grid, budgets),
+        lambda p: noise.write_budget_sweep(p, "l_s_um", sweep.grid, sweep.budgets),
     )
-    i = int(np.argmin([b.tau_min for b in budgets]))
-    b = budgets[i]
+    i = int(np.argmin([b.tau_min for b in sweep.budgets]))
     print("# minimum of tau_min over the sweep")
     print(noise.BUDGET_SWEEP_HEADER)
-    n_min = "" if b.n_min is None else repr(b.n_min)
-    print(
-        f"{float(grid[i])!r},{b.tau_th!r},{b.tau_sn!r},{b.tau_dn!r},{b.tau_ba!r},"
-        f"{b.tau_min!r},{b.p_min!r},{n_min}"
-    )
+    print(noise.budget_row(sweep.grid[i], sweep.budgets[i]))
     print(f"wrote {out / 'noise_sweep.csv'}")
     return 0
 
 
 def cmd_pulse_budget(args) -> int:
     cfg = RunConfig.assemble(args.preset, args.config)
-    dataset = _load_cfg_dataset(cfg)
-    branch = cfg.raw("device.branch", "twist-like")
-    readout = _readout(cfg)
-    beam = _beam(cfg)
-    if not isinstance(beam.modulation, noise.PulseTrain):
+    sweep = _ls_sweep(cfg, t_k_default=0.01)
+    if not isinstance(sweep.beam.modulation, noise.PulseTrain):
         raise ConfigError("pulse-budget requires beam.modulation = pulse")
-    t_k = cfg.get_float("environment.t_k", 0.01)
-    q_m = cfg.get_float("environment.q_m", 0.0) or None
-    bandwidth = cfg.get_float("beam.bandwidth_hz", 1.0)
-
-    grid = _ls_grid(cfg, dataset, branch)
-    budgets = [
-        _budget_row(dataset, branch, ls, q_m, readout, t_k, beam, bandwidth) for ls in grid
-    ]
+    grid, budgets = sweep.grid, sweep.budgets
     out = _out_dir(args)
     _atomic_write(
         out / "pulse_ls_sweep.csv",
@@ -334,13 +341,13 @@ def cmd_pulse_budget(args) -> int:
           f"at l_s = {grid[i]:g} um")
 
     l_s0 = cfg.get_float("sweep.l_s_ncav_um", 10.0)
-    mode0 = device.interpolate(dataset, branch, l_s0, q_m_override=q_m)
     ncav_grid = np.logspace(
         math.log10(cfg.get_float("sweep.n_cav_min", 1e-5)),
         math.log10(cfg.get_float("sweep.n_cav_max", 1e-1)),
         cfg.get_int("sweep.n_cav_points", 41),
     )
-    scan = noise.optimize_ncav(mode0, readout, t_k, beam, ncav_grid, bandwidth_hz=bandwidth)
+    scan = noise.optimize_ncav(sweep.mode_at(l_s0), sweep.readout, sweep.t_k, sweep.beam,
+                               ncav_grid, bandwidth_hz=sweep.bandwidth)
     _atomic_write(
         out / "pulse_ncav_sweep.csv",
         lambda p: noise.write_budget_sweep(p, "n_cav", scan.n_cav, scan.budgets),
@@ -378,10 +385,8 @@ def cmd_beam_sim(args) -> int:
         target_l = delta_l
     else:
         design = _design(cfg, lam)
-        layout = swg.generate_layout(design)
-        if lam != design.design_lambda:
-            layout = swg.retune_layout(design, layout, lam)
-        mask = swg.layout_to_mask(layout, n, pitch, lam)
+        layout = swg.retune_layout(design, swg.generate_layout(design), lam)
+        mask = swg.layout_to_mask(layout, n, pitch)
         target_l = design.delta_l * design.phase_sign
     target = beams.LGIndex(p=0, l=target_l, w0=w0)
     metrics = beams.conversion_metrics(field_in, mask, target, z_eval=z_eval)
@@ -422,9 +427,7 @@ def cmd_swg_gen(args) -> int:
     _atomic_write(out / "layout.csv", lambda p: swg.export_layout(layout, p))
     print(f"sites: {len(layout)} (area estimate {swg.expected_site_count(design):.0f})")
     print("diameter_nm,count")
-    diams = sorted({s.diameter for s in layout})
-    for d in diams:
-        count = sum(1 for s in layout if s.diameter == d)
+    for d, count in zip(*np.unique(layout.diameter, return_counts=True)):
         print(f"{d:.0f},{count}")
     print(f"wrote {out / 'layout.csv'}")
     return 0

@@ -84,21 +84,19 @@ class OpticalReadout:
 
 @dataclass(frozen=True)
 class CwModulation:
-    """Continuous-wave drive, intensity modulated at omega_mod (rad/s)."""
-
-    omega_mod: float = 0.0
+    """Continuous-wave drive, intensity modulated at the mechanical resonance
+    omega_m, where budget takes both the drive and the measurement."""
 
 
 @dataclass(frozen=True)
 class PulseTrain:
-    """Pulse-train drive: repetition rate f_rep (Hz) and photons per pulse.
+    """Pulse-train drive at repetition rate f_rep (Hz).
 
     Pulse width << 1/f_rep is assumed.  f_rep = None means "resonant": the
     budget substitutes the mechanical mode frequency omega_m / 2 pi.
     """
 
     f_rep: float | None = None
-    photons_per_pulse: float | None = None
 
 
 @dataclass(frozen=True)
@@ -362,20 +360,25 @@ def refractive_delta_l(theta_i: float, theta_r: float, l: float) -> float:
     return 0.5 * (ci / cr + cr / ci) * l
 
 
-BUDGET_SWEEP_HEADER = "l_s_um,tau_th,tau_sn,tau_dn,tau_ba,tau_min,p_min_w,n_min"
+#: Columns of a budget row after its sweep-axis value (see budget_row).
+BUDGET_COLUMNS = ("tau_th", "tau_sn", "tau_dn", "tau_ba", "tau_min", "p_min_w", "n_min")
+BUDGET_SWEEP_HEADER = ",".join(("l_s_um",) + BUDGET_COLUMNS)
+
+
+def budget_row(x, b: NoiseBudget) -> str:
+    """CSV row of one budget: axis value x, then BUDGET_COLUMNS (n_min blank if CW)."""
+    cells = (x, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min, b.n_min)
+    # float() first: the repr of a NumPy scalar is not a plain number
+    return ",".join("" if v is None else repr(float(v)) for v in cells)
 
 
 def write_budget_sweep(path, axis_name: str, axis_values, budgets) -> None:
-    """Write one budget per row, keyed by a sweep axis.
+    """Write one budget_row per budget under a header keyed by a sweep axis.
 
     The canonical support-length sweep uses axis_name 'l_s_um'; photon-number
-    sweeps use 'n_cav'.  n_min is left blank for CW budgets.
+    sweeps use 'n_cav'.
     """
-    lines = ["%s,tau_th,tau_sn,tau_dn,tau_ba,tau_min,p_min_w,n_min" % axis_name]
-    for x, b in zip(axis_values, budgets):
-        # float() first: the repr of a NumPy scalar is not a plain number
-        cells = [x, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min]
-        n_min = "" if b.n_min is None else repr(float(b.n_min))
-        lines.append(",".join([repr(float(v)) for v in cells] + [n_min]))
+    lines = [",".join((axis_name,) + BUDGET_COLUMNS)]
+    lines += [budget_row(x, b) for x, b in zip(axis_values, budgets)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -8,6 +8,11 @@ amplitude) relation is a replaceable lookup table; the bundled default is a
 linear 11-level ramp spanning [0, 2 pi * 10/11] at the design wavelength with
 a uniform amplitude matching a 0.92 power transmission.
 
+A layout is a NumPy record array of LAYOUT_DTYPE, one record per pillar with
+the fields x, y (m), diameter (nm), phase (rad) and amplitude.  Columns read
+as layout.diameter and single pillars as layout[k].diameter; every layout
+function works on whole columns.
+
 Layout generation is pure and deterministic: one lattice vector points along
 +x, a pillar sits at the origin, and sites are emitted in (y, x) raster
 order.
@@ -16,7 +21,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -124,16 +129,11 @@ class SWGDesign:
             )
 
 
-@dataclass(frozen=True)
-class PillarSite:
-    """One pillar: position (m), diameter (nm), transmission phase (rad) and
-    amplitude at the wavelength the layout was evaluated for."""
-
-    x: float
-    y: float
-    diameter: float  # nm
-    phase: float
-    amplitude: float
+#: One record per pillar: position (m), diameter (nm), and the transmission
+#: phase (rad) and amplitude at the wavelength the layout was evaluated for.
+LAYOUT_DTYPE = np.dtype(
+    [(name, np.float64) for name in ("x", "y", "diameter", "phase", "amplitude")]
+)
 
 
 def _nearest_level(targets: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -143,8 +143,8 @@ def _nearest_level(targets: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.argmin(diff, axis=1)
 
 
-def generate_layout(design: SWGDesign) -> list[PillarSite]:
-    """Hexagonal lattice clipped to the aperture, one pillar per site.
+def generate_layout(design: SWGDesign) -> np.recarray:
+    """Hexagonal lattice clipped to the aperture, one LAYOUT_DTYPE record per pillar.
 
     Each site's target phase wrap(phase_sign * delta_l * azimuth) is
     quantized to the circularly nearest lookup level (error <= pi/n_levels);
@@ -166,51 +166,52 @@ def generate_layout(design: SWGDesign) -> list[PillarSite]:
     xs, ys = xs[inside], ys[inside]
 
     phases, amps = design.lookup.phase_amp_at(design.design_lambda)
-    levels = np.mod(np.asarray(phases), TWO_PI)
+    levels = np.mod(phases, TWO_PI)
     target = np.mod(design.phase_sign * design.delta_l * np.arctan2(ys, xs), TWO_PI)
     idx = _nearest_level(target, levels)
 
     order = np.lexsort((xs, ys))
+    idx = idx[order]
     diameters = np.asarray(design.diameters)
-    return [
-        PillarSite(
-            x=float(xs[k]),
-            y=float(ys[k]),
-            diameter=float(diameters[idx[k]]),
-            phase=float(phases[idx[k]]),
-            amplitude=float(amps[idx[k]]),
-        )
-        for k in order
-    ]
+    return np.rec.fromarrays(
+        [xs[order], ys[order], diameters[idx], phases[idx], amps[idx]], dtype=LAYOUT_DTYPE
+    )
 
 
-def retune_layout(design: SWGDesign, layout: list[PillarSite], lam: float) -> list[PillarSite]:
-    """Re-evaluate per-site phase/amplitude at another wavelength.
+def retune_layout(design: SWGDesign, layout: np.recarray, lam: float) -> np.recarray:
+    """Copy of the layout with phase/amplitude re-evaluated at another wavelength.
 
     Pillar positions and diameters are fabrication-fixed; only the lookup
     values change.  Swapping in a measured lookup table changes nothing else.
+    Every diameter must be one of design.diameters exactly.
     """
     phases, amps = design.lookup.phase_amp_at(lam)
     diameters = np.asarray(design.diameters)
-    index = {round(d * 1e3): j for j, d in enumerate(diameters)}
-    out = []
-    for site in layout:
-        j = index[round(site.diameter * 1e3)]
-        out.append(replace(site, phase=float(phases[j]), amplitude=float(amps[j])))
+    j = np.minimum(np.searchsorted(diameters, layout.diameter), len(diameters) - 1)
+    unknown = diameters[j] != layout.diameter
+    if np.any(unknown):
+        raise ValueError(
+            f"layout diameter {float(layout.diameter[unknown][0])!r} nm is not "
+            f"one of the design diameters {design.diameters}"
+        )
+    out = layout.copy()
+    out.phase = phases[j]
+    out.amplitude = amps[j]
     return out
 
 
-def layout_to_mask(layout: list[PillarSite], n: int, pitch: float, lam: float | None = None) -> np.ndarray:
+def layout_to_mask(layout: np.recarray, n: int, pitch: float) -> np.ndarray:
     """Rasterize a layout to a complex transmission mask for the beam engine.
 
     Every grid pixel inside the pattern footprint takes the phase and
     amplitude of its nearest pillar (piecewise-constant cells); pixels
     outside are zero.  The grid must resolve the lattice: pitch <= lattice/4.
-    lam is informational; re-tune the layout first for other wavelengths.
+    The mask holds the layout's phases as they are; re-tune the layout first
+    for another wavelength.
     """
-    if not layout:
+    if len(layout) == 0:
         raise ValueError("empty layout")
-    pos = np.array([(s.x, s.y) for s in layout])
+    pos = np.column_stack([layout.x, layout.y])
     tree = cKDTree(pos)
     # lattice constant recovered from the nearest-neighbour spacing
     dists, _ = tree.query(pos[len(pos) // 2], k=2)
@@ -227,39 +228,27 @@ def layout_to_mask(layout: list[PillarSite], n: int, pitch: float, lam: float | 
     mask = np.zeros((n, n), dtype=np.complex128)
     pts = np.column_stack([xx[inside], yy[inside]])
     _, nearest = tree.query(pts, k=1)
-    values = np.array([s.amplitude * np.exp(1j * s.phase) for s in layout])
+    values = layout.amplitude * np.exp(1j * layout.phase)
     mask[inside] = values[nearest]
     return mask
 
 
-def export_layout(layout: list[PillarSite], path) -> None:
+def export_layout(layout: np.recarray, path) -> None:
     """CSV dump in (y, x) raster order: x_m,y_m,diameter_nm,phase_rad,amplitude."""
-    ordered = sorted(layout, key=lambda s: (s.y, s.x))
-    lines = [LAYOUT_HEADER]
-    for s in ordered:
-        lines.append(
-            ",".join(
-                [repr(s.x), repr(s.y), repr(s.diameter), repr(s.phase), repr(s.amplitude)]
-            )
-        )
+    ordered = layout[np.lexsort((layout.x, layout.y))]
+    lines = [LAYOUT_HEADER] + [",".join(map(repr, row)) for row in ordered.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_layout(path) -> list[PillarSite]:
-    """Inverse of export_layout."""
-    sites = []
+def load_layout(path) -> np.recarray:
+    """Inverse of export_layout: the LAYOUT_DTYPE record array of the file's rows."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != LAYOUT_HEADER:
             raise ValueError(f"bad layout header; expected {LAYOUT_HEADER!r}")
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            x, y, d_nm, phase, amp = (float(v) for v in line.split(","))
-            sites.append(PillarSite(x=x, y=y, diameter=d_nm, phase=phase, amplitude=amp))
-    return sites
+        rows = np.loadtxt(fh, delimiter=",", dtype=LAYOUT_DTYPE, ndmin=1)
+    return rows.view(np.recarray)
 
 
 def expected_site_count(design: SWGDesign) -> float:

@@ -163,7 +163,7 @@ def test_criterion_8_swg_model_fidelity():
     n, pitch, lam, w0 = 1024, 50e-9, 840e-9, 5e-6
     design = swg.SWGDesign()
     layout = swg.generate_layout(design)
-    mask = swg.layout_to_mask(layout, n, pitch, lam)
+    mask = swg.layout_to_mask(layout, n, pitch)
     field_in = beams.make_gaussian(n, pitch, lam, w0)
     metrics = beams.conversion_metrics(field_in, mask, beams.LGIndex(0, 1, w0))
     assert abs(metrics.fidelity - 0.90) <= 0.10

@@ -280,7 +280,7 @@ class TestRadialProjection:
 
     def test_matches_grid_oracle_on_pillar_mask(self):
         n, pitch, lam, w0 = 256, 80e-9, 840e-9, 2.5e-6
-        mask = swg.layout_to_mask(swg.generate_layout(swg.SWGDesign()), n, pitch, lam)
+        mask = swg.layout_to_mask(swg.generate_layout(swg.SWGDesign()), n, pitch)
         field_in = beams.make_gaussian(n, pitch, lam, w0)
         target = beams.LGIndex(0, 1, w0)
         m = beams.conversion_metrics(field_in, mask, target)
@@ -317,7 +317,7 @@ class TestWavelengthScan:
         scan = beams.fidelity_vs_wavelength(design, [840e-9], n=256, pitch=80e-9, w0=2.5e-6)
         assert len(scan) == 1
         layout = swg.generate_layout(design)
-        mask = swg.layout_to_mask(layout, 256, 80e-9, 840e-9)
+        mask = swg.layout_to_mask(layout, 256, 80e-9)
         direct = beams.conversion_metrics(
             beams.make_gaussian(256, 80e-9, 840e-9, 2.5e-6), mask,
             beams.LGIndex(0, 1, 2.5e-6))

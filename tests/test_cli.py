@@ -99,6 +99,14 @@ class TestNoiseSweep:
         digest = hashlib.sha256((tmp_path / "noise_sweep.csv").read_bytes()).hexdigest()
         assert digest == "74816333d8871e416d971e1499a957b84fcc7e0cf1db3834c68b56ef2fc556b1"
 
+    def test_summary_row_is_the_csv_minimum_row(self, tmp_path, capsys):
+        assert cli.main(["noise-sweep", "--preset", "paper-fig5",
+                         "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        lines = (tmp_path / "noise_sweep.csv").read_text().splitlines()
+        i = int(np.argmin(column(tmp_path / "noise_sweep.csv", "tau_min")))
+        assert printed[1:3] == [lines[0], lines[1 + i]]
+
     def test_zero_coupling_dataset_fails_cleanly(self, tmp_path, capsys):
         lines = device.sample_dataset_path().read_text(encoding="utf-8").splitlines()
         header = lines.index(device.HEADER)
@@ -231,6 +239,13 @@ class TestSwgGen:
         estimate = swg.expected_site_count(swg.SWGDesign())
         assert abs(len(layout) - estimate) / estimate < 0.02
 
+    def test_default_layout_bytes_unchanged(self, tmp_path):
+        # sha256 of the default layout as written when a layout was a list of
+        # per-pillar objects
+        assert cli.main(["swg-gen", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "layout.csv").read_bytes()).hexdigest()
+        assert digest == "3205491cc0f1b1b5990c405d8e546f45febb7434159ce014824c7111b312942f"
+
     def test_zero_shift_histogram(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[swg]\ndelta_l = 0\n")
@@ -300,6 +315,23 @@ class TestConfigHandling:
                          "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)])
         assert code == 2
         assert "config file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, preset, section, key, value", [
+        ("noise-sweep", "paper-fig5", "environment", "t_k", "nan"),
+        ("swg-gen", None, "swg", "delta_l", "1.5"),
+        ("noise-sweep", "paper-fig5", "readout", "p_det_w", "abc"),
+        ("pulse-budget", "paper-fig8", "beam", "f_rep_hz", "fast"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, capsys, command, preset, section, key,
+                                 value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if preset is not None:
+            argv += ["--preset", preset]
+        assert cli.main(argv) == 2
+        assert f"config key {section}.{key} = {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_overrides_preset(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamsense import beams, swg
 
@@ -120,7 +123,7 @@ class TestLayout:
 class TestMask:
     def test_constant_phase_disk_for_zero_shift(self):
         layout = swg.generate_layout(swg.SWGDesign(delta_l=0))
-        mask = swg.layout_to_mask(layout, 512, 80e-9, 840e-9)
+        mask = swg.layout_to_mask(layout, 512, 80e-9)
         inside = np.abs(mask) > 0.0
         assert np.allclose(np.angle(mask[inside]), 0.0, atol=1e-12)
         field_in = beams.make_gaussian(512, 80e-9, 840e-9, 2.5e-6)
@@ -130,11 +133,11 @@ class TestMask:
     def test_resolution_guard(self):
         layout = swg.generate_layout(swg.SWGDesign())
         with pytest.raises(ValueError, match="lattice/4"):
-            swg.layout_to_mask(layout, 128, 120e-9, 840e-9)
+            swg.layout_to_mask(layout, 128, 120e-9)
 
     def test_masked_gaussian_azimuthal_purity(self):
         layout = swg.generate_layout(swg.SWGDesign(delta_l=1))
-        mask = swg.layout_to_mask(layout, 512, 80e-9, 840e-9)
+        mask = swg.layout_to_mask(layout, 512, 80e-9)
         field_in = beams.make_gaussian(512, 80e-9, 840e-9, 5e-6)
         out = beams.apply_mask(field_in, mask)
         frac_layout = beams.azimuthal_spectrum(out, [1])[0]
@@ -149,7 +152,7 @@ class TestMask:
 
     def test_uniform_amplitude_transmission(self):
         layout = swg.generate_layout(swg.SWGDesign(delta_l=1))
-        mask = swg.layout_to_mask(layout, 512, 80e-9, 840e-9)
+        mask = swg.layout_to_mask(layout, 512, 80e-9)
         field_in = beams.make_gaussian(512, 80e-9, 840e-9, 5e-6)
         out = beams.apply_mask(field_in, mask)
         # pixel-sum oracle for the aperture clip factor
@@ -171,6 +174,21 @@ class TestMask:
         for s in retuned[:50]:
             assert s.phase == pytest.approx(phases_760[diams.index(s.diameter)])
 
+    def test_retune_at_design_wavelength_is_identity(self):
+        design = swg.SWGDesign()
+        layout = swg.generate_layout(design)
+        retuned = swg.retune_layout(design, layout, design.design_lambda)
+        assert retuned.tobytes() == layout.tobytes()
+        assert np.array_equal(swg.layout_to_mask(retuned, 256, 80e-9),
+                              swg.layout_to_mask(layout, 256, 80e-9))
+
+    def test_retune_unknown_diameter_named(self):
+        design = swg.SWGDesign()
+        layout = swg.generate_layout(design)
+        layout.diameter[7] = 115.0
+        with pytest.raises(ValueError, match="115.0"):
+            swg.retune_layout(design, layout, 760e-9)
+
 
 class TestExport:
     def test_round_trip_identical(self, tmp_path):
@@ -178,7 +196,7 @@ class TestExport:
         path = tmp_path / "layout.csv"
         swg.export_layout(layout, path)
         again = swg.load_layout(path)
-        assert again == layout
+        assert np.array_equal(again, layout)
 
     def test_row_count_and_order(self, tmp_path):
         layout = swg.generate_layout(swg.SWGDesign())
@@ -189,6 +207,30 @@ class TestExport:
         assert len(lines) == len(layout) + 1
         ys = [float(line.split(",")[1]) for line in lines[1:]]
         assert ys == sorted(ys)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        aperture=st.floats(0.3e-6, 8e-6),
+        delta_l=st.integers(0, 4),
+        phase_sign=st.sampled_from([-1, 1]),
+    )
+    def test_round_trip_generated_layouts(self, aperture, delta_l, phase_sign):
+        design = swg.SWGDesign(aperture_d=aperture, delta_l=delta_l, phase_sign=phase_sign)
+        layout = swg.generate_layout(design)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "layout.csv"
+            swg.export_layout(layout, path)
+            again = swg.load_layout(path)
+        assert again.dtype == swg.LAYOUT_DTYPE
+        assert np.array_equal(again, layout)
+
+    def test_shuffled_layout_exports_in_raster_order(self, tmp_path):
+        layout = swg.generate_layout(swg.SWGDesign())
+        shuffled = layout[np.random.default_rng(3).permutation(len(layout))]
+        swg.export_layout(layout, tmp_path / "ordered.csv")
+        swg.export_layout(shuffled, tmp_path / "shuffled.csv")
+        assert (tmp_path / "shuffled.csv").read_bytes() == \
+            (tmp_path / "ordered.csv").read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
