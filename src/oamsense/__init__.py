@@ -11,7 +11,7 @@ Submodules:
 * cli       - the `oam-sense` command line front end
 """
 
-from . import beams, cli, constants, device, mechanics, noise, swg
+from . import beams, constants, device, mechanics, noise, swg
 
 __version__ = "0.1.0"
 
@@ -25,3 +25,14 @@ __all__ = [
     "swg",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # cli is imported on first access, not with the package, so that
+    # `python -m oamsense.cli` finds no copy of it in sys.modules before
+    # running it as __main__.
+    if name == "cli":
+        from importlib import import_module
+
+        return import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -219,13 +219,24 @@ def fidelity(field: ScalarField, reference: ScalarField) -> float:
 
 
 def _fourier_upsample(amps: np.ndarray, factor: int) -> np.ndarray:
-    """Band-limited upsampling by spectral zero padding."""
+    """Band-limited upsampling by spectral zero padding.
+
+    The spectrum is padded in FFT order, zeros going between its positive and
+    negative frequencies, so no shifted copy of the padded array is made.
+    The inverse transform runs one axis at a time, as ifft2 does, and the
+    padded array is released after the first axis: at most two full-size
+    arrays are alive at once.
+    """
     n = amps.shape[0]
-    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(amps)))
     big = np.zeros((n * factor, n * factor), dtype=np.complex128)
-    lo = (n * factor - n) // 2
-    big[lo:lo + n, lo:lo + n] = spectrum
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big))) * factor * factor
+    rows = np.arange(n)
+    rows[n // 2:] += n * factor - n
+    big[np.ix_(rows, rows)] = np.fft.fft2(np.fft.ifftshift(amps))
+    up = np.fft.ifft(big, axis=1)
+    del big
+    up = np.fft.ifft(up, axis=0)
+    up *= factor * factor
+    return np.fft.fftshift(up)
 
 
 def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
@@ -443,7 +454,16 @@ def load_field(path) -> ScalarField:
 
 
 def save_raster(matrix: np.ndarray, path) -> None:
-    """Comma-separated matrix export (one grid row per line), for plotting."""
+    """Comma-separated matrix export (one grid row per line), for plotting.
+
+    Each cell is written as repr(float(v)), byte for byte.  Rasters repeat
+    values heavily, so each distinct float64 bit pattern is formatted once
+    and the rows are joined from those strings.  Bit patterns, not values,
+    are deduplicated, so -0.0 keeps its own text.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    bits, inverse = np.unique(matrix.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(matrix):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in inverse.reshape(matrix.shape):
+            fh.write(",".join(text[row].tolist()) + "\n")

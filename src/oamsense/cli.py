@@ -210,8 +210,13 @@ def _ls_grid(cfg: RunConfig, dataset: device.DeviceDataset, branch: str) -> np.n
     step = cfg.get_float("sweep.l_s_step_um", 0.25)
     if not (ls_min < ls_max and step > 0.0):
         raise ConfigError("sweep.l_s_* must satisfy min < max and step > 0")
-    n = int(round((ls_max - ls_min) / step)) + 1
-    return np.linspace(ls_min, ls_max, n)
+    steps = (ls_max - ls_min) / step
+    if not math.isclose(steps, round(steps), rel_tol=1e-9):
+        raise ConfigError(
+            f"config key sweep.l_s_step_um = {step!r} does not divide "
+            f"the l_s range {ls_min!r}..{ls_max!r} um"
+        )
+    return np.linspace(ls_min, ls_max, round(steps) + 1)
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -240,6 +245,8 @@ def cmd_mech_response(args) -> int:
     dataset = _load_cfg_dataset(cfg)
     l_s = cfg.get_float("mechanics.l_s_um", 12.0)
     q_m = cfg.get_float("mechanics.q_m", 500.0)
+    if q_m <= 0.0:
+        raise ConfigError(f"config key mechanics.q_m = {cfg.raw('mechanics.q_m')!r} must be > 0")
     twist = device.interpolate(dataset, "twist-like", l_s, q_m_override=q_m)
     bounce = device.interpolate(dataset, "bounce-like", l_s, q_m_override=q_m)
     g_m = TWO_PI * cfg.get_float("mechanics.g_m_hz", 5e5)
@@ -296,12 +303,15 @@ def _ls_sweep(cfg: RunConfig, t_k_default: float) -> _LsSweep:
     readout = _readout(cfg)
     beam = _beam(cfg)
     t_k = cfg.get_float("environment.t_k", t_k_default)
-    q_m = cfg.get_float("environment.q_m", 0.0) or None
+    q_m = cfg.get_float("environment.q_m", 0.0)
+    if q_m < 0.0:
+        raise ConfigError(f"config key environment.q_m = {cfg.raw('environment.q_m')!r} "
+                          "must be > 0, or 0 for the dataset's Q")
     bandwidth = cfg.get_float("beam.bandwidth_hz", 1.0)
     grid = _ls_grid(cfg, dataset, branch)
 
     def mode_at(l_s: float) -> device.MechanicalModeRecord:
-        return device.interpolate(dataset, branch, l_s, q_m_override=q_m)
+        return device.interpolate(dataset, branch, l_s, q_m_override=q_m or None)
 
     budgets = [
         noise.budget(mode_at(ls), readout, t_k, beam, bandwidth_hz=bandwidth) for ls in grid

@@ -4,7 +4,9 @@ These deliberately avoid the library's fast code paths: the coupled-mode
 response is integrated in the time domain with a fixed-step fourth-order
 scheme, mode overlaps are evaluated by dense 1-D radial quadrature, and the
 waist search of conversion_metrics is repeated on full 2-D reference modes
-instead of the library's radial projection.
+instead of the library's radial projection.  Raster export and spectral
+upsampling keep their straightforward forms: one repr per cell, and the
+zero-padded spectrum built and shifted as a centred array.
 """
 
 from __future__ import annotations
@@ -143,3 +145,21 @@ def grid_conversion_metrics(field_in, mask, target):
     if f_fixed > f_opt:
         f_opt, w_opt = f_fixed, target.w0
     return f_opt, f_fixed, w_opt
+
+
+def save_raster_per_cell(matrix, path) -> None:
+    """Raster export formatting every cell with its own repr(float(v))."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in np.asarray(matrix):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def fourier_upsample_centred(amps, factor):
+    """Spectral zero padding on the fftshift-centred spectrum, shifting the
+    padded array back before the 2-D inverse transform."""
+    n = amps.shape[0]
+    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(amps)))
+    big = np.zeros((n * factor, n * factor), dtype=np.complex128)
+    lo = (n * factor - n) // 2
+    big[lo:lo + n, lo:lo + n] = spectrum
+    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big))) * factor * factor

@@ -1,14 +1,41 @@
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oamsense import beams, swg
-from oracles import grid_conversion_metrics, lg_radial, radial_fidelity
+from oracles import (
+    fourier_upsample_centred,
+    grid_conversion_metrics,
+    lg_radial,
+    radial_fidelity,
+    save_raster_per_cell,
+)
 
 N, PITCH, LAM, W0 = 512, 100e-9, 840e-9, 5e-6
+
+# Bit patterns whose text a value-based dedupe could get wrong: signed zeros,
+# NaNs with and without the sign bit or a payload, infinities, subnormals.
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+    0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x000FFFFFFFFFFFFF,
+]
+# Float64 matrices drawn from a small pool of bit patterns, so most cells repeat.
+RASTERS = st.lists(
+    st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+    min_size=1, max_size=6,
+).flatmap(lambda pool: hnp.arrays(
+    np.uint64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+    elements=st.sampled_from(pool),
+)).map(lambda bits: bits.view(np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +237,17 @@ class TestAzimuthalSpectrum:
         fracs = beams.azimuthal_spectrum(out, range(-5, 6))
         assert fracs.sum() <= 1.0 + 1e-9
 
+    def test_upsample_matches_centred_padding(self, monkeypatch):
+        layout = swg.generate_layout(swg.SWGDesign())
+        out = beams.apply_mask(beams.make_gaussian(256, 80e-9, LAM, W0),
+                               swg.layout_to_mask(layout, 256, 80e-9))
+        up = beams._fourier_upsample(out.amps, 2)
+        assert np.array_equal(up, fourier_upsample_centred(out.amps, 2))
+        ls = range(-2, 5)
+        fracs = beams.azimuthal_spectrum(out, ls)
+        monkeypatch.setattr(beams, "_fourier_upsample", fourier_upsample_centred)
+        assert np.array_equal(fracs, beams.azimuthal_spectrum(out, ls))
+
 
 class TestConversionMetrics:
     def test_lossless_vortex(self, gauss):
@@ -370,3 +408,22 @@ class TestFieldIO:
         rows = path.read_text().splitlines()
         assert len(rows) == 32
         assert len(rows[0].split(",")) == 32
+
+    @settings(max_examples=200, deadline=None)
+    @given(RASTERS)
+    def test_raster_bytes_match_per_cell_repr(self, matrix):
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
+            beams.save_raster(matrix, fast)
+            save_raster_per_cell(matrix, slow)
+            assert fast.read_bytes() == slow.read_bytes()
+
+    @pytest.mark.parametrize("matrix", [
+        np.arange(12, dtype=np.int64).reshape(3, 4) - 6,
+        np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(4, 3),
+        np.linspace(-1.0, 1.0, 12).reshape(3, 4).T,
+    ], ids=["int64", "float32", "transposed"])
+    def test_raster_bytes_match_for_other_layouts(self, tmp_path, matrix):
+        beams.save_raster(matrix, tmp_path / "fast.csv")
+        save_raster_per_cell(matrix, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()

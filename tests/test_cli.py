@@ -1,10 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oamsense import cli, device, swg
+import oamsense
+from oamsense import beams, cli, device, swg
+from oracles import save_raster_per_cell
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,6 +231,17 @@ class TestBeamSim:
         r = np.hypot(xx, yy)
         assert np.sum(i10 * r) / np.sum(i10) > np.sum(i1 * r) / np.sum(i1)
 
+    def test_rasters_match_per_cell_writer(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 256\npitch_m = 80e-9\n")
+        fast, slow = tmp_path / "fast", tmp_path / "slow"
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(fast)]) == 0
+        monkeypatch.setattr(beams, "save_raster", save_raster_per_cell)
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(slow)]) == 0
+        for name in ("intensity_swg.csv", "phase_swg.csv",
+                     "intensity_target.csv", "phase_target.csv"):
+            assert (fast / name).read_bytes() == (slow / name).read_bytes()
+
 
 class TestSwgGen:
     def test_defaults(self, tmp_path, capsys):
@@ -321,6 +338,9 @@ class TestConfigHandling:
         ("swg-gen", None, "swg", "delta_l", "1.5"),
         ("noise-sweep", "paper-fig5", "readout", "p_det_w", "abc"),
         ("pulse-budget", "paper-fig8", "beam", "f_rep_hz", "fast"),
+        ("noise-sweep", "paper-fig5", "environment", "q_m", "-5"),
+        ("mech-response", "paper-fig2b", "mechanics", "q_m", "-5"),
+        ("mech-response", "paper-fig2b", "mechanics", "q_m", "0"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, preset, section, key,
                                  value):
@@ -340,6 +360,57 @@ class TestConfigHandling:
                          "--config", str(cfg), "--out", str(tmp_path)]) == 0
         ls = column(tmp_path / "noise_sweep.csv", "l_s_um")
         assert list(ls) == [9.0, 10.0, 11.0]
+
+    def test_step_must_divide_range(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nl_s_step_um = 0.3\n")
+        code = cli.main(["noise-sweep", "--preset", "paper-fig5",
+                         "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "sweep.l_s_step_um = 0.3 does not divide" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values, rows", [
+        ({"sweep.l_s_min_um": "8", "sweep.l_s_max_um": "18", "sweep.l_s_step_um": "0.25"}, 41),
+        ({"sweep.l_s_step_um": "0.005"}, 2001),
+        ({}, 41),
+    ], ids=["preset", "fine", "dataset-domain"])
+    def test_dividing_steps_accepted(self, values, rows):
+        dataset = device.load_sample_dataset()
+        grid = cli._ls_grid(cli.RunConfig(values), dataset, "twist-like")
+        assert len(grid) == rows
+        assert (grid[0], grid[-1]) == dataset.domain("twist-like")
+
+    def test_zero_environment_q_m_uses_dataset(self, tmp_path):
+        base = "[device]\ndataset = bundled\n"
+        for name, text in (("zero", base + "[environment]\nq_m = 0\n"), ("unset", base)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            assert cli.main(["noise-sweep", "--config", str(cfg),
+                             "--out", str(tmp_path / name)]) == 0
+        zero = (tmp_path / "zero" / "noise_sweep.csv").read_bytes()
+        assert zero == (tmp_path / "unset" / "noise_sweep.csv").read_bytes()
+
+
+class TestEntryPoint:
+    def test_module_run_is_warning_free(self, tmp_path):
+        src = str(Path(oamsense.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "oamsense.cli", "mech-response",
+             "--preset", "paper-fig2b", "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert (tmp_path / "out" / "response.csv").exists()
+
+    def test_cli_reachable_from_package(self):
+        assert oamsense.cli is cli
+        assert "cli" in oamsense.__all__
 
 
 class TestOutputFiles:
