@@ -17,13 +17,12 @@ distinct radii of the grid instead of a full n x n mode.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-from scipy.special import eval_genlaguerre
 
 
 class BandLimitWarning(UserWarning):
@@ -99,6 +98,8 @@ def _check_sampling(w0: float, pitch: float) -> None:
 
 def _lg_radial(p: int, l: int, w0: float, r2: np.ndarray) -> np.ndarray:
     """Unnormalized LG_{p,l} radial profile at squared radii r2 (m^2)."""
+    from scipy.special import eval_genlaguerre
+
     u = 2.0 * r2 / w0**2
     radial = eval_genlaguerre(p, abs(l), u) * np.exp(-r2 / w0**2)
     if l != 0:
@@ -247,6 +248,8 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
     ring powers are summed radially.  Fractions are relative to the field's
     total power, so they sum to <= 1 over any set of orders.
     """
+    from scipy.ndimage import map_coordinates
+
     l_values = np.asarray(list(l_values), dtype=int)
     total = field.total_power()
     if total == 0.0:
@@ -338,13 +341,18 @@ def _lg_fidelity_by_waist(field: ScalarField, p: int, l: int):
 class ConversionMetrics:
     """Mode-conversion scores: waist-optimized fidelity, fidelity at the
     nominal reference waist, the optimizing waist, power transmission, and
-    the conversion efficiency eta = fidelity * t_swg."""
+    the conversion efficiency eta = fidelity * t_swg.
+
+    output is the scored field (masked, then propagated by z_eval), kept for
+    callers that export or analyse it; it takes no part in equality or repr.
+    """
 
     fidelity: float
     fidelity_fixed_waist: float
     w0_opt: float
     t_swg: float
     eta: float
+    output: ScalarField | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def conversion_metrics(
@@ -387,6 +395,7 @@ def conversion_metrics(
         w0_opt=w_opt,
         t_swg=t_swg,
         eta=f_opt * t_swg,
+        output=out,
     )
 
 
@@ -419,7 +428,8 @@ def fidelity_vs_wavelength(
         metrics = conversion_metrics(
             field_in, mask, LGIndex(p=0, l=target_l, w0=w0), z_eval=z_eval
         )
-        results.append((lam, metrics))
+        # keep the scores only, so a scan holds one field at a time
+        results.append((lam, dataclasses.replace(metrics, output=None)))
     return results
 
 

@@ -313,9 +313,8 @@ def _ls_sweep(cfg: RunConfig, t_k_default: float) -> _LsSweep:
     def mode_at(l_s: float) -> device.MechanicalModeRecord:
         return device.interpolate(dataset, branch, l_s, q_m_override=q_m or None)
 
-    budgets = [
-        noise.budget(mode_at(ls), readout, t_k, beam, bandwidth_hz=bandwidth) for ls in grid
-    ]
+    modes = device.interpolate_grid(dataset, branch, grid, q_m_override=q_m or None)
+    budgets = [noise.budget(mode, readout, t_k, beam, bandwidth_hz=bandwidth) for mode in modes]
     return _LsSweep(mode_at, readout, beam, t_k, bandwidth, grid, budgets)
 
 
@@ -400,10 +399,7 @@ def cmd_beam_sim(args) -> int:
         target_l = design.delta_l * design.phase_sign
     target = beams.LGIndex(p=0, l=target_l, w0=w0)
     metrics = beams.conversion_metrics(field_in, mask, target, z_eval=z_eval)
-
-    out_field = beams.apply_mask(field_in, mask)
-    if z_eval != 0.0:
-        out_field = beams.propagate(out_field, z_eval)
+    out_field = metrics.output
     reference = beams.make_lg(n, pitch, lam, target)
 
     out = _out_dir(args)
@@ -451,34 +447,12 @@ def cmd_fit_gm(args) -> int:
     elif not Path(data_path).exists():
         raise ConfigError(f"fit-gm data file not found: {data_path}")
 
-    groups: dict[float, list[tuple[float, float, float]]] = {}
-    with open(data_path, "r", encoding="utf-8") as fh:
-        header = None
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if header != "w_h_um,l_s_um,f_minus_hz,f_plus_hz":
-                    raise ConfigError(
-                        "fit-gm data must have header w_h_um,l_s_um,f_minus_hz,f_plus_hz"
-                    )
-                continue
-            cells = line.split(",")
-            try:
-                if len(cells) != 4:
-                    raise ValueError(f"expected 4 columns, found {len(cells)}")
-                w_h, l_s, f_lo, f_hi = (float(v) for v in cells)
-            except ValueError as exc:
-                raise ConfigError(f"{data_path}, line {lineno}: {exc}") from exc
-            groups.setdefault(w_h, []).append((l_s, TWO_PI * f_lo, TWO_PI * f_hi))
+    groups = device.load_crossings(data_path)
 
     out = _out_dir(args)
     lines = ["w_h_um,g_m_hz,residual"]
     print("w_h_um,g_m_hz,residual")
-    for w_h in sorted(groups):
-        rows = np.asarray(groups[w_h])
+    for w_h, rows in groups.items():
         try:
             if len(rows) < 3:
                 raise mechanics.FitError(f"only {len(rows)} points (need >= 3)", math.nan)

@@ -9,6 +9,10 @@ support length ``l_s``.
 
 Datasets are immutable after loading; every record and the dataset itself
 are frozen dataclasses, so concurrent readers need no synchronization.
+Each branch's table (its records sorted by l_s, the l_s array and one
+float64 column per interpolated field) is built once, when the dataset is
+created; interpolation reads those columns and evaluates a whole l_s grid
+in one vectorised pass.
 
 File format (UTF-8, comma separated, ``#`` starts a comment line)::
 
@@ -22,9 +26,9 @@ Leading comment lines are kept as the dataset's provenance note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,52 +101,72 @@ class MechanicalModeRecord:
             raise DatasetError("record field g_om must be >= 0")
 
 
+class _BranchTable(NamedTuple):
+    """One branch's records sorted by l_s, their l_s values, and one float64
+    column per interpolated field: w_h_um, l_h_um, omega_m, m_eff, r_eff,
+    q_m and g_om, in that order."""
+
+    records: tuple[MechanicalModeRecord, ...]
+    l_s: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+
+def _branch_table(branch: str, records: Iterable[MechanicalModeRecord]) -> _BranchTable:
+    recs = tuple(sorted(records, key=lambda r: r.geometry.l_s_um))
+    ls = [r.geometry.l_s_um for r in recs]
+    for a, b in zip(ls, ls[1:]):
+        if not a < b:
+            raise DatasetError(
+                f"branch {branch!r}: l_s values must be strictly increasing "
+                f"(found {a} followed by {b})"
+            )
+    rows = [(r.geometry.w_h_um, r.geometry.l_h_um, r.omega_m, r.m_eff, r.r_eff, r.q_m, r.g_om)
+            for r in recs]
+    columns = tuple(np.array(column, dtype=np.float64) for column in zip(*rows))
+    return _BranchTable(recs, np.array(ls, dtype=np.float64), columns)
+
+
 @dataclass(frozen=True)
 class DeviceDataset:
     """Validated, immutable collection of mode records.
 
     Records are kept sorted by (l_s, branch).  Within each branch the l_s
     values are strictly increasing; that interval is the branch's
-    interpolation domain.
+    interpolation domain.  The per-branch tables are built on creation and
+    take no part in equality or repr.
     """
 
     records: tuple[MechanicalModeRecord, ...]
     provenance: str = ""
+    _tables: dict[str, _BranchTable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tables = {
+            branch: _branch_table(branch, (r for r in self.records if r.branch == branch))
+            for branch in sorted({r.branch for r in self.records})
+        }
+        object.__setattr__(self, "_tables", tables)
 
     @classmethod
     def from_records(
         cls, records: Iterable[MechanicalModeRecord], provenance: str = ""
     ) -> "DeviceDataset":
         ordered = tuple(sorted(records, key=lambda r: (r.geometry.l_s_um, r.branch)))
-        for branch in {r.branch for r in ordered}:
-            ls = [r.geometry.l_s_um for r in ordered if r.branch == branch]
-            for a, b in zip(ls, ls[1:]):
-                if not a < b:
-                    raise DatasetError(
-                        f"branch {branch!r}: l_s values must be strictly increasing "
-                        f"(found {a} followed by {b})"
-                    )
         return cls(records=ordered, provenance=provenance)
 
     def branches(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r in self.records:
-            if r.branch not in seen:
-                seen.append(r.branch)
-        return tuple(sorted(seen))
+        return tuple(self._tables)
 
-    def records_for(self, branch: str) -> tuple[MechanicalModeRecord, ...]:
-        recs = tuple(
-            sorted(
-                (r for r in self.records if r.branch == branch),
-                key=lambda r: r.geometry.l_s_um,
-            )
-        )
-        if not recs:
+    def _table(self, branch: str) -> _BranchTable:
+        try:
+            return self._tables[branch]
+        except KeyError:
             raise DatasetError(
                 f"branch {branch!r} not present; dataset has {', '.join(self.branches())}"
-            )
-        return recs
+            ) from None
+
+    def records_for(self, branch: str) -> tuple[MechanicalModeRecord, ...]:
+        return self._table(branch).records
 
     def domain(self, branch: str) -> tuple[float, float]:
         recs = self.records_for(branch)
@@ -206,6 +230,44 @@ def load_dataset(path) -> DeviceDataset:
     return DeviceDataset.from_records(records, provenance="\n".join(provenance_lines))
 
 
+CROSSING_HEADER = "w_h_um,l_s_um,f_minus_hz,f_plus_hz"
+
+
+def load_crossings(path) -> dict[float, np.ndarray]:
+    """Load a tuned mode-crossing table for coupling fits.
+
+    File format: ``#`` comment lines, the header CROSSING_HEADER, then one
+    row per point with the two hybrid-branch frequencies in ordinary Hz.
+    Returns the rows grouped by w_h (um), in increasing w_h: for each, an
+    array of (l_s_um, omega_minus, omega_plus) rows in file order, with the
+    frequencies in rad/s.  A bad header or row raises DatasetError naming
+    the file and line.
+    """
+    groups: dict[float, list[tuple[float, float, float]]] = {}
+    header_seen = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != CROSSING_HEADER:
+                    raise DatasetError(
+                        f"{path}, line {line_no}: bad header; expected {CROSSING_HEADER!r}"
+                    )
+                header_seen = True
+                continue
+            cells = line.split(",")
+            try:
+                if len(cells) != 4:
+                    raise ValueError(f"expected 4 columns, found {len(cells)}")
+                w_h, l_s, f_lo, f_hi = (float(v) for v in cells)
+            except ValueError as exc:
+                raise DatasetError(f"{path}, line {line_no}: {exc}") from exc
+            groups.setdefault(w_h, []).append((l_s, TWO_PI * f_lo, TWO_PI * f_hi))
+    return {w_h: np.asarray(groups[w_h]) for w_h in sorted(groups)}
+
+
 def write_dataset(dataset: DeviceDataset, path) -> None:
     """Write a dataset back to CSV.  write(load(f)) re-parses identically."""
     lines = []
@@ -241,52 +303,66 @@ def interpolate(
 ) -> MechanicalModeRecord:
     """Piecewise-linear interpolation of one branch at support length l_s (um).
 
+    The one-point case of interpolate_grid.
+    """
+    return interpolate_grid(dataset, branch, (l_s_um,), q_m_override)[0]
+
+
+def interpolate_grid(
+    dataset: DeviceDataset,
+    branch: str,
+    l_s_values,
+    q_m_override: float | None = None,
+) -> list[MechanicalModeRecord]:
+    """Piecewise-linear interpolation of one branch at each l_s (um) of a grid.
+
     At a tabulated l_s the stored record is reproduced exactly.  q_m_override,
     when given, replaces the interpolated quality factor (run-time override).
-    Queries outside the branch domain raise DatasetError.
+    A query outside the branch domain raises DatasetError naming the first
+    such l_s.  Each column is interpolated over the whole grid by one
+    np.interp call, which gives every point the bits a scalar query would.
     """
-    recs = dataset.records_for(branch)
+    table = dataset._table(branch)
+    recs, ls = table.records, table.l_s
     lo, hi = recs[0].geometry.l_s_um, recs[-1].geometry.l_s_um
-    if not lo <= l_s_um <= hi:
+    grid = np.asarray(l_s_values, dtype=np.float64)
+    outside = ~((lo <= grid) & (grid <= hi))
+    if outside.any():
+        l_s_um = grid[np.argmax(outside)].item()
         raise DatasetError(
             f"l_s = {l_s_um} um outside branch {branch!r} domain [{lo}, {hi}] um"
         )
-    ls = np.array([r.geometry.l_s_um for r in recs])
-    idx = int(np.searchsorted(ls, l_s_um))
-    if idx < len(recs) and ls[idx] == l_s_um:
-        hit = recs[idx]
-        if q_m_override is None:
-            return hit
-        return MechanicalModeRecord(
-            geometry=hit.geometry,
-            branch=hit.branch,
-            omega_m=hit.omega_m,
-            m_eff=hit.m_eff,
-            r_eff=hit.r_eff,
-            q_m=q_m_override,
-            g_om=hit.g_om,
+    idx = np.searchsorted(ls, grid)
+    at_knot = ls[idx] == grid
+    w_h, l_h, omega_m, m_eff, r_eff, q_m, g_om = (
+        np.interp(grid, ls, column).tolist() for column in table.columns
+    )
+    if q_m_override is not None:
+        q_m = [q_m_override] * len(grid)
+    stack = recs[0].geometry
+    out = []
+    for k, (l_s_um, i, hit) in enumerate(zip(grid.tolist(), idx.tolist(), at_knot.tolist())):
+        if hit:
+            rec = recs[i]
+            out.append(rec if q_m_override is None else replace(rec, q_m=q_m_override))
+            continue
+        geometry = DeviceGeometry(
+            l_s_um=l_s_um,
+            w_h_um=w_h[k],
+            l_h_um=l_h[k],
+            slot_width_nm=stack.slot_width_nm,
+            thickness_nm=stack.thickness_nm,
         )
-
-    def field(get) -> float:
-        return float(np.interp(l_s_um, ls, np.array([get(r) for r in recs])))
-
-    geometry = DeviceGeometry(
-        l_s_um=l_s_um,
-        w_h_um=field(lambda r: r.geometry.w_h_um),
-        l_h_um=field(lambda r: r.geometry.l_h_um),
-        slot_width_nm=recs[0].geometry.slot_width_nm,
-        thickness_nm=recs[0].geometry.thickness_nm,
-    )
-    q_m = q_m_override if q_m_override is not None else field(lambda r: r.q_m)
-    return MechanicalModeRecord(
-        geometry=geometry,
-        branch=branch,
-        omega_m=field(lambda r: r.omega_m),
-        m_eff=field(lambda r: r.m_eff),
-        r_eff=field(lambda r: r.r_eff),
-        q_m=q_m,
-        g_om=field(lambda r: r.g_om),
-    )
+        out.append(MechanicalModeRecord(
+            geometry=geometry,
+            branch=branch,
+            omega_m=omega_m[k],
+            m_eff=m_eff[k],
+            r_eff=r_eff[k],
+            q_m=q_m[k],
+            g_om=g_om[k],
+        ))
+    return out
 
 
 def sample_dataset_path():

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .device import MechanicalModeRecord
 
@@ -209,6 +208,8 @@ def fit_gm(
     (g_m, intercept, slope) is returned; with fit_omega2 the fixed branch
     frequency is optimized as well.
     """
+    from scipy.optimize import least_squares
+
     data = np.asarray(anticrossing, dtype=float)
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 3:
         raise ValueError("need >= 3 rows of (l_s_um, omega_minus, omega_plus)")

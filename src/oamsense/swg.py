@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
 
@@ -209,6 +208,8 @@ def layout_to_mask(layout: np.recarray, n: int, pitch: float) -> np.ndarray:
     The mask holds the layout's phases as they are; re-tune the layout first
     for another wavelength.
     """
+    from scipy.spatial import cKDTree
+
     if len(layout) == 0:
         raise ValueError("empty layout")
     pos = np.column_stack([layout.x, layout.y])

@@ -6,7 +6,9 @@ scheme, mode overlaps are evaluated by dense 1-D radial quadrature, and the
 waist search of conversion_metrics is repeated on full 2-D reference modes
 instead of the library's radial projection.  Raster export and spectral
 upsampling keep their straightforward forms: one repr per cell, and the
-zero-padded spectrum built and shifted as a centred array.
+zero-padded spectrum built and shifted as a centred array.  Dataset
+interpolation is done one l_s at a time, re-sorting the branch's records
+and rebuilding each column for every query.
 """
 
 from __future__ import annotations
@@ -163,3 +165,54 @@ def fourier_upsample_centred(amps, factor):
     lo = (n * factor - n) // 2
     big[lo:lo + n, lo:lo + n] = spectrum
     return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big))) * factor * factor
+
+
+def interpolate_per_call(dataset, branch, l_s_um, q_m_override=None):
+    """device.interpolate at one l_s, from the dataset's records alone.
+
+    The branch's records are sorted and each field's column is rebuilt for
+    the query, and np.interp runs on a scalar.  A tabulated l_s returns the
+    stored record, or a copy with q_m replaced.
+    """
+    from oamsense import device
+
+    recs = sorted((r for r in dataset.records if r.branch == branch),
+                  key=lambda r: r.geometry.l_s_um)
+    if not recs:
+        raise device.DatasetError(f"branch {branch!r} not present")
+    lo, hi = recs[0].geometry.l_s_um, recs[-1].geometry.l_s_um
+    if not lo <= l_s_um <= hi:
+        raise device.DatasetError(
+            f"l_s = {l_s_um} um outside branch {branch!r} domain [{lo}, {hi}] um"
+        )
+    ls = np.array([r.geometry.l_s_um for r in recs])
+    idx = int(np.searchsorted(ls, l_s_um))
+    if idx < len(recs) and ls[idx] == l_s_um:
+        hit = recs[idx]
+        if q_m_override is None:
+            return hit
+        return device.MechanicalModeRecord(
+            geometry=hit.geometry, branch=hit.branch, omega_m=hit.omega_m,
+            m_eff=hit.m_eff, r_eff=hit.r_eff, q_m=q_m_override, g_om=hit.g_om,
+        )
+
+    def field(get):
+        return float(np.interp(l_s_um, ls, np.array([get(r) for r in recs])))
+
+    geometry = device.DeviceGeometry(
+        l_s_um=l_s_um,
+        w_h_um=field(lambda r: r.geometry.w_h_um),
+        l_h_um=field(lambda r: r.geometry.l_h_um),
+        slot_width_nm=recs[0].geometry.slot_width_nm,
+        thickness_nm=recs[0].geometry.thickness_nm,
+    )
+    q_m = q_m_override if q_m_override is not None else field(lambda r: r.q_m)
+    return device.MechanicalModeRecord(
+        geometry=geometry,
+        branch=branch,
+        omega_m=field(lambda r: r.omega_m),
+        m_eff=field(lambda r: r.m_eff),
+        r_eff=field(lambda r: r.r_eff),
+        q_m=q_m,
+        g_om=field(lambda r: r.g_om),
+    )

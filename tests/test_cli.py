@@ -10,7 +10,7 @@ import pytest
 
 import oamsense
 from oamsense import beams, cli, device, swg
-from oracles import save_raster_per_cell
+from oracles import interpolate_per_call, save_raster_per_cell
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,6 +20,14 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def _src_env():
+    """The environment for a child interpreter that imports this oamsense."""
+    src = str(Path(oamsense.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def column(path, name):
@@ -104,6 +112,22 @@ class TestNoiseSweep:
                          "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "noise_sweep.csv").read_bytes()).hexdigest()
         assert digest == "74816333d8871e416d971e1499a957b84fcc7e0cf1db3834c68b56ef2fc556b1"
+
+    def test_fine_sweep_matches_per_call_interpolation(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nl_s_step_um = 0.005\n")
+        argv = ["noise-sweep", "--preset", "paper-fig5", "--config", str(cfg)]
+        assert cli.main(argv + ["--out", str(tmp_path / "grid")]) == 0
+
+        def per_call(dataset, branch, l_s_values, q_m_override=None):
+            return [interpolate_per_call(dataset, branch, l_s, q_m_override)
+                    for l_s in l_s_values]
+
+        monkeypatch.setattr(device, "interpolate_grid", per_call)
+        assert cli.main(argv + ["--out", str(tmp_path / "oracle")]) == 0
+        grid = (tmp_path / "grid" / "noise_sweep.csv").read_bytes()
+        assert grid.count(b"\n") == 2002
+        assert grid == (tmp_path / "oracle" / "noise_sweep.csv").read_bytes()
 
     def test_summary_row_is_the_csv_minimum_row(self, tmp_path, capsys):
         assert cli.main(["noise-sweep", "--preset", "paper-fig5",
@@ -230,6 +254,33 @@ class TestBeamSim:
         xx, yy = np.meshgrid(x, x, indexing="xy")
         r = np.hypot(xx, yy)
         assert np.sum(i10 * r) / np.sum(i10) > np.sum(i1 * r) / np.sum(i1)
+
+    def test_masks_and_propagates_once(self, tmp_path):
+        # the scored field of conversion_metrics is the one exported and analysed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 128\n[swg]\ndelta_l = 10\nz_eval_m = 5e-5\n")
+        script = (
+            "import collections, sys\n"
+            "from oamsense import beams, cli\n"
+            "calls = collections.Counter()\n"
+            "def counted(name):\n"
+            "    original = getattr(beams, name)\n"
+            "    def wrapper(*args, **kwargs):\n"
+            "        calls[name] += 1\n"
+            "        return original(*args, **kwargs)\n"
+            "    setattr(beams, name, wrapper)\n"
+            "counted('apply_mask')\n"
+            "counted('propagate')\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(calls['apply_mask'], calls['propagate'], code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "beam-sim", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stdout.splitlines()[-1] == "1 1 0"
+        assert proc.stderr.count("BandLimitWarning") == 1
 
     def test_rasters_match_per_cell_writer(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -394,19 +445,22 @@ class TestConfigHandling:
 
 class TestEntryPoint:
     def test_module_run_is_warning_free(self, tmp_path):
-        src = str(Path(oamsense.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "oamsense.cli", "mech-response",
              "--preset", "paper-fig2b", "--out", str(tmp_path / "out")],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert (tmp_path / "out" / "response.csv").exists()
+
+    def test_package_import_leaves_scipy_unloaded(self, tmp_path):
+        script = ("import sys, oamsense\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == "[]\n"
 
     def test_cli_reachable_from_package(self):
         assert oamsense.cli is cli

@@ -1,9 +1,13 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamsense import device
+from oracles import interpolate_per_call
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,6 +152,97 @@ def test_q_m_override(small_file):
     rec = device.interpolate(ds, "twist-like", 10.0, q_m_override=500.0)
     assert rec.q_m == 500.0
     assert rec.omega_m == ds.records_for("twist-like")[1].omega_m
+
+
+def test_direct_construction_builds_tables(small_file):
+    ds = device.load_dataset(small_file)
+    direct = device.DeviceDataset(records=tuple(reversed(ds.records)))
+    assert direct.branches() == ("bounce-like", "twist-like")
+    assert direct.records_for("twist-like") == ds.records_for("twist-like")
+    assert direct.domain("bounce-like") == (8.0, 12.0)
+    mid = device.interpolate(ds, "twist-like", 9.0)
+    assert device.interpolate(direct, "twist-like", 9.0) == mid
+    assert "_tables" not in repr(ds)
+    assert ds == device.DeviceDataset(records=ds.records, provenance=ds.provenance)
+
+
+def test_direct_construction_rejects_repeated_l_s(small_file):
+    ds = device.load_dataset(small_file)
+    with pytest.raises(device.DatasetError, match="strictly increasing"):
+        device.DeviceDataset(records=ds.records + ds.records[:1])
+
+
+@functools.cache
+def _sample():
+    return device.load_sample_dataset()
+
+
+def _bits(rec):
+    g = rec.geometry
+    values = (g.l_s_um, g.w_h_um, g.l_h_um, g.slot_width_nm, g.thickness_nm,
+              rec.omega_m, rec.m_eff, rec.r_eff, rec.q_m, rec.g_om)
+    return rec.branch, tuple(float(v).hex() for v in values)
+
+
+@st.composite
+def _grid_case(draw):
+    branch = draw(st.sampled_from(("twist-like", "bounce-like")))
+    knots = [r.geometry.l_s_um for r in _sample().records_for(branch)]
+    lo, hi = knots[0], knots[-1]
+    inner = draw(st.lists(st.floats(lo, hi), max_size=40))
+    grid = sorted(set(knots + inner))
+    q_m = draw(st.none() | st.floats(1.0, 1e9))
+    return branch, grid, q_m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_case())
+def test_grid_matches_per_call_oracle(case):
+    branch, grid, q_m = case
+    ds = _sample()
+    got = device.interpolate_grid(ds, branch, np.array(grid), q_m_override=q_m)
+    want = [interpolate_per_call(ds, branch, l_s, q_m) for l_s in grid]
+    assert got == want
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+
+def test_grid_knots_return_stored_records():
+    ds = _sample()
+    recs = ds.records_for("twist-like")
+    grid = [r.geometry.l_s_um for r in recs]
+    got = device.interpolate_grid(ds, "twist-like", grid)
+    assert all(a is b for a, b in zip(got, recs))
+    overridden = device.interpolate_grid(ds, "twist-like", grid, q_m_override=7.0)
+    assert [r.q_m for r in overridden] == [7.0] * len(recs)
+    assert [r.omega_m for r in overridden] == [r.omega_m for r in recs]
+
+
+@pytest.mark.parametrize("grid, bad", [
+    ([9.0, 10.0, 18.5, 19.0], "18.5"),
+    ([7.5, 9.0, 10.0], "7.5"),
+    ([9.0, float("nan"), 10.0], "nan"),
+])
+def test_grid_outside_domain_names_first_point(grid, bad):
+    with pytest.raises(device.DatasetError,
+                       match=rf"l_s = {bad} um outside branch 'twist-like' domain \[8.0, 18.0\]"):
+        device.interpolate_grid(_sample(), "twist-like", grid)
+
+
+def test_load_crossings_groups_by_hanger_width():
+    groups = device.load_crossings(device.sample_anticrossing_path())
+    assert list(groups) == [5.0, 7.0, 9.0]
+    for rows in groups.values():
+        assert rows.shape[1] == 3
+        assert np.all(np.diff(rows[:, 0]) > 0.0)
+        assert np.all(rows[:, 1] < rows[:, 2])
+    assert groups[5.0][0, 1] == TWO_PI * 5903636.828329092
+
+
+def test_load_crossings_bad_header_names_file_and_line(tmp_path):
+    path = tmp_path / "cross.csv"
+    path.write_text("# note\nw_h,l_s,f_lo,f_hi\n7.0,9.0,5.0e6,6.0e6\n")
+    with pytest.raises(device.DatasetError, match=re.escape(f"{path}, line 2: bad header")):
+        device.load_crossings(path)
 
 
 def test_write_load_round_trip(tmp_path, small_file):
