@@ -4,7 +4,7 @@ of optical orbital angular momentum.
 Submodules:
 
 * device    - tabulated mechanical-mode datasets (load / validate / interpolate)
-* mechanics - two-coupled-oscillator dynamics, torque transduction, coupling fits
+* mechanics - two-coupled-oscillator dynamics, response curves, coupling fits
 * noise     - noise-equivalent torque budget, power and photon-number limits
 * beams     - scalar fields, LG modes, phase masks, propagation, mode metrics
 * swg       - hexagonal pillar-grating layouts and their transmission masks

@@ -360,7 +360,6 @@ def conversion_metrics(
     mask: np.ndarray,
     target: LGIndex,
     z_eval: float = 0.0,
-    optimize_waist: bool = True,
 ) -> ConversionMetrics:
     """Score a phase mask as an OAM converter against a target LG mode.
 
@@ -381,13 +380,10 @@ def conversion_metrics(
 
     fid = _lg_fidelity_by_waist(out, target.p, target.l)
     f_fixed = fid(target.w0)
-    if optimize_waist:
-        lo = max(0.3 * target.w0, 4.0 * field_in.pitch)
-        w_opt = _golden_section(lambda w: -fid(w), lo, 3.0 * target.w0)
-        f_opt = fid(w_opt)
-        if f_fixed > f_opt:  # keep the better of the two ends of the search
-            f_opt, w_opt = f_fixed, target.w0
-    else:
+    lo = max(0.3 * target.w0, 4.0 * field_in.pitch)
+    w_opt = _golden_section(lambda w: -fid(w), lo, 3.0 * target.w0)
+    f_opt = fid(w_opt)
+    if f_fixed > f_opt:  # keep the better of the two ends of the search
         f_opt, w_opt = f_fixed, target.w0
     return ConversionMetrics(
         fidelity=f_opt,
@@ -431,36 +427,6 @@ def fidelity_vs_wavelength(
         # keep the scores only, so a scan holds one field at a time
         results.append((lam, dataclasses.replace(metrics, output=None)))
     return results
-
-
-def save_field(field: ScalarField, path) -> None:
-    """Text export: header comments (n, pitch, lambda) then x_m,y_m,re,im rows."""
-    ax = field.axis()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={field.n}\n# pitch_m={field.pitch!r}\n# lambda_m={field.lam!r}\n")
-        fh.write("x_m,y_m,re,im\n")
-        for iy in range(field.n):
-            for ix in range(field.n):
-                a = field.amps[iy, ix]
-                fh.write(f"{float(ax[ix])!r},{float(ax[iy])!r},{float(a.real)!r},{float(a.imag)!r}\n")
-
-
-def load_field(path) -> ScalarField:
-    """Inverse of save_field."""
-    meta = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, value = line.lstrip("#").strip().partition("=")
-                meta[key.strip()] = value.strip()
-            elif line and not line.startswith("x_m"):
-                rows.append([float(v) for v in line.split(",")])
-    n = int(meta["n"])
-    data = np.asarray(rows)
-    amps = (data[:, 2] + 1j * data[:, 3]).reshape(n, n)
-    return ScalarField(n=n, pitch=float(meta["pitch_m"]), lam=float(meta["lambda_m"]), amps=amps)
 
 
 def save_raster(matrix: np.ndarray, path) -> None:

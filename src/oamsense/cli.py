@@ -371,7 +371,6 @@ def _design(cfg: RunConfig, lam: float) -> swg.SWGDesign:
     return swg.SWGDesign(
         aperture_d=cfg.get_float("swg.aperture_d_m", 20e-6),
         lattice_a=cfg.get_float("swg.lattice_a_m", 360e-9),
-        pillar_t=cfg.get_float("swg.pillar_t_m", 450e-9),
         delta_l=cfg.get_int("swg.delta_l", 1),
         design_lambda=cfg.get_float("swg.design_lambda_m", lam),
         phase_sign=cfg.get_int("swg.phase_sign", 1),

@@ -26,7 +26,7 @@ Leading comment lines are kept as the dataset's provenance note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,10 +39,6 @@ BRANCHES = ("twist-like", "bounce-like", "hybrid-lower", "hybrid-upper", "see-sa
 
 HEADER = "l_s_um,w_h_um,l_h_um,branch,omega_m_hz,m_eff_kg,r_eff_m,q_m,g_om_hz_per_m"
 
-# Geometry values not carried by the dataset columns; fixed by the device stack.
-DEFAULT_SLOT_WIDTH_NM = 100.0
-DEFAULT_THICKNESS_NM = 370.0
-
 
 class DatasetError(ValueError):
     """Raised for malformed dataset files or invariant violations."""
@@ -50,25 +46,18 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Geometric parameters of one device variant.
-
-    l_s_um, w_h_um, l_h_um are the support length, hanger width and hanger
-    length in micrometres; slot_width_nm and thickness_nm are the cavity gap
-    and film thickness in nanometres.
+    """Geometric parameters of one device variant: the support length, hanger
+    width and hanger length, in micrometres (the dataset's geometry columns).
     """
 
     l_s_um: float
     w_h_um: float
     l_h_um: float
-    slot_width_nm: float = DEFAULT_SLOT_WIDTH_NM
-    thickness_nm: float = DEFAULT_THICKNESS_NM
 
     def __post_init__(self) -> None:
-        for name in ("l_s_um", "w_h_um", "l_h_um", "slot_width_nm", "thickness_nm"):
+        for name in ("l_s_um", "w_h_um", "l_h_um"):
             if not getattr(self, name) > 0.0:
                 raise DatasetError(f"geometry field {name} must be > 0")
-        if not self.slot_width_nm < 10.0 * self.thickness_nm:
-            raise DatasetError("slot_width_nm must be < 10 * thickness_nm")
 
 
 @dataclass(frozen=True)
@@ -241,7 +230,8 @@ def load_crossings(path) -> dict[float, np.ndarray]:
     Returns the rows grouped by w_h (um), in increasing w_h: for each, an
     array of (l_s_um, omega_minus, omega_plus) rows in file order, with the
     frequencies in rad/s.  A bad header or row raises DatasetError naming
-    the file and line.
+    the file and line; a file without a header or without data rows raises
+    it naming the file.
     """
     groups: dict[float, list[tuple[float, float, float]]] = {}
     header_seen = False
@@ -265,34 +255,11 @@ def load_crossings(path) -> dict[float, np.ndarray]:
             except ValueError as exc:
                 raise DatasetError(f"{path}, line {line_no}: {exc}") from exc
             groups.setdefault(w_h, []).append((l_s, TWO_PI * f_lo, TWO_PI * f_hi))
+    if not header_seen:
+        raise DatasetError(f"{path}: empty file (no header row)")
+    if not groups:
+        raise DatasetError(f"{path}: no data rows")
     return {w_h: np.asarray(groups[w_h]) for w_h in sorted(groups)}
-
-
-def write_dataset(dataset: DeviceDataset, path) -> None:
-    """Write a dataset back to CSV.  write(load(f)) re-parses identically."""
-    lines = []
-    for note in dataset.provenance.splitlines():
-        lines.append(f"# {note}" if note else "#")
-    lines.append(HEADER)
-    for r in dataset.records:
-        g = r.geometry
-        lines.append(
-            ",".join(
-                [
-                    repr(g.l_s_um),
-                    repr(g.w_h_um),
-                    repr(g.l_h_um),
-                    r.branch,
-                    repr(r.omega_m / TWO_PI),
-                    repr(r.m_eff),
-                    repr(r.r_eff),
-                    repr(r.q_m),
-                    repr(r.g_om / TWO_PI),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def interpolate(
@@ -316,11 +283,12 @@ def interpolate_grid(
 ) -> list[MechanicalModeRecord]:
     """Piecewise-linear interpolation of one branch at each l_s (um) of a grid.
 
-    At a tabulated l_s the stored record is reproduced exactly.  q_m_override,
-    when given, replaces the interpolated quality factor (run-time override).
-    A query outside the branch domain raises DatasetError naming the first
-    such l_s.  Each column is interpolated over the whole grid by one
-    np.interp call, which gives every point the bits a scalar query would.
+    np.interp returns the tabulated value exactly at a knot, so a tabulated
+    l_s reproduces its stored record.  q_m_override, when given, replaces the
+    interpolated quality factor (run-time override).  A query outside the
+    branch domain raises DatasetError naming the first such l_s.  Each column
+    is interpolated over the whole grid by one np.interp call, which gives
+    every point the bits a scalar query would.
     """
     table = dataset._table(branch)
     recs, ls = table.records, table.l_s
@@ -332,37 +300,23 @@ def interpolate_grid(
         raise DatasetError(
             f"l_s = {l_s_um} um outside branch {branch!r} domain [{lo}, {hi}] um"
         )
-    idx = np.searchsorted(ls, grid)
-    at_knot = ls[idx] == grid
     w_h, l_h, omega_m, m_eff, r_eff, q_m, g_om = (
         np.interp(grid, ls, column).tolist() for column in table.columns
     )
     if q_m_override is not None:
         q_m = [q_m_override] * len(grid)
-    stack = recs[0].geometry
-    out = []
-    for k, (l_s_um, i, hit) in enumerate(zip(grid.tolist(), idx.tolist(), at_knot.tolist())):
-        if hit:
-            rec = recs[i]
-            out.append(rec if q_m_override is None else replace(rec, q_m=q_m_override))
-            continue
-        geometry = DeviceGeometry(
-            l_s_um=l_s_um,
-            w_h_um=w_h[k],
-            l_h_um=l_h[k],
-            slot_width_nm=stack.slot_width_nm,
-            thickness_nm=stack.thickness_nm,
-        )
-        out.append(MechanicalModeRecord(
-            geometry=geometry,
+    return [
+        MechanicalModeRecord(
+            geometry=DeviceGeometry(l_s_um=l_s_um, w_h_um=w_h[k], l_h_um=l_h[k]),
             branch=branch,
             omega_m=omega_m[k],
             m_eff=m_eff[k],
             r_eff=r_eff[k],
             q_m=q_m[k],
             g_om=g_om[k],
-        ))
-    return out
+        )
+        for k, l_s_um in enumerate(grid.tolist())
+    ]
 
 
 def sample_dataset_path():

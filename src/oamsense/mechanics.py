@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import MechanicalModeRecord
-
 
 class PoleError(ValueError):
     """Undamped resonance queried exactly on a pole (unphysical request)."""
@@ -167,22 +165,6 @@ def peak_indices(values) -> list[int]:
     return [i + 1 for i in range(len(d) - 1) if d[i] > 0.0 >= d[i + 1]]
 
 
-def torque_to_displacement(mode: MechanicalModeRecord, tau: float, omega: float) -> complex:
-    """Peak displacement produced by torque tau (N m) applied at omega (rad/s).
-
-    x_max(omega) = tau / ( m_eff r_eff (omega_m^2 - omega^2 + i omega omega_m / Q_m) )
-    """
-    den = mode.m_eff * mode.r_eff * (
-        mode.omega_m**2 - omega**2 + 1j * omega * mode.omega_m / mode.q_m
-    )
-    return tau / den
-
-
-def optomechanical_shift(mode: MechanicalModeRecord, tau: float, omega: float) -> float:
-    """Cavity frequency shift (rad/s) transduced from an applied torque."""
-    return mode.g_om * abs(torque_to_displacement(mode, tau, omega))
-
-
 @dataclass(frozen=True)
 class FitGmResult:
     g_m: float  # rad/s
@@ -197,7 +179,6 @@ def fit_gm(
     omega1_model: tuple[float, float],
     omega2: float,
     fit_omega2: bool = False,
-    max_nfev: int = 2000,
 ) -> FitGmResult:
     """Extract the mode coupling from tuned-crossing data.
 
@@ -242,7 +223,7 @@ def fit_gm(
         lo.append(0.0)
         hi.append(np.inf)
     result = least_squares(
-        residuals, x0=np.array(x0), bounds=(lo, hi), max_nfev=max_nfev, x_scale="jac"
+        residuals, x0=np.array(x0), bounds=(lo, hi), max_nfev=2000, x_scale="jac"
     )
     norm = float(np.linalg.norm(result.fun))
     if not result.success:

@@ -172,17 +172,6 @@ def tau_thermal(mode: MechanicalModeRecord, t_kelvin: float) -> float:
     return math.sqrt(4.0 * KB * t_kelvin * mode.omega_m * mode.m_eff * mode.r_eff**2 / mode.q_m)
 
 
-def transmission(readout: OpticalReadout, delta: float) -> float:
-    """Dip transmission T(D) = 1 - d / (1 + (2 D / kappa)^2) at detuning D (rad/s)."""
-    return 1.0 - readout.dip_depth / (1.0 + (2.0 * delta / readout.kappa) ** 2)
-
-
-def transmission_slope_at(readout: OpticalReadout, delta: float) -> float:
-    """Signed local slope dT/dD (per rad/s) of the dip at detuning D."""
-    u = 2.0 * delta / readout.kappa
-    return 8.0 * readout.dip_depth * delta / (readout.kappa**2 * (1.0 + u * u) ** 2)
-
-
 def transmission_slope(readout: OpticalReadout) -> float:
     """Maximum transduction slope |dT/dD| (per rad/s), at D = kappa / (2 sqrt 3)."""
     return MAX_SLOPE_FACTOR * readout.dip_depth / readout.kappa
@@ -228,13 +217,6 @@ def tau_backaction(mode: MechanicalModeRecord, readout: OpticalReadout) -> float
 def quadrature_tau_min(tau_th: float, tau_sn: float, tau_dn: float, tau_ba: float) -> float:
     """Quadrature combination of the four noise-equivalent torques."""
     return math.sqrt(tau_th**2 + tau_sn**2 + tau_dn**2 + tau_ba**2)
-
-
-def pulse_train_power(n: float, lambda_sig: float, f_rep: float) -> float:
-    """Resonant Fourier component P = n hbar omega_c f_rep of a pulse train (W)."""
-    if n < 0.0 or f_rep < 0.0:
-        raise ValueError("n and f_rep must be >= 0")
-    return n * HBAR * (TWO_PI * C / lambda_sig) * f_rep
 
 
 def min_photons_per_pulse(
@@ -345,19 +327,6 @@ def optimize_ncav(
         n_cav=grid, n_min=n_min, budgets=budgets,
         best_n_cav=float(grid[i]), best_n_min=float(n_min[i]), best_index=i,
     )
-
-
-def refractive_delta_l(theta_i: float, theta_r: float, l: float) -> float:
-    """OAM change of a beam refracted from angle theta_i to theta_r (rad).
-
-    delta_l = 0.5 (cos theta_i / cos theta_r + cos theta_r / cos theta_i) * l,
-    valid for angles in [0, pi/2).
-    """
-    for name, th in (("theta_i", theta_i), ("theta_r", theta_r)):
-        if not 0.0 <= th < math.pi / 2.0:
-            raise ValueError(f"{name} must lie in [0, pi/2)")
-    ci, cr = math.cos(theta_i), math.cos(theta_r)
-    return 0.5 * (ci / cr + cr / ci) * l
 
 
 #: Columns of a budget row after its sweep-axis value (see budget_row).

@@ -87,8 +87,8 @@ def default_lookup(design_lambda: float = 840e-9, n_diameters: int = 11) -> SWGL
 
 @dataclass(frozen=True)
 class SWGDesign:
-    """Grating design: aperture diameter, lattice constant, pillar thickness,
-    the available diameters, the target OAM shift and the lookup table.
+    """Grating design: aperture diameter, lattice constant, the available
+    diameters, the target OAM shift and the lookup table.
 
     phase_sign flips the direction in which phase grows with diameter,
     turning a +delta_l design into -delta_l.
@@ -96,7 +96,6 @@ class SWGDesign:
 
     aperture_d: float = 20e-6
     lattice_a: float = 360e-9
-    pillar_t: float = 450e-9
     diameters: tuple[float, ...] = DEFAULT_DIAMETERS  # nanometres (file unit)
     delta_l: int = 1
     design_lambda: float = 840e-9
@@ -108,8 +107,8 @@ class SWGDesign:
             object.__setattr__(
                 self, "lookup", default_lookup(self.design_lambda, len(self.diameters))
             )
-        if not (self.aperture_d > 0.0 and self.lattice_a > 0.0 and self.pillar_t > 0.0):
-            raise ValueError("aperture_d, lattice_a and pillar_t must be > 0")
+        if not (self.aperture_d > 0.0 and self.lattice_a > 0.0):
+            raise ValueError("aperture_d and lattice_a must be > 0")
         d = np.asarray(self.diameters)
         if np.any(np.diff(d) <= 0.0):
             raise ValueError("diameters must be strictly increasing")
@@ -240,16 +239,6 @@ def export_layout(layout: np.recarray, path) -> None:
     lines = [LAYOUT_HEADER] + [",".join(map(repr, row)) for row in ordered.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_layout(path) -> np.recarray:
-    """Inverse of export_layout: the LAYOUT_DTYPE record array of the file's rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != LAYOUT_HEADER:
-            raise ValueError(f"bad layout header; expected {LAYOUT_HEADER!r}")
-        rows = np.loadtxt(fh, delimiter=",", dtype=LAYOUT_DTYPE, ndmin=1)
-    return rows.view(np.recarray)
 
 
 def expected_site_count(design: SWGDesign) -> float:

@@ -8,7 +8,9 @@ instead of the library's radial projection.  Raster export and spectral
 upsampling keep their straightforward forms: one repr per cell, and the
 zero-padded spectrum built and shifted as a centred array.  Dataset
 interpolation is done one l_s at a time, re-sorting the branch's records
-and rebuilding each column for every query.
+and rebuilding each column for every query.  The cavity dip is evaluated
+point by point for finite-difference slopes, and an exported pillar layout
+is read back with np.loadtxt.
 """
 
 from __future__ import annotations
@@ -203,8 +205,6 @@ def interpolate_per_call(dataset, branch, l_s_um, q_m_override=None):
         l_s_um=l_s_um,
         w_h_um=field(lambda r: r.geometry.w_h_um),
         l_h_um=field(lambda r: r.geometry.l_h_um),
-        slot_width_nm=recs[0].geometry.slot_width_nm,
-        thickness_nm=recs[0].geometry.thickness_nm,
     )
     q_m = q_m_override if q_m_override is not None else field(lambda r: r.q_m)
     return device.MechanicalModeRecord(
@@ -216,3 +216,20 @@ def interpolate_per_call(dataset, branch, l_s_um, q_m_override=None):
         q_m=q_m,
         g_om=field(lambda r: r.g_om),
     )
+
+
+def transmission(readout, delta: float) -> float:
+    """Dip transmission T(D) = 1 - d / (1 + (2 D / kappa)^2) at detuning D (rad/s)."""
+    return 1.0 - readout.dip_depth / (1.0 + (2.0 * delta / readout.kappa) ** 2)
+
+
+def load_layout(path):
+    """Inverse of swg.export_layout: the LAYOUT_DTYPE record array of the file's rows."""
+    from oamsense import swg
+
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != swg.LAYOUT_HEADER:
+            raise ValueError(f"bad layout header; expected {swg.LAYOUT_HEADER!r}")
+        rows = np.loadtxt(fh, delimiter=",", dtype=swg.LAYOUT_DTYPE, ndmin=1)
+    return rows.view(np.recarray)

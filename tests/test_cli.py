@@ -10,7 +10,7 @@ import pytest
 
 import oamsense
 from oamsense import beams, cli, device, swg
-from oracles import interpolate_per_call, save_raster_per_cell
+from oracles import interpolate_per_call, load_layout, save_raster_per_cell
 
 TWO_PI = 2.0 * math.pi
 
@@ -297,7 +297,7 @@ class TestBeamSim:
 class TestSwgGen:
     def test_defaults(self, tmp_path, capsys):
         assert cli.main(["swg-gen", "--out", str(tmp_path)]) == 0
-        layout = swg.load_layout(tmp_path / "layout.csv")
+        layout = load_layout(tmp_path / "layout.csv")
         out = capsys.readouterr().out
         hist_rows = [l for l in out.splitlines()
                      if "," in l and l.split(",")[0].replace(".", "").isdigit()]
@@ -371,6 +371,18 @@ class TestFitGm:
         assert cli.main(["fit-gm", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path)]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file (no header row)"),
+        ("w_h_um,l_s_um,f_minus_hz,f_plus_hz\n", "no data rows"),
+    ])
+    def test_no_data_rows_fails_cleanly(self, tmp_path, capsys, text, message):
+        data = tmp_path / "cross.csv"
+        data.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["fit-gm", str(data), "--out", str(out)]) == 2
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not (out / "gm_fit.csv").exists()
 
 
 class TestConfigHandling:

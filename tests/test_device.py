@@ -1,6 +1,8 @@
 import functools
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,8 +181,7 @@ def _sample():
 
 def _bits(rec):
     g = rec.geometry
-    values = (g.l_s_um, g.w_h_um, g.l_h_um, g.slot_width_nm, g.thickness_nm,
-              rec.omega_m, rec.m_eff, rec.r_eff, rec.q_m, rec.g_om)
+    values = (g.l_s_um, g.w_h_um, g.l_h_um, rec.omega_m, rec.m_eff, rec.r_eff, rec.q_m, rec.g_om)
     return rec.branch, tuple(float(v).hex() for v in values)
 
 
@@ -206,12 +207,13 @@ def test_grid_matches_per_call_oracle(case):
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
 
-def test_grid_knots_return_stored_records():
+def test_grid_knots_equal_stored_records():
     ds = _sample()
     recs = ds.records_for("twist-like")
     grid = [r.geometry.l_s_um for r in recs]
     got = device.interpolate_grid(ds, "twist-like", grid)
-    assert all(a is b for a, b in zip(got, recs))
+    assert got == list(recs)
+    assert [_bits(r) for r in got] == [_bits(r) for r in recs]
     overridden = device.interpolate_grid(ds, "twist-like", grid, q_m_override=7.0)
     assert [r.q_m for r in overridden] == [7.0] * len(recs)
     assert [r.omega_m for r in overridden] == [r.omega_m for r in recs]
@@ -245,22 +247,18 @@ def test_load_crossings_bad_header_names_file_and_line(tmp_path):
         device.load_crossings(path)
 
 
-def test_write_load_round_trip(tmp_path, small_file):
-    ds = device.load_dataset(small_file)
-    out = tmp_path / "roundtrip.csv"
-    device.write_dataset(ds, out)
-    again = device.load_dataset(out)
-    assert again == ds
-    # and the bundled dataset round-trips too
-    sample = device.load_sample_dataset()
-    out2 = tmp_path / "sample.csv"
-    device.write_dataset(sample, out2)
-    assert device.load_dataset(out2) == sample
+def test_data_tool_reproduces_bundled_files(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "generate_sample_data.py"
+    spec = importlib.util.spec_from_file_location("generate_sample_data", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.DATA_DIR = tmp_path
+    module.main()
+    for name, bundled in (("sample_device.csv", device.sample_dataset_path()),
+                          ("sample_anticrossing.csv", device.sample_anticrossing_path())):
+        assert (tmp_path / name).read_bytes() == bundled.read_bytes()
 
 
 def test_geometry_invariants():
     with pytest.raises(device.DatasetError):
         device.DeviceGeometry(l_s_um=-1.0, w_h_um=7.0, l_h_um=1.0)
-    with pytest.raises(device.DatasetError, match="slot"):
-        device.DeviceGeometry(l_s_um=10.0, w_h_um=7.0, l_h_um=1.0,
-                              slot_width_nm=4000.0, thickness_nm=370.0)

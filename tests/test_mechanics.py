@@ -247,56 +247,3 @@ class TestFitGm:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 3"):
             mechanics.fit_gm(np.zeros((2, 3)), (1.0, 0.0), 1.0)
-
-
-class TestTorqueTransduction:
-    def mode(self, q_m=500.0):
-        ds = device.load_sample_dataset()
-        return device.interpolate(ds, "bounce-like", 12.0, q_m_override=q_m)
-
-    def test_on_resonance_magnitude(self):
-        mode = self.mode()
-        tau = 1e-15
-        x = mechanics.torque_to_displacement(mode, tau, mode.omega_m)
-        expected = mode.q_m * tau / (mode.m_eff * mode.r_eff * mode.omega_m**2)
-        assert abs(x) == pytest.approx(expected, rel=1e-12)
-
-    def test_static_limit(self):
-        mode = self.mode()
-        x = mechanics.torque_to_displacement(mode, 2e-15, 0.0)
-        assert x == pytest.approx(2e-15 / (mode.m_eff * mode.r_eff * mode.omega_m**2))
-
-    def test_cross_check_against_driven_response(self):
-        # single uncoupled oscillator driven with F = tau / r_eff reproduces
-        # the torque transfer magnitude
-        mode = self.mode()
-        tau = 1e-15
-        single = mechanics.CoupledOscillator(
-            m1=mode.m_eff, m2=1.0,
-            omega1=mode.omega_m, omega2=10.0 * mode.omega_m,
-            gamma1=mode.omega_m / mode.q_m, gamma2=1.0, g_m=0.0,
-        )
-        for omega in (0.5 * mode.omega_m, mode.omega_m, 1.3 * mode.omega_m):
-            x_tau = mechanics.torque_to_displacement(mode, tau, omega)
-            x_f, _ = mechanics.driven_response(
-                single, mechanics.DriveSpec(f_d=tau / mode.r_eff, omega_d=omega)
-            )
-            assert abs(x_tau) == pytest.approx(abs(x_f), rel=1e-3)
-
-    def test_shift_zero_torque(self):
-        mode = self.mode()
-        assert mechanics.optomechanical_shift(mode, 0.0, mode.omega_m) == 0.0
-
-    def test_shift_linearity(self):
-        mode = self.mode()
-        one = mechanics.optomechanical_shift(mode, 1e-15, mode.omega_m)
-        two = mechanics.optomechanical_shift(mode, 2e-15, mode.omega_m)
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_shift_peaks_at_crossing(self):
-        ds = device.load_sample_dataset()
-        shifts = {}
-        for ls in np.arange(8.0, 18.5, 1.0):
-            mode = device.interpolate(ds, "twist-like", ls)
-            shifts[ls] = mechanics.optomechanical_shift(mode, 1e-15, mode.omega_m)
-        assert max(shifts, key=shifts.get) == 10.0
