@@ -3,9 +3,12 @@
 Subcommands: mech-response, noise-sweep, pulse-budget, beam-sim, swg-gen,
 fit-gm.  Runs are configured by flat INI-style files (``[section]`` headers,
 ``key = value`` lines, SI unit suffixes on keys) optionally layered on top of
-a named preset; every output is a comma-separated table written atomically
-(temp file + rename) under --out.  A fixed config yields byte-identical
-outputs.
+a named preset.  The table ``KEYS`` is the list of config keys: each one's
+type, bound, default and the subcommands that read it.  A config file may set
+only the keys its subcommand reads, and every value is checked before any
+output is written.  Every output is a comma-separated table written
+atomically (temp file + rename) under --out.  A fixed config yields
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -94,68 +97,150 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-class RunConfig:
-    """Flat section.key -> string store with typed, validating getters."""
+Parser = Callable[[str], object]
 
-    def __init__(self, values: dict[str, str]):
-        self.values = dict(values)
 
-    @classmethod
-    def assemble(cls, preset: str | None, config_path: str | None) -> "RunConfig":
-        values: dict[str, str] = {}
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ConfigError(
-                    f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
-                )
-            values.update(PRESETS[preset])
-        if config_path is not None:
-            path = Path(config_path)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
-            parser = configparser.ConfigParser()
-            parser.read(path)
-            for section in parser.sections():
-                for key, value in parser.items(section):
-                    values[f"{section}.{key}"] = value
-        return cls(values)
-
-    def raw(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
-    def get_float(self, key: str, default: float | None = None) -> float:
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required config key: {key}")
-            return default
+def _number(integer: bool = False, gt: float | None = None, ge: float | None = None) -> Parser:
+    """Parser of a finite float, or an integer, with an optional lower bound."""
+    def parse(raw: str) -> float | int:
         try:
             value = float(raw)
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            raise ConfigError(f"config key {key} = {raw!r} is not a finite number")
-        return value
-
-    def get_int(self, key: str, default: int | None = None) -> int:
-        value = self.get_float(key, None if default is None else float(default))
-        if not value.is_integer():
-            raise ConfigError(f"config key {key} = {self.values[key]!r} is not an integer")
-        return int(value)
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key} = {raw!r} is not a boolean")
+            raise ValueError("is not a finite number")
+        if integer and not value.is_integer():
+            raise ValueError("is not an integer")
+        if gt is not None and not value > gt:
+            raise ValueError(f"must be > {gt:g}")
+        if ge is not None and not value >= ge:
+            raise ValueError(f"must be >= {ge:g}")
+        return int(value) if integer else value
+    return parse
 
 
-def _load_cfg_dataset(cfg: RunConfig) -> device.DeviceDataset:
-    raw = cfg.raw("device.dataset")
+def _choice(values: dict[str, object], what: str) -> Parser:
+    """Parser of one of the names in `values`, in any letter case."""
+    def parse(raw: str) -> object:
+        if raw.lower() not in values:
+            raise ValueError(f"is not {what}")
+        return values[raw.lower()]
+    return parse
+
+
+_FLOAT = _number()
+_INT = _number(integer=True)
+_POSITIVE = _number(gt=0.0)
+_BOOL = _choice({**dict.fromkeys(("1", "true", "yes", "on"), True),
+                 **dict.fromkeys(("0", "false", "no", "off"), False)}, "a boolean")
+
+
+def _auto_or_float(raw: str) -> float | str:
+    return raw if raw == "auto" else _FLOAT(raw)
+
+
+class Key(NamedTuple):
+    """A config key: its parser (with any bound), default and readers."""
+
+    parse: Parser
+    default: object  # None: the subcommand derives (or requires) the value
+    commands: tuple[str, ...]
+
+
+_MECH = ("mech-response",)
+_BUDGET = ("noise-sweep", "pulse-budget")
+_GRATING = ("beam-sim", "swg-gen")
+
+KEYS: dict[str, Key] = {
+    "device.dataset": Key(str, None, _MECH + _BUDGET),  # a dataset file, or 'bundled'
+    "device.branch": Key(str, "twist-like", _BUDGET),
+    "mechanics.l_s_um": Key(_FLOAT, 12.0, _MECH),
+    "mechanics.q_m": Key(_POSITIVE, 500.0, _MECH),
+    "mechanics.g_m_hz": Key(_FLOAT, 5e5, _MECH),
+    "mechanics.f_d_n": Key(_FLOAT, 1e-15, _MECH),
+    "mechanics.f_min_hz": Key(_FLOAT, None, _MECH),  # from the mode frequencies
+    "mechanics.f_max_hz": Key(_FLOAT, None, _MECH),
+    "mechanics.n_points": Key(_number(integer=True, ge=2), 1501, _MECH),
+    "sweep.l_s_min_um": Key(_FLOAT, None, _BUDGET),  # from the dataset domain
+    "sweep.l_s_max_um": Key(_FLOAT, None, _BUDGET),
+    "sweep.l_s_step_um": Key(_POSITIVE, 0.25, _BUDGET),
+    "sweep.l_s_ncav_um": Key(_FLOAT, 10.0, ("pulse-budget",)),
+    "sweep.n_cav_min": Key(_POSITIVE, 1e-5, ("pulse-budget",)),
+    "sweep.n_cav_max": Key(_POSITIVE, 1e-1, ("pulse-budget",)),
+    "sweep.n_cav_points": Key(_number(integer=True, ge=1), 41, ("pulse-budget",)),
+    "readout.lambda0_m": Key(_FLOAT, 1.428e-6, _BUDGET),
+    "readout.q_o": Key(_FLOAT, 1e6, _BUDGET),
+    "readout.dip_depth": Key(_FLOAT, 1.0, _BUDGET),
+    "readout.p_det_w": Key(_auto_or_float, 1e-7, _BUDGET),
+    "readout.eta_qe": Key(_FLOAT, 1.0, _BUDGET),
+    "readout.p_dn_w": Key(_FLOAT, 2.5e-12, _BUDGET),
+    "readout.n_cav": Key(_FLOAT, 0.0, _BUDGET),
+    "environment.t_k": Key(_FLOAT, None, _BUDGET),  # per subcommand
+    "environment.q_m": Key(_number(ge=0.0), 0.0, _BUDGET),  # 0: the dataset's Q
+    "beam.lambda_sig_m": Key(_FLOAT, 8.4e-7, _BUDGET + _GRATING),
+    "beam.delta_l": Key(_FLOAT, 1.0, _BUDGET),
+    "beam.eta_conv": Key(_FLOAT, 1.0, _BUDGET),
+    "beam.contrast": Key(_FLOAT, 1.0, _BUDGET),
+    "beam.modulation": Key(_choice({"cw": "cw", "pulse": "pulse"}, "cw or pulse"), "cw", _BUDGET),
+    "beam.f_rep_hz": Key(_auto_or_float, "auto", _BUDGET),
+    "beam.bandwidth_hz": Key(_FLOAT, 1.0, _BUDGET),
+    "beam.w0_m": Key(_FLOAT, 5e-6, ("beam-sim",)),
+    "grid.n": Key(_INT, 1024, ("beam-sim",)),
+    "grid.pitch_m": Key(_FLOAT, 50e-9, ("beam-sim",)),
+    "swg.aperture_d_m": Key(_FLOAT, 20e-6, _GRATING),
+    "swg.lattice_a_m": Key(_FLOAT, 360e-9, _GRATING),
+    "swg.delta_l": Key(_INT, 1, _GRATING),
+    "swg.design_lambda_m": Key(_FLOAT, None, _GRATING),  # beam.lambda_sig_m
+    "swg.phase_sign": Key(_INT, 1, _GRATING),
+    "swg.z_eval_m": Key(_FLOAT, 0.0, ("beam-sim",)),
+    "swg.ideal_vortex": Key(_BOOL, False, ("beam-sim",)),
+    "fit.f2_hz": Key(_FLOAT, 0.0, ("fit-gm",)),  # <= 0: fitted with the coupling
+}
+
+
+def resolve_config(command: str, preset: str | None, config_path: str | None) -> dict:
+    """Every key `command` reads, parsed and bound-checked.
+
+    A value comes from the config file, else the preset, else the table's
+    default.  A file key that `command` does not read is an error; a preset
+    key is not, since presets are shared across subcommands.
+    """
+    scope = {name: key for name, key in KEYS.items() if command in key.commands}
+    raw = dict(PRESETS[preset]) if preset is not None else {}
+    if config_path is not None:
+        path = Path(config_path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is a plain section
+        try:
+            parser.read(path)
+            items = [(f"{s}.{k}", v) for s in parser.sections() for k, v in parser.items(s)]
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        for name, value in items:
+            if name not in scope:
+                import difflib  # only on this error path
+
+                hint = difflib.get_close_matches(name, scope, n=1)
+                raise ConfigError(f"{path}: config key {name} is not read by {command}"
+                                  + (f"; did you mean {hint[0]}?" if hint else ""))
+            raw[name] = value
+    cfg = {}
+    for name, key in scope.items():
+        try:
+            cfg[name] = key.parse(raw[name]) if name in raw else key.default
+        except ValueError as exc:
+            raise ConfigError(f"config key {name} = {raw[name]!r} {exc}") from None
+    return cfg
+
+
+def _derived(cfg: dict, name: str, value):
+    """cfg[name], or `value` where the table leaves the key to the subcommand."""
+    return value if cfg[name] is None else cfg[name]
+
+
+def _load_cfg_dataset(cfg: dict) -> device.DeviceDataset:
+    raw = cfg["device.dataset"]
     if raw is None:
         raise ConfigError("missing required config key: device.dataset "
                           "(path to a dataset file, or 'bundled')")
@@ -166,16 +251,16 @@ def _load_cfg_dataset(cfg: RunConfig) -> device.DeviceDataset:
     return device.load_dataset(raw)
 
 
-def _readout(cfg: RunConfig) -> noise.OpticalReadout:
-    p_det_auto = cfg.raw("readout.p_det_w") == "auto"
-    n_cav = cfg.get_float("readout.n_cav", 0.0)
+def _readout(cfg: dict) -> noise.OpticalReadout:
+    p_det_auto = cfg["readout.p_det_w"] == "auto"
+    n_cav = cfg["readout.n_cav"]
     readout = noise.OpticalReadout(
-        lambda0=cfg.get_float("readout.lambda0_m", 1.428e-6),
-        q_o=cfg.get_float("readout.q_o", 1e6),
-        p_det=1.0 if p_det_auto else cfg.get_float("readout.p_det_w", 1e-7),
-        dip_depth=cfg.get_float("readout.dip_depth", 1.0),
-        eta_qe=cfg.get_float("readout.eta_qe", 1.0),
-        p_dn=cfg.get_float("readout.p_dn_w", 2.5e-12),
+        lambda0=cfg["readout.lambda0_m"],
+        q_o=cfg["readout.q_o"],
+        p_det=1.0 if p_det_auto else cfg["readout.p_det_w"],
+        dip_depth=cfg["readout.dip_depth"],
+        eta_qe=cfg["readout.eta_qe"],
+        p_dn=cfg["readout.p_dn_w"],
         n_cav=n_cav,
     )
     if p_det_auto:
@@ -185,31 +270,28 @@ def _readout(cfg: RunConfig) -> noise.OpticalReadout:
     return readout
 
 
-def _beam(cfg: RunConfig) -> noise.SignalBeam:
-    kind = (cfg.raw("beam.modulation", "cw") or "cw").lower()
-    if kind == "cw":
+def _beam(cfg: dict) -> noise.SignalBeam:
+    if cfg["beam.modulation"] == "cw":
         modulation: noise.CwModulation | noise.PulseTrain = noise.CwModulation()
-    elif kind == "pulse":
-        resonant = cfg.raw("beam.f_rep_hz", "auto") == "auto"
-        modulation = noise.PulseTrain(None if resonant else cfg.get_float("beam.f_rep_hz"))
     else:
-        raise ConfigError(f"beam.modulation must be 'cw' or 'pulse', got {kind!r}")
+        f_rep = cfg["beam.f_rep_hz"]
+        modulation = noise.PulseTrain(None if f_rep == "auto" else f_rep)
     return noise.SignalBeam(
-        lambda_sig=cfg.get_float("beam.lambda_sig_m", 8.4e-7),
-        delta_l=cfg.get_float("beam.delta_l", 1.0),
-        eta_conv=cfg.get_float("beam.eta_conv", 1.0),
-        contrast=cfg.get_float("beam.contrast", 1.0),
+        lambda_sig=cfg["beam.lambda_sig_m"],
+        delta_l=cfg["beam.delta_l"],
+        eta_conv=cfg["beam.eta_conv"],
+        contrast=cfg["beam.contrast"],
         modulation=modulation,
     )
 
 
-def _ls_grid(cfg: RunConfig, dataset: device.DeviceDataset, branch: str) -> np.ndarray:
+def _ls_grid(cfg: dict, dataset: device.DeviceDataset, branch: str) -> np.ndarray:
     lo, hi = dataset.domain(branch)
-    ls_min = cfg.get_float("sweep.l_s_min_um", lo)
-    ls_max = cfg.get_float("sweep.l_s_max_um", hi)
-    step = cfg.get_float("sweep.l_s_step_um", 0.25)
-    if not (ls_min < ls_max and step > 0.0):
-        raise ConfigError("sweep.l_s_* must satisfy min < max and step > 0")
+    ls_min = _derived(cfg, "sweep.l_s_min_um", lo)
+    ls_max = _derived(cfg, "sweep.l_s_max_um", hi)
+    step = cfg["sweep.l_s_step_um"]
+    if not ls_min < ls_max:
+        raise ConfigError("sweep.l_s_min_um must be < sweep.l_s_max_um")
     steps = (ls_max - ls_min) / step
     if not math.isclose(steps, round(steps), rel_tol=1e-9):
         raise ConfigError(
@@ -240,16 +322,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_mech_response(args) -> int:
-    cfg = RunConfig.assemble(args.preset, args.config)
+def cmd_mech_response(args, cfg: dict) -> int:
     dataset = _load_cfg_dataset(cfg)
-    l_s = cfg.get_float("mechanics.l_s_um", 12.0)
-    q_m = cfg.get_float("mechanics.q_m", 500.0)
-    if q_m <= 0.0:
-        raise ConfigError(f"config key mechanics.q_m = {cfg.raw('mechanics.q_m')!r} must be > 0")
+    l_s = cfg["mechanics.l_s_um"]
+    q_m = cfg["mechanics.q_m"]
     twist = device.interpolate(dataset, "twist-like", l_s, q_m_override=q_m)
     bounce = device.interpolate(dataset, "bounce-like", l_s, q_m_override=q_m)
-    g_m = TWO_PI * cfg.get_float("mechanics.g_m_hz", 5e5)
+    g_m = TWO_PI * cfg["mechanics.g_m_hz"]
     model = mechanics.CoupledOscillator(
         m1=twist.m_eff,
         m2=bounce.m_eff,
@@ -259,11 +338,12 @@ def cmd_mech_response(args) -> int:
         gamma2=bounce.omega_m / q_m,
         g_m=g_m,
     )
-    f_min = cfg.get_float("mechanics.f_min_hz", 0.7 * min(twist.omega_m, bounce.omega_m) / TWO_PI)
-    f_max = cfg.get_float("mechanics.f_max_hz", 1.2 * max(twist.omega_m, bounce.omega_m) / TWO_PI)
-    n_pts = cfg.get_int("mechanics.n_points", 1501)
-    omega = TWO_PI * np.linspace(f_min, f_max, n_pts)
-    curve = mechanics.response_curve(model, cfg.get_float("mechanics.f_d_n", 1e-15), omega)
+    f_min = _derived(cfg, "mechanics.f_min_hz",
+                     0.7 * min(twist.omega_m, bounce.omega_m) / TWO_PI)
+    f_max = _derived(cfg, "mechanics.f_max_hz",
+                     1.2 * max(twist.omega_m, bounce.omega_m) / TWO_PI)
+    omega = TWO_PI * np.linspace(f_min, f_max, cfg["mechanics.n_points"])
+    curve = mechanics.response_curve(model, cfg["mechanics.f_d_n"], omega)
 
     out = _out_dir(args)
     _atomic_write(out / "response.csv", lambda p: mechanics.save_response_curve(curve, p))
@@ -296,18 +376,15 @@ class _LsSweep(NamedTuple):
     budgets: list[noise.NoiseBudget]
 
 
-def _ls_sweep(cfg: RunConfig, t_k_default: float) -> _LsSweep:
+def _ls_sweep(cfg: dict, t_k_default: float) -> _LsSweep:
     """The set-up noise-sweep and pulse-budget share: one budget per l_s."""
     dataset = _load_cfg_dataset(cfg)
-    branch = cfg.raw("device.branch", "twist-like")
+    branch = cfg["device.branch"]
     readout = _readout(cfg)
     beam = _beam(cfg)
-    t_k = cfg.get_float("environment.t_k", t_k_default)
-    q_m = cfg.get_float("environment.q_m", 0.0)
-    if q_m < 0.0:
-        raise ConfigError(f"config key environment.q_m = {cfg.raw('environment.q_m')!r} "
-                          "must be > 0, or 0 for the dataset's Q")
-    bandwidth = cfg.get_float("beam.bandwidth_hz", 1.0)
+    t_k = _derived(cfg, "environment.t_k", t_k_default)
+    q_m = cfg["environment.q_m"]
+    bandwidth = cfg["beam.bandwidth_hz"]
     grid = _ls_grid(cfg, dataset, branch)
 
     def mode_at(l_s: float) -> device.MechanicalModeRecord:
@@ -318,8 +395,7 @@ def _ls_sweep(cfg: RunConfig, t_k_default: float) -> _LsSweep:
     return _LsSweep(mode_at, readout, beam, t_k, bandwidth, grid, budgets)
 
 
-def cmd_noise_sweep(args) -> int:
-    cfg = RunConfig.assemble(args.preset, args.config)
+def cmd_noise_sweep(args, cfg: dict) -> int:
     sweep = _ls_sweep(cfg, t_k_default=4.0)
     out = _out_dir(args)
     _atomic_write(
@@ -334,70 +410,59 @@ def cmd_noise_sweep(args) -> int:
     return 0
 
 
-def cmd_pulse_budget(args) -> int:
-    cfg = RunConfig.assemble(args.preset, args.config)
+def cmd_pulse_budget(args, cfg: dict) -> int:
     sweep = _ls_sweep(cfg, t_k_default=0.01)
     if not isinstance(sweep.beam.modulation, noise.PulseTrain):
         raise ConfigError("pulse-budget requires beam.modulation = pulse")
     grid, budgets = sweep.grid, sweep.budgets
+    l_s0 = cfg["sweep.l_s_ncav_um"]
+    ncav_grid = np.logspace(math.log10(cfg["sweep.n_cav_min"]),
+                            math.log10(cfg["sweep.n_cav_max"]), cfg["sweep.n_cav_points"])
+    scan = noise.optimize_ncav(sweep.mode_at(l_s0), sweep.readout, sweep.t_k, sweep.beam,
+                               ncav_grid, bandwidth_hz=sweep.bandwidth)
+
     out = _out_dir(args)
     _atomic_write(
         out / "pulse_ls_sweep.csv",
         lambda p: noise.write_budget_sweep(p, "l_s_um", grid, budgets),
     )
-    i = int(np.argmin([b.n_min for b in budgets]))
-    print(f"n_min over l_s: minimum {budgets[i].n_min:.4g} photons/pulse "
-          f"at l_s = {grid[i]:g} um")
-
-    l_s0 = cfg.get_float("sweep.l_s_ncav_um", 10.0)
-    ncav_grid = np.logspace(
-        math.log10(cfg.get_float("sweep.n_cav_min", 1e-5)),
-        math.log10(cfg.get_float("sweep.n_cav_max", 1e-1)),
-        cfg.get_int("sweep.n_cav_points", 41),
-    )
-    scan = noise.optimize_ncav(sweep.mode_at(l_s0), sweep.readout, sweep.t_k, sweep.beam,
-                               ncav_grid, bandwidth_hz=sweep.bandwidth)
     _atomic_write(
         out / "pulse_ncav_sweep.csv",
         lambda p: noise.write_budget_sweep(p, "n_cav", scan.n_cav, scan.budgets),
     )
+    i = int(np.argmin([b.n_min for b in budgets]))
+    print(f"n_min over l_s: minimum {budgets[i].n_min:.4g} photons/pulse "
+          f"at l_s = {grid[i]:g} um")
     print(f"n_min over n_cav (l_s = {l_s0:g} um): minimum {scan.best_n_min:.4g} "
           f"photons/pulse at n_cav = {scan.best_n_cav:.4g}")
     print(f"wrote {out / 'pulse_ls_sweep.csv'} and {out / 'pulse_ncav_sweep.csv'}")
     return 0
 
 
-def _design(cfg: RunConfig, lam: float) -> swg.SWGDesign:
+def _design(cfg: dict) -> swg.SWGDesign:
     return swg.SWGDesign(
-        aperture_d=cfg.get_float("swg.aperture_d_m", 20e-6),
-        lattice_a=cfg.get_float("swg.lattice_a_m", 360e-9),
-        delta_l=cfg.get_int("swg.delta_l", 1),
-        design_lambda=cfg.get_float("swg.design_lambda_m", lam),
-        phase_sign=cfg.get_int("swg.phase_sign", 1),
+        aperture_d=cfg["swg.aperture_d_m"],
+        lattice_a=cfg["swg.lattice_a_m"],
+        delta_l=cfg["swg.delta_l"],
+        design_lambda=_derived(cfg, "swg.design_lambda_m", cfg["beam.lambda_sig_m"]),
+        phase_sign=cfg["swg.phase_sign"],
     )
 
 
-def cmd_beam_sim(args) -> int:
-    cfg = RunConfig.assemble(args.preset, args.config)
-    n = cfg.get_int("grid.n", 1024)
-    pitch = cfg.get_float("grid.pitch_m", 50e-9)
-    lam = cfg.get_float("beam.lambda_sig_m", 8.4e-7)
-    w0 = cfg.get_float("beam.w0_m", 5e-6)
-    z_eval = cfg.get_float("swg.z_eval_m", 0.0)
-    delta_l = cfg.get_int("swg.delta_l", 1)
-    ideal = cfg.get_bool("swg.ideal_vortex", False)
-
+def cmd_beam_sim(args, cfg: dict) -> int:
+    n, pitch = cfg["grid.n"], cfg["grid.pitch_m"]
+    lam, w0 = cfg["beam.lambda_sig_m"], cfg["beam.w0_m"]
     field_in = beams.make_gaussian(n, pitch, lam, w0)
-    if ideal:
-        mask = beams.vortex_mask(n, pitch, delta_l)
-        target_l = delta_l
+    if cfg["swg.ideal_vortex"]:
+        target_l = cfg["swg.delta_l"]
+        mask = beams.vortex_mask(n, pitch, target_l)
     else:
-        design = _design(cfg, lam)
+        design = _design(cfg)
         layout = swg.retune_layout(design, swg.generate_layout(design), lam)
         mask = swg.layout_to_mask(layout, n, pitch)
         target_l = design.delta_l * design.phase_sign
     target = beams.LGIndex(p=0, l=target_l, w0=w0)
-    metrics = beams.conversion_metrics(field_in, mask, target, z_eval=z_eval)
+    metrics = beams.conversion_metrics(field_in, mask, target, z_eval=cfg["swg.z_eval_m"])
     out_field = metrics.output
     reference = beams.make_lg(n, pitch, lam, target)
 
@@ -424,9 +489,8 @@ def cmd_beam_sim(args) -> int:
     return 0
 
 
-def cmd_swg_gen(args) -> int:
-    cfg = RunConfig.assemble(args.preset, args.config)
-    design = _design(cfg, cfg.get_float("beam.lambda_sig_m", 8.4e-7))
+def cmd_swg_gen(args, cfg: dict) -> int:
+    design = _design(cfg)
     layout = swg.generate_layout(design)
     out = _out_dir(args)
     _atomic_write(out / "layout.csv", lambda p: swg.export_layout(layout, p))
@@ -438,8 +502,7 @@ def cmd_swg_gen(args) -> int:
     return 0
 
 
-def cmd_fit_gm(args) -> int:
-    cfg = RunConfig.assemble(args.preset, args.config)
+def cmd_fit_gm(args, cfg: dict) -> int:
     data_path = args.data
     if data_path == "bundled":
         data_path = device.sample_anticrossing_path()
@@ -455,7 +518,7 @@ def cmd_fit_gm(args) -> int:
         try:
             if len(rows) < 3:
                 raise mechanics.FitError(f"only {len(rows)} points (need >= 3)", math.nan)
-            result = _fit_group(rows, cfg)
+            result = _fit_group(rows, cfg["fit.f2_hz"])
             line = f"{w_h!r},{result.g_m / TWO_PI!r},{result.residual_norm!r}"
         except mechanics.FitError as exc:
             line = f"{w_h!r},nan,error:{exc}"
@@ -469,10 +532,9 @@ def cmd_fit_gm(args) -> int:
     return 0
 
 
-def _fit_group(rows: np.ndarray, cfg: RunConfig) -> mechanics.FitGmResult:
-    """Fit one tuned-crossing group, estimating the fixed branch if not given."""
+def _fit_group(rows: np.ndarray, f2_hz: float) -> mechanics.FitGmResult:
+    """Fit one tuned-crossing group, estimating the fixed branch if f2_hz <= 0."""
     ls, w_lo, w_hi = rows[:, 0], rows[:, 1], rows[:, 2]
-    f2_hz = cfg.get_float("fit.f2_hz", 0.0)
     if f2_hz > 0.0:
         omega2 = TWO_PI * f2_hz
         fit_omega2 = False
@@ -518,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_config(args.command, args.preset, args.config))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

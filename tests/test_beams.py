@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oamsense import beams, swg
@@ -218,10 +218,11 @@ class TestFidelity:
     @settings(max_examples=40, deadline=None)
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2),
            phases=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2))
+    @example(seeds=[56, 56], phases=[0.0, 0.0])  # unclamped, F(a, a) read 1 + 4e-16
     def test_symmetry_and_global_phase_random_fields(self, seeds, phases):
         a, b = (_random_field(32, seed) for seed in seeds)
         f_ab = beams.fidelity(a, b)
-        assert 0.0 <= f_ab <= 1.0 + 1e-12  # rounding: F(a, a) can read 1 + 4e-16
+        assert 0.0 <= f_ab <= 1.0
         assert beams.fidelity(b, a) == pytest.approx(f_ab, rel=1e-9, abs=1e-15)
         a_rot = a.with_amps(a.amps * np.exp(1j * phases[0]))
         b_rot = b.with_amps(b.amps * np.exp(1j * phases[1]))

@@ -1,4 +1,6 @@
+import configparser
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -404,6 +406,13 @@ class TestConfigHandling:
         ("noise-sweep", "paper-fig5", "environment", "q_m", "-5"),
         ("mech-response", "paper-fig2b", "mechanics", "q_m", "-5"),
         ("mech-response", "paper-fig2b", "mechanics", "q_m", "0"),
+        ("mech-response", "paper-fig2b", "mechanics", "n_points", "0"),
+        ("noise-sweep", "paper-fig5", "sweep", "l_s_step_um", "0"),
+        ("noise-sweep", "paper-fig5", "beam", "modulation", "square"),
+        ("pulse-budget", "paper-fig8", "sweep", "n_cav_min", "0"),
+        ("pulse-budget", "paper-fig8", "sweep", "n_cav_max", "-1"),
+        ("pulse-budget", "paper-fig8", "sweep", "n_cav_points", "0"),
+        ("beam-sim", None, "swg", "ideal_vortex", "maybe"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, preset, section, key,
                                  value):
@@ -415,6 +424,73 @@ class TestConfigHandling:
         assert cli.main(argv) == 2
         assert f"config key {section}.{key} = {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_ncav_point_outside_domain_writes_nothing(self, tmp_path, capsys):
+        # the n_cav scan runs before either pulse-budget file is written
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nl_s_ncav_um = 50\n")
+        assert cli.main(["pulse-budget", "--preset", "paper-fig8", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, preset, section, key", [
+        ("noise-sweep", "paper-fig5", "enviroment", "t_k"),
+        ("noise-sweep", "paper-fig5", "environment", "t_kk"),
+        ("swg-gen", None, "swg", "pillar_t_m"),
+        ("noise-sweep", "paper-fig5", "mechanics", "q_m"),
+        ("noise-sweep", "paper-fig5", "DEFAULT", "t_k"),
+    ], ids=["section-typo", "key-typo", "removed-key", "other-subcommand", "default-section"])
+    def test_unread_file_key_rejected(self, tmp_path, capsys, command, preset, section, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = 300\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if preset is not None:
+            argv += ["--preset", preset]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: config key {section}.{key} is not read by {command}" in err
+        if section == "enviroment":
+            assert "did you mean environment.t_k?" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["noise-sweep", "--preset", "paper-fig8"],
+        ["fit-gm", "bundled", "--preset", "paper-fig5"],
+    ], ids=["noise-sweep-fig8", "fit-gm-fig5"])
+    def test_preset_keys_of_other_subcommands_allowed(self, tmp_path, argv):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+
+    def test_config_without_section_header(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_k = 300\n")
+        assert cli.main(["noise-sweep", "--preset", "paper-fig5", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {cfg}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_preset_key_is_declared(self):
+        for preset in cli.PRESETS.values():
+            assert set(preset) <= set(cli.KEYS)
+
+    def test_benchmark_inputs_are_read_by_their_subcommand(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        configs = 0
+        for name in workloads.WORKLOADS:
+            for job in workloads.make_pass(name, 1, 0, tmp_path / name):
+                if "--config" not in job.argv:
+                    continue
+                parser = configparser.ConfigParser()
+                parser.read(job.argv[job.argv.index("--config") + 1])
+                for section in parser.sections():
+                    for key in parser.options(section):
+                        assert job.kind in cli.KEYS[f"{section}.{key}"].commands
+                configs += 1
+        assert configs > 0
 
     def test_config_overrides_preset(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -438,9 +514,13 @@ class TestConfigHandling:
         ({"sweep.l_s_step_um": "0.005"}, 2001),
         ({}, 41),
     ], ids=["preset", "fine", "dataset-domain"])
-    def test_dividing_steps_accepted(self, values, rows):
+    def test_dividing_steps_accepted(self, tmp_path, values, rows):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\n" + "".join(f"{k.split('.')[1]} = {v}\n"
+                                              for k, v in values.items()))
         dataset = device.load_sample_dataset()
-        grid = cli._ls_grid(cli.RunConfig(values), dataset, "twist-like")
+        resolved = cli.resolve_config("noise-sweep", None, str(cfg))
+        grid = cli._ls_grid(resolved, dataset, "twist-like")
         assert len(grid) == rows
         assert (grid[0], grid[-1]) == dataset.domain("twist-like")
 
