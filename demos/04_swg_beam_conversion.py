@@ -39,7 +39,7 @@ print(f"  T (power)            = {metrics.t_swg:.3f}")
 print(f"  eta = F * T          = {metrics.eta:.3f}")
 print()
 
-converted = beams.apply_mask(beam_in, mask)
+converted = metrics.output
 fractions = beams.azimuthal_spectrum(converted, range(-2, 5))
 print("azimuthal power spectrum of the transmitted beam:")
 for l, frac in zip(range(-2, 5), fractions):

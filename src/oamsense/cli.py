@@ -153,7 +153,8 @@ _GRATING = ("beam-sim", "swg-gen")
 
 KEYS: dict[str, Key] = {
     "device.dataset": Key(str, None, _MECH + _BUDGET),  # a dataset file, or 'bundled'
-    "device.branch": Key(str, "twist-like", _BUDGET),
+    "device.branch": Key(_choice({b: b for b in device.BRANCHES},
+                                 f"one of {', '.join(device.BRANCHES)}"), "twist-like", _BUDGET),
     "mechanics.l_s_um": Key(_FLOAT, 12.0, _MECH),
     "mechanics.q_m": Key(_POSITIVE, 500.0, _MECH),
     "mechanics.g_m_hz": Key(_FLOAT, 5e5, _MECH),
@@ -169,13 +170,13 @@ KEYS: dict[str, Key] = {
     "sweep.n_cav_max": Key(_POSITIVE, 1e-1, ("pulse-budget",)),
     "sweep.n_cav_points": Key(_number(integer=True, ge=1), 41, ("pulse-budget",)),
     "readout.lambda0_m": Key(_FLOAT, 1.428e-6, _BUDGET),
-    "readout.q_o": Key(_FLOAT, 1e6, _BUDGET),
+    "readout.q_o": Key(_POSITIVE, 1e6, _BUDGET),
     "readout.dip_depth": Key(_FLOAT, 1.0, _BUDGET),
     "readout.p_det_w": Key(_auto_or_float, 1e-7, _BUDGET),
     "readout.eta_qe": Key(_FLOAT, 1.0, _BUDGET),
     "readout.p_dn_w": Key(_FLOAT, 2.5e-12, _BUDGET),
     "readout.n_cav": Key(_FLOAT, 0.0, _BUDGET),
-    "environment.t_k": Key(_FLOAT, None, _BUDGET),  # per subcommand
+    "environment.t_k": Key(_number(ge=0.0), None, _BUDGET),  # per subcommand
     "environment.q_m": Key(_number(ge=0.0), 0.0, _BUDGET),  # 0: the dataset's Q
     "beam.lambda_sig_m": Key(_FLOAT, 8.4e-7, _BUDGET + _GRATING),
     "beam.delta_l": Key(_FLOAT, 1.0, _BUDGET),
@@ -183,11 +184,11 @@ KEYS: dict[str, Key] = {
     "beam.contrast": Key(_FLOAT, 1.0, _BUDGET),
     "beam.modulation": Key(_choice({"cw": "cw", "pulse": "pulse"}, "cw or pulse"), "cw", _BUDGET),
     "beam.f_rep_hz": Key(_auto_or_float, "auto", _BUDGET),
-    "beam.bandwidth_hz": Key(_FLOAT, 1.0, _BUDGET),
-    "beam.w0_m": Key(_FLOAT, 5e-6, ("beam-sim",)),
+    "beam.bandwidth_hz": Key(_POSITIVE, 1.0, _BUDGET),
+    "beam.w0_m": Key(_POSITIVE, 5e-6, ("beam-sim",)),
     "grid.n": Key(_INT, 1024, ("beam-sim",)),
-    "grid.pitch_m": Key(_FLOAT, 50e-9, ("beam-sim",)),
-    "swg.aperture_d_m": Key(_FLOAT, 20e-6, _GRATING),
+    "grid.pitch_m": Key(_POSITIVE, 50e-9, ("beam-sim",)),
+    "swg.aperture_d_m": Key(_POSITIVE, 20e-6, _GRATING),
     "swg.lattice_a_m": Key(_FLOAT, 360e-9, _GRATING),
     "swg.delta_l": Key(_INT, 1, _GRATING),
     "swg.design_lambda_m": Key(_FLOAT, None, _GRATING),  # beam.lambda_sig_m

@@ -8,10 +8,9 @@ data: loaded from CSV, validated, and linearly interpolated along the
 support length ``l_s``.
 
 Datasets are immutable after loading; every record and the dataset itself
-are frozen dataclasses, so concurrent readers need no synchronization.
-Each branch's table (its records sorted by l_s, the l_s array and one
-float64 column per interpolated field) is built once, when the dataset is
-created; interpolation reads those columns and evaluates a whole l_s grid
+are frozen dataclasses, so concurrent readers need no synchronization.  A
+record is one row of the file, with one field per column.  Interpolation
+sorts a branch's records by l_s when called and evaluates a whole l_s grid
 in one vectorised pass.
 
 File format (UTF-8, comma separated, ``#`` starts a comment line)::
@@ -26,9 +25,9 @@ Leading comment lines are kept as the dataset's provenance note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,32 +44,19 @@ class DatasetError(ValueError):
 
 
 @dataclass(frozen=True)
-class DeviceGeometry:
-    """Geometric parameters of one device variant: the support length, hanger
-    width and hanger length, in micrometres (the dataset's geometry columns).
+class MechanicalModeRecord:
+    """One mechanical branch at one geometry point: one row of a dataset file.
+
+    The fields follow the file's columns.  l_s_um, w_h_um and l_h_um are the
+    support length, hanger width and hanger length (um); omega_m is the
+    angular mode frequency (rad/s), m_eff the effective mass (kg), r_eff the
+    effective lever arm (m), q_m the mechanical quality factor, and g_om the
+    optomechanical coupling (rad/s per metre of displacement).
     """
 
     l_s_um: float
     w_h_um: float
     l_h_um: float
-
-    def __post_init__(self) -> None:
-        for name in ("l_s_um", "w_h_um", "l_h_um"):
-            if not getattr(self, name) > 0.0:
-                raise DatasetError(f"geometry field {name} must be > 0")
-
-
-@dataclass(frozen=True)
-class MechanicalModeRecord:
-    """One mechanical branch at one geometry point.
-
-    omega_m is the angular mode frequency (rad/s), m_eff the effective mass
-    (kg), r_eff the effective lever arm (m), q_m the mechanical quality
-    factor, and g_om the optomechanical coupling (rad/s per metre of
-    displacement).
-    """
-
-    geometry: DeviceGeometry
     branch: str
     omega_m: float
     m_eff: float
@@ -79,6 +65,9 @@ class MechanicalModeRecord:
     g_om: float
 
     def __post_init__(self) -> None:
+        for name in ("l_s_um", "w_h_um", "l_h_um"):
+            if not getattr(self, name) > 0.0:
+                raise DatasetError(f"geometry field {name} must be > 0")
         if self.branch not in BRANCHES:
             raise DatasetError(
                 f"unknown branch {self.branch!r}; expected one of {', '.join(BRANCHES)}"
@@ -90,76 +79,43 @@ class MechanicalModeRecord:
             raise DatasetError("record field g_om must be >= 0")
 
 
-class _BranchTable(NamedTuple):
-    """One branch's records sorted by l_s, their l_s values, and one float64
-    column per interpolated field: w_h_um, l_h_um, omega_m, m_eff, r_eff,
-    q_m and g_om, in that order."""
-
-    records: tuple[MechanicalModeRecord, ...]
-    l_s: np.ndarray
-    columns: tuple[np.ndarray, ...]
-
-
-def _branch_table(branch: str, records: Iterable[MechanicalModeRecord]) -> _BranchTable:
-    recs = tuple(sorted(records, key=lambda r: r.geometry.l_s_um))
-    ls = [r.geometry.l_s_um for r in recs]
-    for a, b in zip(ls, ls[1:]):
-        if not a < b:
-            raise DatasetError(
-                f"branch {branch!r}: l_s values must be strictly increasing "
-                f"(found {a} followed by {b})"
-            )
-    rows = [(r.geometry.w_h_um, r.geometry.l_h_um, r.omega_m, r.m_eff, r.r_eff, r.q_m, r.g_om)
-            for r in recs]
-    columns = tuple(np.array(column, dtype=np.float64) for column in zip(*rows))
-    return _BranchTable(recs, np.array(ls, dtype=np.float64), columns)
-
-
 @dataclass(frozen=True)
 class DeviceDataset:
     """Validated, immutable collection of mode records.
 
-    Records are kept sorted by (l_s, branch).  Within each branch the l_s
-    values are strictly increasing; that interval is the branch's
-    interpolation domain.  The per-branch tables are built on creation and
-    take no part in equality or repr.
+    Within each branch the l_s values are strictly increasing; that interval
+    is the branch's interpolation domain.  The accessors below filter and
+    sort `records` when called.
     """
 
     records: tuple[MechanicalModeRecord, ...]
     provenance: str = ""
-    _tables: dict[str, _BranchTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        tables = {
-            branch: _branch_table(branch, (r for r in self.records if r.branch == branch))
-            for branch in sorted({r.branch for r in self.records})
-        }
-        object.__setattr__(self, "_tables", tables)
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[MechanicalModeRecord], provenance: str = ""
-    ) -> "DeviceDataset":
-        ordered = tuple(sorted(records, key=lambda r: (r.geometry.l_s_um, r.branch)))
-        return cls(records=ordered, provenance=provenance)
+        for branch in self.branches():
+            ls = [r.l_s_um for r in self.records_for(branch)]
+            for a, b in zip(ls, ls[1:]):
+                if not a < b:
+                    raise DatasetError(
+                        f"branch {branch!r}: l_s values must be strictly increasing "
+                        f"(found {a} followed by {b})"
+                    )
 
     def branches(self) -> tuple[str, ...]:
-        return tuple(self._tables)
-
-    def _table(self, branch: str) -> _BranchTable:
-        try:
-            return self._tables[branch]
-        except KeyError:
-            raise DatasetError(
-                f"branch {branch!r} not present; dataset has {', '.join(self.branches())}"
-            ) from None
+        return tuple(sorted({r.branch for r in self.records}))
 
     def records_for(self, branch: str) -> tuple[MechanicalModeRecord, ...]:
-        return self._table(branch).records
+        """The branch's records, sorted by l_s."""
+        recs = sorted((r for r in self.records if r.branch == branch), key=lambda r: r.l_s_um)
+        if not recs:
+            raise DatasetError(
+                f"branch {branch!r} not present; dataset has {', '.join(self.branches())}"
+            )
+        return tuple(recs)
 
     def domain(self, branch: str) -> tuple[float, float]:
         recs = self.records_for(branch)
-        return recs[0].geometry.l_s_um, recs[-1].geometry.l_s_um
+        return recs[0].l_s_um, recs[-1].l_s_um
 
 
 def _parse_row(fields: Sequence[str], line_no: int) -> MechanicalModeRecord:
@@ -172,16 +128,9 @@ def _parse_row(fields: Sequence[str], line_no: int) -> MechanicalModeRecord:
     except ValueError as exc:
         raise DatasetError(f"line {line_no}: {exc}") from exc
     try:
-        geometry = DeviceGeometry(l_s_um=l_s, w_h_um=w_h, l_h_um=l_h)
-        return MechanicalModeRecord(
-            geometry=geometry,
-            branch=branch,
-            omega_m=TWO_PI * omega_hz,
-            m_eff=m_eff,
-            r_eff=r_eff,
-            q_m=q_m,
-            g_om=TWO_PI * g_om_hz,
-        )
+        # the record's fields follow the file's columns
+        return MechanicalModeRecord(l_s, w_h, l_h, branch, TWO_PI * omega_hz,
+                                    m_eff, r_eff, q_m, TWO_PI * g_om_hz)
     except DatasetError as exc:
         raise DatasetError(f"line {line_no}: {exc}") from exc
 
@@ -216,7 +165,7 @@ def load_dataset(path) -> DeviceDataset:
         raise DatasetError(f"{path}: empty file (no header row)")
     if not records:
         raise DatasetError(f"{path}: no data rows")
-    return DeviceDataset.from_records(records, provenance="\n".join(provenance_lines))
+    return DeviceDataset(tuple(records), provenance="\n".join(provenance_lines))
 
 
 CROSSING_HEADER = "w_h_um,l_s_um,f_minus_hz,f_plus_hz"
@@ -286,13 +235,13 @@ def interpolate_grid(
     np.interp returns the tabulated value exactly at a knot, so a tabulated
     l_s reproduces its stored record.  q_m_override, when given, replaces the
     interpolated quality factor (run-time override).  A query outside the
-    branch domain raises DatasetError naming the first such l_s.  Each column
-    is interpolated over the whole grid by one np.interp call, which gives
-    every point the bits a scalar query would.
+    branch domain raises DatasetError naming the first such l_s.  Each field's
+    column is built from the branch's records and interpolated over the whole
+    grid by one np.interp call, which gives every point the bits a scalar
+    query would.
     """
-    table = dataset._table(branch)
-    recs, ls = table.records, table.l_s
-    lo, hi = recs[0].geometry.l_s_um, recs[-1].geometry.l_s_um
+    recs = dataset.records_for(branch)
+    lo, hi = recs[0].l_s_um, recs[-1].l_s_um
     grid = np.asarray(l_s_values, dtype=np.float64)
     outside = ~((lo <= grid) & (grid <= hi))
     if outside.any():
@@ -300,14 +249,18 @@ def interpolate_grid(
         raise DatasetError(
             f"l_s = {l_s_um} um outside branch {branch!r} domain [{lo}, {hi}] um"
         )
+    ls = np.array([r.l_s_um for r in recs])
+    rows = [(r.w_h_um, r.l_h_um, r.omega_m, r.m_eff, r.r_eff, r.q_m, r.g_om) for r in recs]
     w_h, l_h, omega_m, m_eff, r_eff, q_m, g_om = (
-        np.interp(grid, ls, column).tolist() for column in table.columns
+        np.interp(grid, ls, column).tolist() for column in zip(*rows)
     )
     if q_m_override is not None:
         q_m = [q_m_override] * len(grid)
     return [
         MechanicalModeRecord(
-            geometry=DeviceGeometry(l_s_um=l_s_um, w_h_um=w_h[k], l_h_um=l_h[k]),
+            l_s_um=l_s_um,
+            w_h_um=w_h[k],
+            l_h_um=l_h[k],
             branch=branch,
             omega_m=omega_m[k],
             m_eff=m_eff[k],

@@ -186,7 +186,7 @@ def _transduction_torque(mode: MechanicalModeRecord, readout: OpticalReadout, po
     """Torque equivalent of an optical power noise density at the detector."""
     if mode.g_om == 0.0:
         raise ValueError(
-            f"g_om = 0 for the {mode.branch} mode at l_s = {mode.geometry.l_s_um} um: "
+            f"g_om = 0 for the {mode.branch} mode at l_s = {mode.l_s_um} um: "
             "the cavity does not transduce its motion, so no readout noise budget exists"
         )
     slope = transmission_slope(readout)
@@ -232,6 +232,8 @@ def min_photons_per_pulse(
     """
     if f_rep <= 0.0:
         raise ValueError("f_rep must be > 0")
+    if bandwidth_hz <= 0.0:
+        raise ValueError("bandwidth_hz must be > 0")
     scale = beam.conversion
     if scale == 0.0:
         return math.inf

@@ -179,36 +179,34 @@ def interpolate_per_call(dataset, branch, l_s_um, q_m_override=None):
     from oamsense import device
 
     recs = sorted((r for r in dataset.records if r.branch == branch),
-                  key=lambda r: r.geometry.l_s_um)
+                  key=lambda r: r.l_s_um)
     if not recs:
         raise device.DatasetError(f"branch {branch!r} not present")
-    lo, hi = recs[0].geometry.l_s_um, recs[-1].geometry.l_s_um
+    lo, hi = recs[0].l_s_um, recs[-1].l_s_um
     if not lo <= l_s_um <= hi:
         raise device.DatasetError(
             f"l_s = {l_s_um} um outside branch {branch!r} domain [{lo}, {hi}] um"
         )
-    ls = np.array([r.geometry.l_s_um for r in recs])
+    ls = np.array([r.l_s_um for r in recs])
     idx = int(np.searchsorted(ls, l_s_um))
     if idx < len(recs) and ls[idx] == l_s_um:
         hit = recs[idx]
         if q_m_override is None:
             return hit
         return device.MechanicalModeRecord(
-            geometry=hit.geometry, branch=hit.branch, omega_m=hit.omega_m,
-            m_eff=hit.m_eff, r_eff=hit.r_eff, q_m=q_m_override, g_om=hit.g_om,
+            l_s_um=hit.l_s_um, w_h_um=hit.w_h_um, l_h_um=hit.l_h_um, branch=hit.branch,
+            omega_m=hit.omega_m, m_eff=hit.m_eff, r_eff=hit.r_eff, q_m=q_m_override,
+            g_om=hit.g_om,
         )
 
     def field(get):
         return float(np.interp(l_s_um, ls, np.array([get(r) for r in recs])))
 
-    geometry = device.DeviceGeometry(
-        l_s_um=l_s_um,
-        w_h_um=field(lambda r: r.geometry.w_h_um),
-        l_h_um=field(lambda r: r.geometry.l_h_um),
-    )
     q_m = q_m_override if q_m_override is not None else field(lambda r: r.q_m)
     return device.MechanicalModeRecord(
-        geometry=geometry,
+        l_s_um=l_s_um,
+        w_h_um=field(lambda r: r.w_h_um),
+        l_h_um=field(lambda r: r.l_h_um),
         branch=branch,
         omega_m=field(lambda r: r.omega_m),
         m_eff=field(lambda r: r.m_eff),

@@ -2,6 +2,7 @@
 PASS line (visible with `pytest -s tests/test_acceptance.py`)."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -187,7 +188,7 @@ def test_criterion_9_noise_budget_identities():
     checks = 0
     for _ in range(25):
         mode = device.MechanicalModeRecord(
-            geometry=device.DeviceGeometry(l_s_um=10.0, w_h_um=7.0, l_h_um=1.0),
+            l_s_um=10.0, w_h_um=7.0, l_h_um=1.0,
             branch="twist-like",
             omega_m=TWO_PI * rng.uniform(1e6, 1e7),
             m_eff=rng.uniform(1e-15, 1e-12),
@@ -204,26 +205,18 @@ def test_criterion_9_noise_budget_identities():
         assert b.tau_min == math.sqrt(b.tau_th**2 + b.tau_sn**2
                                       + b.tau_dn**2 + b.tau_ba**2)
 
-        def scaled(**kw):
-            fields = dict(geometry=mode.geometry, branch=mode.branch,
-                          omega_m=mode.omega_m, m_eff=mode.m_eff,
-                          r_eff=mode.r_eff, q_m=mode.q_m, g_om=mode.g_om)
-            fields.update(kw)
-            return device.MechanicalModeRecord(**fields)
-
-        r2 = scaled(r_eff=2.0 * mode.r_eff)
+        r2 = dataclasses.replace(mode, r_eff=2.0 * mode.r_eff)
         assert noise.tau_thermal(r2, t_k) == pytest.approx(
             2.0 * noise.tau_thermal(mode, t_k), rel=1e-12)
         for fn in (noise.tau_shot, noise.tau_detector, noise.tau_backaction):
             assert fn(r2, readout) == pytest.approx(2.0 * fn(mode, readout), rel=1e-12)
-        q4 = scaled(q_m=4.0 * mode.q_m)
+        q4 = dataclasses.replace(mode, q_m=4.0 * mode.q_m)
         assert noise.tau_thermal(q4, t_k) == pytest.approx(
             0.5 * noise.tau_thermal(mode, t_k), rel=1e-12)
         assert noise.tau_shot(q4, readout) == pytest.approx(
             0.25 * noise.tau_shot(mode, readout), rel=1e-12)
         assert noise.tau_thermal(mode, 4.0 * t_k) == pytest.approx(
             2.0 * noise.tau_thermal(mode, t_k), rel=1e-12)
-        import dataclasses
         n4 = dataclasses.replace(readout, n_cav=4.0 * readout.n_cav)
         assert noise.tau_backaction(mode, n4) == pytest.approx(
             2.0 * noise.tau_backaction(mode, readout), rel=1e-12)

@@ -413,6 +413,15 @@ class TestConfigHandling:
         ("pulse-budget", "paper-fig8", "sweep", "n_cav_max", "-1"),
         ("pulse-budget", "paper-fig8", "sweep", "n_cav_points", "0"),
         ("beam-sim", None, "swg", "ideal_vortex", "maybe"),
+        ("pulse-budget", "paper-fig8", "beam", "bandwidth_hz", "0"),
+        ("pulse-budget", "paper-fig8", "beam", "bandwidth_hz", "-1"),
+        ("noise-sweep", "paper-fig5", "beam", "bandwidth_hz", "-1"),
+        ("noise-sweep", "paper-fig5", "device", "branch", "twist"),
+        ("beam-sim", None, "grid", "pitch_m", "0"),
+        ("beam-sim", None, "beam", "w0_m", "-1e-6"),
+        ("noise-sweep", "paper-fig5", "readout", "q_o", "0"),
+        ("noise-sweep", "paper-fig5", "environment", "t_k", "-1"),
+        ("swg-gen", None, "swg", "aperture_d_m", "0"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, preset, section, key,
                                  value):
@@ -523,6 +532,11 @@ class TestConfigHandling:
         grid = cli._ls_grid(resolved, dataset, "twist-like")
         assert len(grid) == rows
         assert (grid[0], grid[-1]) == dataset.domain("twist-like")
+
+    def test_branch_in_any_letter_case(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[device]\nbranch = Twist-Like\n")
+        assert cli.resolve_config("noise-sweep", None, str(cfg))["device.branch"] == "twist-like"
 
     def test_zero_environment_q_m_uses_dataset(self, tmp_path):
         base = "[device]\ndataset = bundled\n"

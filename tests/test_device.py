@@ -40,7 +40,7 @@ def test_sample_dataset_shape_and_resonance():
     # branch frequencies come closest (equal) at l_s = 10 um
     gaps = [abs(t.omega_m - b.omega_m) for t, b in zip(twist, bounce)]
     i = int(np.argmin(gaps))
-    assert twist[i].geometry.l_s_um == 10.0
+    assert twist[i].l_s_um == 10.0
     assert gaps[i] == 0.0
 
 
@@ -70,12 +70,16 @@ def test_header_only_is_error(tmp_path):
         device.load_dataset(path)
 
 
-def test_zero_m_eff_names_row(tmp_path):
-    bad = GOOD_ROWS.replace("10.0,7.0,1.0,twist-like,6.0e6,2e-13",
-                            "10.0,7.0,1.0,twist-like,6.0e6,0.0")
+@pytest.mark.parametrize("row, name", [
+    ("10.0,7.0,1.0,twist-like,6.0e6,0.0", "m_eff"),
+    ("10.0,0,1.0,twist-like,6.0e6,2e-13", "w_h_um"),
+    ("-1,7.0,1.0,twist-like,6.0e6,2e-13", "l_s_um"),
+], ids=["m_eff", "w_h_um", "l_s_um"])
+def test_zero_m_eff_names_row(tmp_path, row, name):
+    bad = GOOD_ROWS.replace("10.0,7.0,1.0,twist-like,6.0e6,2e-13", row)
     path = tmp_path / "bad.csv"
     path.write_text(bad)
-    with pytest.raises(device.DatasetError, match="line 3.*m_eff"):
+    with pytest.raises(device.DatasetError, match=f"line 3: .* field {name} must be > 0"):
         device.load_dataset(path)
 
 
@@ -113,7 +117,7 @@ def test_bad_header_rejected(tmp_path):
 def test_interpolation_identity_at_knots(small_file):
     ds = device.load_dataset(small_file)
     for rec in ds.records:
-        got = device.interpolate(ds, rec.branch, rec.geometry.l_s_um)
+        got = device.interpolate(ds, rec.branch, rec.l_s_um)
         assert got == rec
 
 
@@ -156,7 +160,7 @@ def test_q_m_override(small_file):
     assert rec.omega_m == ds.records_for("twist-like")[1].omega_m
 
 
-def test_direct_construction_builds_tables(small_file):
+def test_direct_construction_matches_loaded(small_file):
     ds = device.load_dataset(small_file)
     direct = device.DeviceDataset(records=tuple(reversed(ds.records)))
     assert direct.branches() == ("bounce-like", "twist-like")
@@ -164,7 +168,6 @@ def test_direct_construction_builds_tables(small_file):
     assert direct.domain("bounce-like") == (8.0, 12.0)
     mid = device.interpolate(ds, "twist-like", 9.0)
     assert device.interpolate(direct, "twist-like", 9.0) == mid
-    assert "_tables" not in repr(ds)
     assert ds == device.DeviceDataset(records=ds.records, provenance=ds.provenance)
 
 
@@ -180,15 +183,15 @@ def _sample():
 
 
 def _bits(rec):
-    g = rec.geometry
-    values = (g.l_s_um, g.w_h_um, g.l_h_um, rec.omega_m, rec.m_eff, rec.r_eff, rec.q_m, rec.g_om)
+    values = (rec.l_s_um, rec.w_h_um, rec.l_h_um, rec.omega_m, rec.m_eff, rec.r_eff, rec.q_m,
+              rec.g_om)
     return rec.branch, tuple(float(v).hex() for v in values)
 
 
 @st.composite
 def _grid_case(draw):
     branch = draw(st.sampled_from(("twist-like", "bounce-like")))
-    knots = [r.geometry.l_s_um for r in _sample().records_for(branch)]
+    knots = [r.l_s_um for r in _sample().records_for(branch)]
     lo, hi = knots[0], knots[-1]
     inner = draw(st.lists(st.floats(lo, hi), max_size=40))
     grid = sorted(set(knots + inner))
@@ -210,7 +213,7 @@ def test_grid_matches_per_call_oracle(case):
 def test_grid_knots_equal_stored_records():
     ds = _sample()
     recs = ds.records_for("twist-like")
-    grid = [r.geometry.l_s_um for r in recs]
+    grid = [r.l_s_um for r in recs]
     got = device.interpolate_grid(ds, "twist-like", grid)
     assert got == list(recs)
     assert [_bits(r) for r in got] == [_bits(r) for r in recs]
@@ -260,5 +263,7 @@ def test_data_tool_reproduces_bundled_files(tmp_path):
 
 
 def test_geometry_invariants():
-    with pytest.raises(device.DatasetError):
-        device.DeviceGeometry(l_s_um=-1.0, w_h_um=7.0, l_h_um=1.0)
+    # the geometry checks run first, so a record with several faults names l_s_um
+    with pytest.raises(device.DatasetError, match="^geometry field l_s_um must be > 0$"):
+        device.MechanicalModeRecord(l_s_um=-1.0, w_h_um=7.0, l_h_um=1.0, branch="wobble",
+                                    omega_m=0.0, m_eff=0.0, r_eff=1e-4, q_m=1e6, g_om=-1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ TWO_PI = 2.0 * math.pi
 
 def make_mode(omega_hz=5e6, m_eff=27e-15, r_eff=1e-6, q_m=1e6, g_om_hz_per_m=32e18):
     return device.MechanicalModeRecord(
-        geometry=device.DeviceGeometry(l_s_um=10.0, w_h_um=7.0, l_h_um=1.0),
+        l_s_um=10.0, w_h_um=7.0, l_h_um=1.0,
         branch="bounce-like",
         omega_m=TWO_PI * omega_hz,
         m_eff=m_eff,
@@ -234,16 +235,12 @@ class TestBudget:
         for _ in range(20):
             mode = random_mode(rng)
             readout = make_readout(n_cav=rng.uniform(1e-6, 1.0))
-            doubled = device.MechanicalModeRecord(
-                geometry=mode.geometry, branch=mode.branch, omega_m=mode.omega_m,
-                m_eff=mode.m_eff, r_eff=2.0 * mode.r_eff, q_m=mode.q_m, g_om=mode.g_om)
+            doubled = dataclasses.replace(mode, r_eff=2.0 * mode.r_eff)
             for fn in (noise.tau_thermal, ):
                 assert fn(doubled, 4.0) == pytest.approx(2.0 * fn(mode, 4.0), rel=1e-12)
             for fn in (noise.tau_shot, noise.tau_detector, noise.tau_backaction):
                 assert fn(doubled, readout) == pytest.approx(2.0 * fn(mode, readout), rel=1e-12)
-            qx = device.MechanicalModeRecord(
-                geometry=mode.geometry, branch=mode.branch, omega_m=mode.omega_m,
-                m_eff=mode.m_eff, r_eff=mode.r_eff, q_m=100.0 * mode.q_m, g_om=mode.g_om)
+            qx = dataclasses.replace(mode, q_m=100.0 * mode.q_m)
             assert noise.tau_thermal(qx, 4.0) == pytest.approx(
                 noise.tau_thermal(mode, 4.0) / 10.0, rel=1e-12)
             assert noise.tau_shot(qx, readout) == pytest.approx(
@@ -278,6 +275,12 @@ class TestPulsed:
         tau_n = noise.torque_from_power(p, beam10.lambda_sig, beam10.delta_l, beam10.eta_conv)
         assert noise.min_photons_per_pulse(tau_n, beam10, f_rep) == pytest.approx(n, rel=1e-12)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+    def test_min_photons_rejects_nonpositive_bandwidth(self, bandwidth):
+        beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=10.0, modulation=noise.PulseTrain())
+        with pytest.raises(ValueError, match="bandwidth_hz must be > 0"):
+            noise.min_photons_per_pulse(1.6e-23, beam, 5.96e6, bandwidth_hz=bandwidth)
+
     def test_idealized_photon_number(self):
         mode, readout, beam = self.pulsed_setup()
         b = noise.budget(mode, readout, 0.01, beam)
@@ -298,9 +301,7 @@ class TestPulsed:
 
     def test_ncav_monotone_without_backaction(self):
         mode, readout, beam = self.pulsed_setup()
-        feeble = device.MechanicalModeRecord(
-            geometry=mode.geometry, branch=mode.branch, omega_m=mode.omega_m,
-            m_eff=mode.m_eff, r_eff=mode.r_eff, q_m=mode.q_m, g_om=1e-3)
+        feeble = dataclasses.replace(mode, g_om=1e-3)
         scan = noise.optimize_ncav(feeble, readout, 0.01, beam, np.logspace(-5, -1, 21))
         assert np.all(np.diff(scan.n_min) <= 1e-9 * scan.n_min[:-1])
 

@@ -45,7 +45,7 @@ PULSED = dict(t_k=0.01, q_m=1e8, p_dn=3.8e-17, n_cav=1e-3)
 
 def _mode(m_eff: float, r_eff: float, q_m: float) -> device.MechanicalModeRecord:
     return device.MechanicalModeRecord(
-        geometry=device.DeviceGeometry(l_s_um=LS_CROSS, w_h_um=7.0, l_h_um=1.0),
+        l_s_um=LS_CROSS, w_h_um=7.0, l_h_um=1.0,
         branch="twist-like",
         omega_m=TWO_PI * F_CROSS,
         m_eff=m_eff,
