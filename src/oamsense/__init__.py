@@ -8,10 +8,11 @@ Submodules:
 * noise     - noise-equivalent torque budget, power and photon-number limits
 * beams     - scalar fields, LG modes, phase masks, propagation, mode metrics
 * swg       - hexagonal pillar-grating layouts and their transmission masks
+* table     - the CSV table writer behind every numeric output file
 * cli       - the `oam-sense` command line front end
 """
 
-from . import beams, constants, device, mechanics, noise, swg
+from . import beams, constants, device, mechanics, noise, swg, table
 
 __version__ = "0.1.0"
 
@@ -23,6 +24,7 @@ __all__ = [
     "mechanics",
     "noise",
     "swg",
+    "table",
     "__version__",
 ]
 

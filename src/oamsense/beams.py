@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import table
+
 
 class BandLimitWarning(UserWarning):
     """Propagation kernel undersampled where the field carries power."""
@@ -434,14 +436,7 @@ def fidelity_vs_wavelength(
 def save_raster(matrix: np.ndarray, path) -> None:
     """Comma-separated matrix export (one grid row per line), for plotting.
 
-    Each cell is written as repr(float(v)), byte for byte.  Rasters repeat
-    values heavily, so each distinct float64 bit pattern is formatted once
-    and the rows are joined from those strings.  Bit patterns, not values,
-    are deduplicated, so -0.0 keeps its own text.
+    Each cell is written as repr(float(v)), byte for byte, by
+    table.write_table, which formats each distinct float64 bit pattern once.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    bits, inverse = np.unique(matrix.view(np.uint64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in inverse.reshape(matrix.shape):
-            fh.write(",".join(text[row].tolist()) + "\n")
+    table.write_table(path, None, np.asarray(matrix).T)

@@ -7,7 +7,9 @@ a named preset.  The table ``KEYS`` is the list of config keys: each one's
 type, bound, default and the subcommands that read it.  A config file may set
 only the keys its subcommand reads, and every value is checked before any
 output is written.  Every output is a comma-separated table written
-atomically (temp file + rename) under --out.  A fixed config yields
+atomically (temp file + rename) under --out; each float cell reads as
+repr(float(v)), written by table.write_table (gm_fit.csv, whose error rows
+carry text, is written line by line here).  A fixed config yields
 byte-identical outputs.
 """
 
@@ -100,8 +102,9 @@ PRESETS: dict[str, dict[str, str]] = {
 Parser = Callable[[str], object]
 
 
-def _number(integer: bool = False, gt: float | None = None, ge: float | None = None) -> Parser:
-    """Parser of a finite float, or an integer, with an optional lower bound."""
+def _number(integer: bool = False, gt: float | None = None, ge: float | None = None,
+            le: float | None = None) -> Parser:
+    """Parser of a finite float, or an integer, with optional bounds."""
     def parse(raw: str) -> float | int:
         try:
             value = float(raw)
@@ -115,6 +118,8 @@ def _number(integer: bool = False, gt: float | None = None, ge: float | None = N
             raise ValueError(f"must be > {gt:g}")
         if ge is not None and not value >= ge:
             raise ValueError(f"must be >= {ge:g}")
+        if le is not None and not value <= le:
+            raise ValueError(f"must be <= {le:g}")
         return int(value) if integer else value
     return parse
 
@@ -131,6 +136,8 @@ def _choice(values: dict[str, object], what: str) -> Parser:
 _FLOAT = _number()
 _INT = _number(integer=True)
 _POSITIVE = _number(gt=0.0)
+_NONNEGATIVE = _number(ge=0.0)
+_FRACTION = _number(gt=0.0, le=1.0)  # in (0, 1]
 _BOOL = _choice({**dict.fromkeys(("1", "true", "yes", "on"), True),
                  **dict.fromkeys(("0", "false", "no", "off"), False)}, "a boolean")
 
@@ -169,19 +176,19 @@ KEYS: dict[str, Key] = {
     "sweep.n_cav_min": Key(_POSITIVE, 1e-5, ("pulse-budget",)),
     "sweep.n_cav_max": Key(_POSITIVE, 1e-1, ("pulse-budget",)),
     "sweep.n_cav_points": Key(_number(integer=True, ge=1), 41, ("pulse-budget",)),
-    "readout.lambda0_m": Key(_FLOAT, 1.428e-6, _BUDGET),
+    "readout.lambda0_m": Key(_POSITIVE, 1.428e-6, _BUDGET),
     "readout.q_o": Key(_POSITIVE, 1e6, _BUDGET),
-    "readout.dip_depth": Key(_FLOAT, 1.0, _BUDGET),
+    "readout.dip_depth": Key(_FRACTION, 1.0, _BUDGET),
     "readout.p_det_w": Key(_auto_or_float, 1e-7, _BUDGET),
-    "readout.eta_qe": Key(_FLOAT, 1.0, _BUDGET),
-    "readout.p_dn_w": Key(_FLOAT, 2.5e-12, _BUDGET),
-    "readout.n_cav": Key(_FLOAT, 0.0, _BUDGET),
-    "environment.t_k": Key(_number(ge=0.0), None, _BUDGET),  # per subcommand
-    "environment.q_m": Key(_number(ge=0.0), 0.0, _BUDGET),  # 0: the dataset's Q
-    "beam.lambda_sig_m": Key(_FLOAT, 8.4e-7, _BUDGET + _GRATING),
-    "beam.delta_l": Key(_FLOAT, 1.0, _BUDGET),
-    "beam.eta_conv": Key(_FLOAT, 1.0, _BUDGET),
-    "beam.contrast": Key(_FLOAT, 1.0, _BUDGET),
+    "readout.eta_qe": Key(_FRACTION, 1.0, _BUDGET),
+    "readout.p_dn_w": Key(_NONNEGATIVE, 2.5e-12, _BUDGET),
+    "readout.n_cav": Key(_NONNEGATIVE, 0.0, _BUDGET),
+    "environment.t_k": Key(_NONNEGATIVE, None, _BUDGET),  # per subcommand
+    "environment.q_m": Key(_NONNEGATIVE, 0.0, _BUDGET),  # 0: the dataset's Q
+    "beam.lambda_sig_m": Key(_POSITIVE, 8.4e-7, _BUDGET + _GRATING),
+    "beam.delta_l": Key(_NONNEGATIVE, 1.0, _BUDGET),
+    "beam.eta_conv": Key(_FRACTION, 1.0, _BUDGET),
+    "beam.contrast": Key(_FRACTION, 1.0, _BUDGET),
     "beam.modulation": Key(_choice({"cw": "cw", "pulse": "pulse"}, "cw or pulse"), "cw", _BUDGET),
     "beam.f_rep_hz": Key(_auto_or_float, "auto", _BUDGET),
     "beam.bandwidth_hz": Key(_POSITIVE, 1.0, _BUDGET),
@@ -189,7 +196,7 @@ KEYS: dict[str, Key] = {
     "grid.n": Key(_INT, 1024, ("beam-sim",)),
     "grid.pitch_m": Key(_POSITIVE, 50e-9, ("beam-sim",)),
     "swg.aperture_d_m": Key(_POSITIVE, 20e-6, _GRATING),
-    "swg.lattice_a_m": Key(_FLOAT, 360e-9, _GRATING),
+    "swg.lattice_a_m": Key(_POSITIVE, 360e-9, _GRATING),
     "swg.delta_l": Key(_INT, 1, _GRATING),
     "swg.design_lambda_m": Key(_FLOAT, None, _GRATING),  # beam.lambda_sig_m
     "swg.phase_sign": Key(_INT, 1, _GRATING),

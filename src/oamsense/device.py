@@ -138,12 +138,14 @@ def _parse_row(fields: Sequence[str], line_no: int) -> MechanicalModeRecord:
 def load_dataset(path) -> DeviceDataset:
     """Load and validate a dataset file.
 
-    Raises DatasetError with the offending line number for malformed rows,
-    non-positive values, duplicate keys or non-monotone l_s.
+    Raises DatasetError with the offending line number for malformed rows
+    and non-positive values.  A repeated (branch, l_s) row is an error naming
+    the file and the lines of both rows.  Rows may come in any order.
     """
     provenance_lines: list[str] = []
     header_seen = False
     records: list[MechanicalModeRecord] = []
+    first_line: dict[tuple[str, float], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -160,7 +162,15 @@ def load_dataset(path) -> DeviceDataset:
                     )
                 header_seen = True
                 continue
-            records.append(_parse_row(line.split(","), line_no))
+            record = _parse_row(line.split(","), line_no)
+            key = (record.branch, record.l_s_um)
+            if key in first_line:
+                raise DatasetError(
+                    f"{path}, line {line_no}: repeats the {record.branch} row at "
+                    f"l_s = {record.l_s_um} um of line {first_line[key]}"
+                )
+            first_line[key] = line_no
+            records.append(record)
     if not header_seen:
         raise DatasetError(f"{path}: empty file (no header row)")
     if not records:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import table
+
 
 class PoleError(ValueError):
     """Undamped resonance queried exactly on a pole (unphysical request)."""
@@ -241,19 +243,14 @@ RESPONSE_HEADER = "omega_hz,abs_x1_m,arg_x1_rad,abs_x2_m,arg_x2_rad"
 
 
 def save_response_curve(curve: ResponseCurve, path) -> None:
-    """Write a response curve as CSV (frequencies in ordinary Hz)."""
-    lines = [RESPONSE_HEADER]
-    for w, a1, a2 in zip(curve.omega, curve.x1, curve.x2):
-        lines.append(
-            ",".join(
-                [
-                    repr(float(w) / (2.0 * math.pi)),
-                    repr(float(abs(a1))),
-                    repr(float(np.angle(a1))),
-                    repr(float(abs(a2))),
-                    repr(float(np.angle(a2))),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a response curve as CSV (frequencies in ordinary Hz).
+
+    Magnitudes are np.hypot of the parts, which has the bits of scalar
+    abs(complex); array np.abs can differ from it in the last bit.
+    """
+    x1, x2 = np.asarray(curve.x1), np.asarray(curve.x2)
+    table.write_table(path, RESPONSE_HEADER, (
+        np.asarray(curve.omega, dtype=np.float64) / (2.0 * math.pi),
+        np.hypot(x1.real, x1.imag), np.angle(x1),
+        np.hypot(x2.real, x2.imag), np.angle(x2),
+    ))

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import table
 from .constants import C, HBAR, KB
 from .device import MechanicalModeRecord
 
@@ -344,12 +345,16 @@ def budget_row(x, b: NoiseBudget) -> str:
 
 
 def write_budget_sweep(path, axis_name: str, axis_values, budgets) -> None:
-    """Write one budget_row per budget under a header keyed by a sweep axis.
+    """Write one row per budget, as budget_row formats it, under a header
+    keyed by a sweep axis.
 
     The canonical support-length sweep uses axis_name 'l_s_um'; photon-number
     sweeps use 'n_cav'.
     """
-    lines = [",".join((axis_name,) + BUDGET_COLUMNS)]
-    lines += [budget_row(x, b) for x, b in zip(axis_values, budgets)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    pairs = list(zip(axis_values, budgets))
+    cells = np.array([(x, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min,
+                       0.0 if b.n_min is None else b.n_min) for x, b in pairs],
+                     dtype=np.float64).reshape(len(pairs), 1 + len(BUDGET_COLUMNS))
+    blank = np.zeros(cells.shape, dtype=bool)
+    blank[:, -1] = [b.n_min is None for _, b in pairs]  # CW: no photon number
+    table.write_table(path, ",".join((axis_name,) + BUDGET_COLUMNS), cells.T, blank)

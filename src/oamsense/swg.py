@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import table
+
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_DIAMETERS = tuple(float(d) for d in range(110, 211, 10))  # nm, 11 steps
@@ -236,9 +238,7 @@ def layout_to_mask(layout: np.recarray, n: int, pitch: float) -> np.ndarray:
 def export_layout(layout: np.recarray, path) -> None:
     """CSV dump in (y, x) raster order: x_m,y_m,diameter_nm,phase_rad,amplitude."""
     ordered = layout[np.lexsort((layout.x, layout.y))]
-    lines = [LAYOUT_HEADER] + [",".join(map(repr, row)) for row in ordered.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table.write_table(path, LAYOUT_HEADER, [ordered[name] for name in LAYOUT_DTYPE.names])
 
 
 def expected_site_count(design: SWGDesign) -> float:

@@ -6,9 +6,11 @@ scheme, mode overlaps are evaluated by dense 1-D radial quadrature, and the
 waist search of conversion_metrics is repeated on full 2-D reference modes
 instead of the library's radial projection.  Raster export and spectral
 upsampling keep their straightforward forms: one repr per cell, and the
-zero-padded spectrum built and shifted as a centred array.  Dataset
-interpolation is done one l_s at a time, re-sorting the branch's records
-and rebuilding each column for every query.  The cavity dip is evaluated
+zero-padded spectrum built and shifted as a centred array.  The budget
+sweep, response curve and pillar layout are written row by row, with scalar
+abs and np.angle per response point.  Dataset interpolation is done one l_s
+at a time, re-sorting the branch's records and rebuilding each column for
+every query.  The cavity dip is evaluated
 point by point for finite-difference slopes, and an exported pillar layout
 is read back with np.loadtxt.
 """
@@ -156,6 +158,41 @@ def save_raster_per_cell(matrix, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in np.asarray(matrix):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def write_budget_sweep_per_row(path, axis_name, axis_values, budgets) -> None:
+    """Budget sweep export formatting each row's cells with repr(float(v)),
+    n_min left blank where it is None."""
+    from oamsense import noise
+
+    lines = [",".join((axis_name,) + noise.BUDGET_COLUMNS)]
+    for x, b in zip(axis_values, budgets):
+        cells = (x, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min, b.n_min)
+        lines.append(",".join("" if v is None else repr(float(v)) for v in cells))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def save_response_curve_per_row(curve, path) -> None:
+    """Response-curve export taking scalar abs and np.angle of each point."""
+    from oamsense import mechanics
+
+    lines = [mechanics.RESPONSE_HEADER]
+    for w, a1, a2 in zip(curve.omega, curve.x1, curve.x2):
+        cells = (float(w) / (2.0 * math.pi), abs(a1), np.angle(a1), abs(a2), np.angle(a2))
+        lines.append(",".join(repr(float(v)) for v in cells))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def export_layout_per_row(layout, path) -> None:
+    """Layout export in (y, x) raster order, one repr per field of each pillar."""
+    from oamsense import swg
+
+    ordered = layout[np.lexsort((layout.x, layout.y))]
+    lines = [swg.LAYOUT_HEADER] + [",".join(map(repr, row)) for row in ordered.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def fourier_upsample_centred(amps, factor):

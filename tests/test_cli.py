@@ -154,6 +154,23 @@ class TestNoiseSweep:
         assert code == 2
         assert "g_om" in capsys.readouterr().err
 
+    def test_repeated_dataset_row_names_file_and_lines(self, tmp_path, capsys):
+        text = device.sample_dataset_path().read_text(encoding="utf-8")
+        lines = text.splitlines()
+        row = next(r for r in lines if r.startswith("12.0,") and ",twist-like," in r)
+        data = tmp_path / "repeated.csv"
+        data.write_text(text + row + "\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[device]\ndataset = {data}\n")
+        code = cli.main(["noise-sweep", "--preset", "paper-fig5", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}, line {len(lines) + 1}: repeats the twist-like row at "
+            f"l_s = 12.0 um of line {lines.index(row) + 1}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestPulseBudget:
     def test_fig8_preset(self, tmp_path):
@@ -422,6 +439,16 @@ class TestConfigHandling:
         ("noise-sweep", "paper-fig5", "readout", "q_o", "0"),
         ("noise-sweep", "paper-fig5", "environment", "t_k", "-1"),
         ("swg-gen", None, "swg", "aperture_d_m", "0"),
+        ("noise-sweep", "paper-fig5", "readout", "lambda0_m", "0"),
+        ("noise-sweep", "paper-fig5", "beam", "lambda_sig_m", "0"),
+        ("swg-gen", None, "swg", "lattice_a_m", "0"),
+        ("noise-sweep", "paper-fig5", "readout", "dip_depth", "0"),
+        ("noise-sweep", "paper-fig5", "readout", "eta_qe", "1.5"),
+        ("noise-sweep", "paper-fig5", "beam", "eta_conv", "1.0001"),
+        ("noise-sweep", "paper-fig5", "beam", "contrast", "-0.5"),
+        ("noise-sweep", "paper-fig5", "readout", "p_dn_w", "-1e-12"),
+        ("pulse-budget", "paper-fig8", "readout", "n_cav", "-1"),
+        ("noise-sweep", "paper-fig5", "beam", "delta_l", "-1"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, preset, section, key,
                                  value):

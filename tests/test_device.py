@@ -94,7 +94,8 @@ def test_duplicate_key_rejected(tmp_path):
     dup = GOOD_ROWS + "12.0,7.0,1.0,twist-like,5.0e6,3e-13,4e-4,1e6,2e18\n"
     path = tmp_path / "dup.csv"
     path.write_text(dup)
-    with pytest.raises(device.DatasetError, match="strictly increasing"):
+    message = f"{path}, line 8: repeats the twist-like row at l_s = 12.0 um of line 4"
+    with pytest.raises(device.DatasetError, match=re.escape(message)):
         device.load_dataset(path)
 
 

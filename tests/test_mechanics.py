@@ -1,11 +1,20 @@
 import cmath
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oamsense import device, mechanics
-from oracles import radial_fidelity, random_stable_model, rk4_steady_state  # noqa: F401
+from oracles import (  # noqa: F401
+    radial_fidelity,
+    random_stable_model,
+    rk4_steady_state,
+    save_response_curve_per_row,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,6 +153,36 @@ class TestResponseCurve:
         assert len(lines) == 12
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == pytest.approx(4e6)
+
+    # strictly increasing grids of 1-12 points, with amplitudes that may be
+    # signed zeros, subnormals, infinite or NaN in either part
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False), unique=True),
+        hnp.arrays(np.complex128, n, elements=st.complex_numbers()),
+        hnp.arrays(np.complex128, n, elements=st.complex_numbers()),
+    )))
+    def test_export_matches_per_row_oracle(self, arrays):
+        omega, x1, x2 = arrays
+        curve = mechanics.ResponseCurve(omega=np.sort(omega), x1=x1, x2=x2)
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
+            mechanics.save_response_curve(curve, fast)
+            save_response_curve_per_row(curve, slow)
+            assert fast.read_bytes() == slow.read_bytes()
+
+    def test_export_magnitude_is_scalar_abs(self, tmp_path):
+        # paper-fig2b at 4.002 MHz: array np.abs of this x1 reads
+        # 3.113376590688989e-17 with NumPy 2.4 on x86-64, scalar abs ...899e-17
+        z = complex(3.113331019276642e-17, 1.6845173197709728e-19)
+        curve = mechanics.ResponseCurve(omega=np.array([TWO_PI * 4.002e6]),
+                                        x1=np.array([z]), x2=np.array([z]))
+        mechanics.save_response_curve(curve, tmp_path / "fast.csv")
+        save_response_curve_per_row(curve, tmp_path / "slow.csv")
+        text = (tmp_path / "fast.csv").read_text()
+        assert text == (tmp_path / "slow.csv").read_text()
+        assert text.splitlines()[1].split(",")[1] == "3.11337659068899e-17"
 
 
 class TestHybridFrequencies:

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oamsense import device, noise
 from oamsense.constants import C, HBAR, KB
-from oracles import transmission
+from oracles import transmission, write_budget_sweep_per_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -335,6 +337,22 @@ class TestSweepExport:
         lines = path.read_text().splitlines()
         assert lines[0] == noise.BUDGET_SWEEP_HEADER
         assert lines[1].endswith(",")  # empty n_min column
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.builds(
+        noise.NoiseBudget, *[st.floats()] * 6, n_min=st.none() | st.floats()))))
+    @example([])
+    @example([(-0.0, noise.NoiseBudget(math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                                       -2.2250738585072014e-308, None)),
+              (10.0, noise.NoiseBudget(0.0, 1.0, 1.0, 1e300, -1e-300, 1.0, math.nan))])
+    def test_file_matches_per_row_oracle(self, rows):
+        axis = [x for x, _ in rows]
+        budgets = [b for _, b in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
+            noise.write_budget_sweep(fast, "n_cav", axis, budgets)
+            write_budget_sweep_per_row(slow, "n_cav", axis, budgets)
+            assert fast.read_bytes() == slow.read_bytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oamsense import beams, swg
-from oracles import load_layout
+from oracles import export_layout_per_row, load_layout
 
 TWO_PI = 2.0 * math.pi
 
@@ -224,6 +225,17 @@ class TestExport:
             again = load_layout(path)
         assert again.dtype == swg.LAYOUT_DTYPE
         assert np.array_equal(again, layout)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(swg.LAYOUT_DTYPE, st.integers(0, 12), elements=st.tuples(
+        *[st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, 1.0])] * 5)))
+    def test_export_matches_per_row_oracle(self, records):
+        layout = records.view(np.recarray)
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
+            swg.export_layout(layout, fast)
+            export_layout_per_row(layout, slow)
+            assert fast.read_bytes() == slow.read_bytes()
 
     def test_shuffled_layout_exports_in_raster_order(self, tmp_path):
         layout = swg.generate_layout(swg.SWGDesign())
