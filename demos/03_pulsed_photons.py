@@ -31,10 +31,11 @@ print()
 
 print("support-length sweep (n_cav = 1e-3):")
 print("  l_s_um   n_min_photons")
-for ls in np.arange(8.0, 18.5, 2.0):
-    m = device.interpolate(ds, "twist-like", ls, q_m_override=1e8)
-    nb = noise.budget(m, readout, 0.01, beam)
-    print(f"  {ls:6.1f}   {nb.n_min:12.0f}")
+grid = np.arange(8.0, 18.5, 2.0)
+sweep = noise.budget(device.interpolate_grid(ds, "twist-like", grid, q_m_override=1e8),
+                     readout, 0.01, beam)
+for ls, n_min in zip(grid, sweep.n_min):
+    print(f"  {ls:6.1f}   {n_min:12.0f}")
 print()
 
 scan = noise.optimize_ncav(mode, base, 0.01, beam, np.logspace(-5, -1, 41))

@@ -142,6 +142,16 @@ _BOOL = _choice({**dict.fromkeys(("1", "true", "yes", "on"), True),
                  **dict.fromkeys(("0", "false", "no", "off"), False)}, "a boolean")
 
 
+def _int_where(test: Callable[[int], bool], what: str) -> Parser:
+    """Parser of an integer for which test(value) holds."""
+    def parse(raw: str) -> int:
+        value = _INT(raw)
+        if not test(value):
+            raise ValueError(f"is not {what}")
+        return value
+    return parse
+
+
 def _auto_or_float(raw: str) -> float | str:
     return raw if raw == "auto" else _FLOAT(raw)
 
@@ -166,8 +176,8 @@ KEYS: dict[str, Key] = {
     "mechanics.q_m": Key(_POSITIVE, 500.0, _MECH),
     "mechanics.g_m_hz": Key(_FLOAT, 5e5, _MECH),
     "mechanics.f_d_n": Key(_FLOAT, 1e-15, _MECH),
-    "mechanics.f_min_hz": Key(_FLOAT, None, _MECH),  # from the mode frequencies
-    "mechanics.f_max_hz": Key(_FLOAT, None, _MECH),
+    "mechanics.f_min_hz": Key(_POSITIVE, None, _MECH),  # from the mode frequencies
+    "mechanics.f_max_hz": Key(_POSITIVE, None, _MECH),
     "mechanics.n_points": Key(_number(integer=True, ge=2), 1501, _MECH),
     "sweep.l_s_min_um": Key(_FLOAT, None, _BUDGET),  # from the dataset domain
     "sweep.l_s_max_um": Key(_FLOAT, None, _BUDGET),
@@ -193,13 +203,14 @@ KEYS: dict[str, Key] = {
     "beam.f_rep_hz": Key(_auto_or_float, "auto", _BUDGET),
     "beam.bandwidth_hz": Key(_POSITIVE, 1.0, _BUDGET),
     "beam.w0_m": Key(_POSITIVE, 5e-6, ("beam-sim",)),
-    "grid.n": Key(_INT, 1024, ("beam-sim",)),
+    "grid.n": Key(_int_where(lambda n: n >= 32 and n & (n - 1) == 0, "a power of two >= 32"),
+                  1024, ("beam-sim",)),
     "grid.pitch_m": Key(_POSITIVE, 50e-9, ("beam-sim",)),
     "swg.aperture_d_m": Key(_POSITIVE, 20e-6, _GRATING),
     "swg.lattice_a_m": Key(_POSITIVE, 360e-9, _GRATING),
     "swg.delta_l": Key(_INT, 1, _GRATING),
     "swg.design_lambda_m": Key(_FLOAT, None, _GRATING),  # beam.lambda_sig_m
-    "swg.phase_sign": Key(_INT, 1, _GRATING),
+    "swg.phase_sign": Key(_int_where(lambda s: s in (-1, 1), "1 or -1"), 1, _GRATING),
     "swg.z_eval_m": Key(_FLOAT, 0.0, ("beam-sim",)),
     "swg.ideal_vortex": Key(_BOOL, False, ("beam-sim",)),
     "fit.f2_hz": Key(_FLOAT, 0.0, ("fit-gm",)),  # <= 0: fitted with the coupling
@@ -293,11 +304,22 @@ def _beam(cfg: dict) -> noise.SignalBeam:
     )
 
 
+def _check_in_domain(key: str, l_s: float, dataset: device.DeviceDataset,
+                     branch: str) -> None:
+    """Raise ConfigError naming `key` if l_s lies outside the branch domain."""
+    lo, hi = dataset.domain(branch)
+    if not lo <= l_s <= hi:
+        raise ConfigError(f"config key {key} = {l_s!r} is outside branch {branch!r} "
+                          f"domain [{lo}, {hi}] um")
+
+
 def _ls_grid(cfg: dict, dataset: device.DeviceDataset, branch: str) -> np.ndarray:
     lo, hi = dataset.domain(branch)
     ls_min = _derived(cfg, "sweep.l_s_min_um", lo)
     ls_max = _derived(cfg, "sweep.l_s_max_um", hi)
     step = cfg["sweep.l_s_step_um"]
+    _check_in_domain("sweep.l_s_min_um", ls_min, dataset, branch)
+    _check_in_domain("sweep.l_s_max_um", ls_max, dataset, branch)
     if not ls_min < ls_max:
         raise ConfigError("sweep.l_s_min_um must be < sweep.l_s_max_um")
     steps = (ls_max - ls_min) / step
@@ -334,6 +356,8 @@ def cmd_mech_response(args, cfg: dict) -> int:
     dataset = _load_cfg_dataset(cfg)
     l_s = cfg["mechanics.l_s_um"]
     q_m = cfg["mechanics.q_m"]
+    for branch in ("twist-like", "bounce-like"):
+        _check_in_domain("mechanics.l_s_um", l_s, dataset, branch)
     twist = device.interpolate(dataset, "twist-like", l_s, q_m_override=q_m)
     bounce = device.interpolate(dataset, "bounce-like", l_s, q_m_override=q_m)
     g_m = TWO_PI * cfg["mechanics.g_m_hz"]
@@ -350,6 +374,9 @@ def cmd_mech_response(args, cfg: dict) -> int:
                      0.7 * min(twist.omega_m, bounce.omega_m) / TWO_PI)
     f_max = _derived(cfg, "mechanics.f_max_hz",
                      1.2 * max(twist.omega_m, bounce.omega_m) / TWO_PI)
+    if not f_min < f_max:
+        raise ConfigError(f"mechanics.f_min_hz = {f_min!r} must be < "
+                          f"mechanics.f_max_hz = {f_max!r}")
     omega = TWO_PI * np.linspace(f_min, f_max, cfg["mechanics.n_points"])
     curve = mechanics.response_curve(model, cfg["mechanics.f_d_n"], omega)
 
@@ -373,19 +400,20 @@ def cmd_mech_response(args, cfg: dict) -> int:
 
 
 class _LsSweep(NamedTuple):
-    """Budgets over the sweep.l_s_* grid, and the inputs they were built from."""
+    """The budget over the sweep.l_s_* grid, and the inputs it was built from."""
 
-    mode_at: Callable[[float], device.MechanicalModeRecord]
+    mode_at: Callable[[str, float], device.MechanicalModeRecord]
     readout: noise.OpticalReadout
     beam: noise.SignalBeam
     t_k: float
     bandwidth: float
     grid: np.ndarray
-    budgets: list[noise.NoiseBudget]
+    budgets: noise.NoiseBudget  # one array per field, one value per l_s
 
 
 def _ls_sweep(cfg: dict, t_k_default: float) -> _LsSweep:
-    """The set-up noise-sweep and pulse-budget share: one budget per l_s."""
+    """The set-up noise-sweep and pulse-budget share: one budget call over
+    the columns of the interpolated l_s grid."""
     dataset = _load_cfg_dataset(cfg)
     branch = cfg["device.branch"]
     readout = _readout(cfg)
@@ -395,11 +423,12 @@ def _ls_sweep(cfg: dict, t_k_default: float) -> _LsSweep:
     bandwidth = cfg["beam.bandwidth_hz"]
     grid = _ls_grid(cfg, dataset, branch)
 
-    def mode_at(l_s: float) -> device.MechanicalModeRecord:
+    def mode_at(key: str, l_s: float) -> device.MechanicalModeRecord:
+        _check_in_domain(key, l_s, dataset, branch)
         return device.interpolate(dataset, branch, l_s, q_m_override=q_m or None)
 
     modes = device.interpolate_grid(dataset, branch, grid, q_m_override=q_m or None)
-    budgets = [noise.budget(mode, readout, t_k, beam, bandwidth_hz=bandwidth) for mode in modes]
+    budgets = noise.budget(modes, readout, t_k, beam, bandwidth_hz=bandwidth)
     return _LsSweep(mode_at, readout, beam, t_k, bandwidth, grid, budgets)
 
 
@@ -410,10 +439,10 @@ def cmd_noise_sweep(args, cfg: dict) -> int:
         out / "noise_sweep.csv",
         lambda p: noise.write_budget_sweep(p, "l_s_um", sweep.grid, sweep.budgets),
     )
-    i = int(np.argmin([b.tau_min for b in sweep.budgets]))
+    i = int(np.argmin(sweep.budgets.tau_min))
     print("# minimum of tau_min over the sweep")
     print(noise.BUDGET_SWEEP_HEADER)
-    print(noise.budget_row(sweep.grid[i], sweep.budgets[i]))
+    print(noise.budget_row(sweep.grid[i], sweep.budgets.at(i)))
     print(f"wrote {out / 'noise_sweep.csv'}")
     return 0
 
@@ -426,8 +455,8 @@ def cmd_pulse_budget(args, cfg: dict) -> int:
     l_s0 = cfg["sweep.l_s_ncav_um"]
     ncav_grid = np.logspace(math.log10(cfg["sweep.n_cav_min"]),
                             math.log10(cfg["sweep.n_cav_max"]), cfg["sweep.n_cav_points"])
-    scan = noise.optimize_ncav(sweep.mode_at(l_s0), sweep.readout, sweep.t_k, sweep.beam,
-                               ncav_grid, bandwidth_hz=sweep.bandwidth)
+    scan = noise.optimize_ncav(sweep.mode_at("sweep.l_s_ncav_um", l_s0), sweep.readout,
+                               sweep.t_k, sweep.beam, ncav_grid, bandwidth_hz=sweep.bandwidth)
 
     out = _out_dir(args)
     _atomic_write(
@@ -438,8 +467,8 @@ def cmd_pulse_budget(args, cfg: dict) -> int:
         out / "pulse_ncav_sweep.csv",
         lambda p: noise.write_budget_sweep(p, "n_cav", scan.n_cav, scan.budgets),
     )
-    i = int(np.argmin([b.n_min for b in budgets]))
-    print(f"n_min over l_s: minimum {budgets[i].n_min:.4g} photons/pulse "
+    i = int(np.argmin(budgets.n_min))
+    print(f"n_min over l_s: minimum {budgets.n_min[i]:.4g} photons/pulse "
           f"at l_s = {grid[i]:g} um")
     print(f"n_min over n_cav (l_s = {l_s0:g} um): minimum {scan.best_n_min:.4g} "
           f"photons/pulse at n_cav = {scan.best_n_cav:.4g}")

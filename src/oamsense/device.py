@@ -11,7 +11,7 @@ Datasets are immutable after loading; every record and the dataset itself
 are frozen dataclasses, so concurrent readers need no synchronization.  A
 record is one row of the file, with one field per column.  Interpolation
 sorts a branch's records by l_s when called and evaluates a whole l_s grid
-in one vectorised pass.
+in one vectorised pass, returning it as columns (a MODE_DTYPE record array).
 
 File format (UTF-8, comma separated, ``#`` starts a comment line)::
 
@@ -25,6 +25,7 @@ Leading comment lines are kept as the dataset's provenance note.
 from __future__ import annotations
 
 import math
+import dataclasses
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
@@ -221,6 +222,14 @@ def load_crossings(path) -> dict[float, np.ndarray]:
     return {w_h: np.asarray(groups[w_h]) for w_h in sorted(groups)}
 
 
+#: One record per point of an interpolated grid: the fields of
+#: MechanicalModeRecord, in its order, as float64 columns and a branch label.
+MODE_DTYPE = np.dtype([
+    (f.name, f"U{max(map(len, BRANCHES))}" if f.name == "branch" else np.float64)
+    for f in dataclasses.fields(MechanicalModeRecord)
+])
+
+
 def interpolate(
     dataset: DeviceDataset,
     branch: str,
@@ -229,9 +238,10 @@ def interpolate(
 ) -> MechanicalModeRecord:
     """Piecewise-linear interpolation of one branch at support length l_s (um).
 
-    The one-point case of interpolate_grid.
+    The one-point case of interpolate_grid, returned as a validated record.
     """
-    return interpolate_grid(dataset, branch, (l_s_um,), q_m_override)[0]
+    point = interpolate_grid(dataset, branch, (l_s_um,), q_m_override)[0]
+    return MechanicalModeRecord(*point.item())
 
 
 def interpolate_grid(
@@ -239,16 +249,19 @@ def interpolate_grid(
     branch: str,
     l_s_values,
     q_m_override: float | None = None,
-) -> list[MechanicalModeRecord]:
+) -> np.recarray:
     """Piecewise-linear interpolation of one branch at each l_s (um) of a grid.
 
-    np.interp returns the tabulated value exactly at a knot, so a tabulated
-    l_s reproduces its stored record.  q_m_override, when given, replaces the
-    interpolated quality factor (run-time override).  A query outside the
-    branch domain raises DatasetError naming the first such l_s.  Each field's
-    column is built from the branch's records and interpolated over the whole
+    Returns a MODE_DTYPE record array with one record per l_s: columns read
+    as modes.omega_m and single points as modes[k].omega_m, and noise.budget
+    takes the whole array.  Each float column is interpolated over the whole
     grid by one np.interp call, which gives every point the bits a scalar
-    query would.
+    query would; np.interp returns the tabulated value exactly at a knot, so
+    a tabulated l_s reproduces its stored record.  q_m_override, when given,
+    replaces the interpolated quality factor (run-time override) and must be
+    > 0.  A query outside the branch domain raises DatasetError naming the
+    first such l_s.  The points are not validated one by one: between
+    validated knots the interpolated values keep the knots' signs.
     """
     recs = dataset.records_for(branch)
     lo, hi = recs[0].l_s_um, recs[-1].l_s_um
@@ -259,27 +272,17 @@ def interpolate_grid(
         raise DatasetError(
             f"l_s = {l_s_um} um outside branch {branch!r} domain [{lo}, {hi}] um"
         )
-    ls = np.array([r.l_s_um for r in recs])
-    rows = [(r.w_h_um, r.l_h_um, r.omega_m, r.m_eff, r.r_eff, r.q_m, r.g_om) for r in recs]
-    w_h, l_h, omega_m, m_eff, r_eff, q_m, g_om = (
-        np.interp(grid, ls, column).tolist() for column in zip(*rows)
-    )
+    if q_m_override is not None and not q_m_override > 0.0:
+        raise DatasetError("record field q_m must be > 0")
+    modes = np.recarray(grid.shape, dtype=MODE_DTYPE)
+    modes["l_s_um"] = grid
+    modes["branch"] = branch
+    ls = [r.l_s_um for r in recs]
+    for name in ("w_h_um", "l_h_um", "omega_m", "m_eff", "r_eff", "q_m", "g_om"):
+        modes[name] = np.interp(grid, ls, [getattr(r, name) for r in recs])
     if q_m_override is not None:
-        q_m = [q_m_override] * len(grid)
-    return [
-        MechanicalModeRecord(
-            l_s_um=l_s_um,
-            w_h_um=w_h[k],
-            l_h_um=l_h[k],
-            branch=branch,
-            omega_m=omega_m[k],
-            m_eff=m_eff[k],
-            r_eff=r_eff[k],
-            q_m=q_m[k],
-            g_om=g_om[k],
-        )
-        for k, l_s_um in enumerate(grid.tolist())
-    ]
+        modes["q_m"] = q_m_override
+    return modes
 
 
 def sample_dataset_path():

@@ -22,13 +22,18 @@ versus detuning; an inverted-Lorentzian dip of depth d is assumed with the
 probe laser parked at the maximum-slope detuning, giving
 |dT/dD|_max = (3 sqrt(3) / 4) d / kappa.
 
-All functions are pure; sweeps evaluate deterministically in input order.
+All functions are pure.  The torque terms and budget take one mode record
+or a whole grid of them as columns (the record array of
+device.interpolate_grid) and run the same operations in the same order on
+both, so each grid point gets the bits of a one-point call.  That holds
+because squares go through _square (libm pow, as Python's ** uses) and
+square roots through np.sqrt (correctly rounded, as math.sqrt).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -38,9 +43,22 @@ from .device import MechanicalModeRecord
 
 TWO_PI = 2.0 * math.pi
 
+#: One mode record, or a grid of them as columns (device.MODE_DTYPE records).
+Modes = MechanicalModeRecord | np.recarray
+
 # Slope prefactor of the symmetric dip T(D) = 1 - d / (1 + (2 D / kappa)^2):
 # the extremum sits at D = +- kappa / (2 sqrt(3)) with |dT/dD| = (3 sqrt3/4) d/kappa.
 MAX_SLOPE_FACTOR = 3.0 * math.sqrt(3.0) / 4.0
+
+
+def _square(x):
+    """x ** 2 with the bits of Python's float x ** 2, for floats and arrays.
+
+    Python's ** calls libm pow.  NumPy's x ** 2 and np.power(x, 2.0) compute
+    x * x instead, which differs from pow in the last bit for some inputs;
+    np.float_power calls pow.
+    """
+    return np.float_power(x, 2.0)
 
 
 @dataclass(frozen=True)
@@ -140,15 +158,24 @@ class SignalBeam:
 class NoiseBudget:
     """Noise-equivalent torques (N m / sqrt(Hz)), their quadrature sum,
     the equivalent incident optical power (W / sqrt(Hz)) and, for pulsed
-    drives, the minimum photon number per pulse."""
+    drives, the minimum photon number per pulse.
 
-    tau_th: float
-    tau_sn: float
-    tau_dn: float
-    tau_ba: float
-    tau_min: float
-    p_min: float
-    n_min: float | None = None
+    Each field is a float for one operating point, or an array with one
+    value per point for a grid; n_min is None for CW drives.
+    """
+
+    tau_th: float | np.ndarray
+    tau_sn: float | np.ndarray
+    tau_dn: float | np.ndarray
+    tau_ba: float | np.ndarray
+    tau_min: float | np.ndarray
+    p_min: float | np.ndarray
+    n_min: float | np.ndarray | None = None
+
+    def at(self, i: int) -> NoiseBudget:
+        """Point i of a grid's budget, as a one-point budget."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return NoiseBudget(*(None if v is None else v[i] for v in values))
 
 
 def torque_from_power(p_w: float, lambda_sig: float, delta_l: float, eta_conv: float = 1.0) -> float:
@@ -158,19 +185,21 @@ def torque_from_power(p_w: float, lambda_sig: float, delta_l: float, eta_conv: f
     return eta_conv * delta_l * p_w / (TWO_PI * C / lambda_sig)
 
 
-def power_from_torque(tau: float, lambda_sig: float, delta_l: float, eta_conv: float = 1.0) -> float:
-    """Incident power producing torque tau; infinite when delta_l*eta_conv = 0."""
+def power_from_torque(tau, lambda_sig: float, delta_l: float, eta_conv: float = 1.0):
+    """Incident power producing torque tau (a float or an array); infinite
+    when delta_l*eta_conv = 0."""
     scale = eta_conv * delta_l
     if scale == 0.0:
-        return math.inf
+        return np.full_like(tau, math.inf, dtype=np.float64)[()]
     return tau * (TWO_PI * C / lambda_sig) / scale
 
 
-def tau_thermal(mode: MechanicalModeRecord, t_kelvin: float) -> float:
+def tau_thermal(mode: Modes, t_kelvin: float):
     """Thermal noise-equivalent torque (N m / sqrt(Hz)) at temperature T."""
     if t_kelvin < 0.0:
         raise ValueError("temperature must be >= 0")
-    return math.sqrt(4.0 * KB * t_kelvin * mode.omega_m * mode.m_eff * mode.r_eff**2 / mode.q_m)
+    return np.sqrt(4.0 * KB * t_kelvin * mode.omega_m * mode.m_eff * _square(mode.r_eff)
+                   / mode.q_m)
 
 
 def transmission_slope(readout: OpticalReadout) -> float:
@@ -183,77 +212,82 @@ def shot_noise_psd(readout: OpticalReadout) -> float:
     return 2.0 * HBAR * readout.omega0 * readout.p_det / readout.eta_qe
 
 
-def _transduction_torque(mode: MechanicalModeRecord, readout: OpticalReadout, power_noise: float) -> float:
+def _transduction_torque(mode: Modes, readout: OpticalReadout, power_noise: float):
     """Torque equivalent of an optical power noise density at the detector."""
-    if mode.g_om == 0.0:
+    zero = np.asarray(mode.g_om) == 0.0
+    if zero.any():
+        k = np.argmax(zero)  # the first point without coupling
         raise ValueError(
-            f"g_om = 0 for the {mode.branch} mode at l_s = {mode.l_s_um} um: "
+            f"g_om = 0 for the {np.ravel(mode.branch)[k]} mode at "
+            f"l_s = {np.ravel(mode.l_s_um)[k]} um: "
             "the cavity does not transduce its motion, so no readout noise budget exists"
         )
     slope = transmission_slope(readout)
     return (
         mode.m_eff
-        * mode.omega_m**2
+        * _square(mode.omega_m)
         * mode.r_eff
         * power_noise
         / (slope * mode.q_m * readout.p_det * mode.g_om)
     )
 
 
-def tau_shot(mode: MechanicalModeRecord, readout: OpticalReadout) -> float:
+def tau_shot(mode: Modes, readout: OpticalReadout):
     """Photon shot-noise equivalent torque (N m / sqrt(Hz))."""
     return _transduction_torque(mode, readout, math.sqrt(shot_noise_psd(readout)))
 
 
-def tau_detector(mode: MechanicalModeRecord, readout: OpticalReadout) -> float:
+def tau_detector(mode: Modes, readout: OpticalReadout):
     """Detector electronic-noise equivalent torque (N m / sqrt(Hz))."""
     return _transduction_torque(mode, readout, readout.p_dn)
 
 
-def tau_backaction(mode: MechanicalModeRecord, readout: OpticalReadout) -> float:
+def tau_backaction(mode: Modes, readout: OpticalReadout):
     """Radiation-pressure back-action torque 2 hbar g_om r_eff sqrt(n_cav/kappa)."""
     return 2.0 * HBAR * mode.g_om * mode.r_eff * math.sqrt(readout.n_cav / readout.kappa)
 
 
-def quadrature_tau_min(tau_th: float, tau_sn: float, tau_dn: float, tau_ba: float) -> float:
+def quadrature_tau_min(tau_th, tau_sn, tau_dn, tau_ba):
     """Quadrature combination of the four noise-equivalent torques."""
-    return math.sqrt(tau_th**2 + tau_sn**2 + tau_dn**2 + tau_ba**2)
+    return np.sqrt(_square(tau_th) + _square(tau_sn) + _square(tau_dn) + _square(tau_ba))
 
 
-def min_photons_per_pulse(
-    tau_min: float, beam: SignalBeam, f_rep: float, bandwidth_hz: float = 1.0
-) -> float:
+def min_photons_per_pulse(tau_min, beam: SignalBeam, f_rep, bandwidth_hz: float = 1.0):
     """Minimum detectable photons per pulse for a resonant pulse train.
 
     Inverts the torque/power relation for a pulse train whose repetition rate
     matches the drive frequency: n_min = tau_min sqrt(B) / (eta_conv delta_l
     hbar f_rep).  tau_min must come from a budget evaluated at omega_m =
     2 pi f_rep.  The measurement bandwidth B (Hz) multiplies the
-    root-spectral-density torque; it defaults to 1 Hz.
+    root-spectral-density torque; it defaults to 1 Hz.  tau_min and f_rep
+    may be floats or arrays.
     """
-    if f_rep <= 0.0:
+    if np.any(f_rep <= 0.0):
         raise ValueError("f_rep must be > 0")
     if bandwidth_hz <= 0.0:
         raise ValueError("bandwidth_hz must be > 0")
     scale = beam.conversion
     if scale == 0.0:
-        return math.inf
+        return np.full_like(tau_min, math.inf, dtype=np.float64)[()]
     return tau_min * math.sqrt(bandwidth_hz) / (scale * HBAR * f_rep)
 
 
 def budget(
-    mode: MechanicalModeRecord,
+    mode: Modes,
     readout: OpticalReadout,
     t_kelvin: float,
     beam: SignalBeam,
     bandwidth_hz: float = 1.0,
 ) -> NoiseBudget:
-    """Full noise budget of one operating point.
+    """Full noise budget of one operating point, or of every point of a grid.
 
-    The drive and measurement are taken at the mechanical resonance omega_m.
-    For a PulseTrain beam the repetition rate defaults to omega_m / 2 pi and
-    the minimum photon number per pulse is filled in; for CW beams n_min is
-    None.
+    `mode` is one record, giving a budget of floats, or a grid's columns
+    from device.interpolate_grid, giving one array per field.  The drive and
+    measurement are taken at the mechanical resonance omega_m.  For a
+    PulseTrain beam the repetition rate defaults to omega_m / 2 pi and the
+    minimum photon number per pulse is filled in; for CW beams n_min is
+    None.  A point with g_om = 0 raises ValueError naming its branch and
+    l_s (the first such point of a grid).
     """
     th = tau_thermal(mode, t_kelvin)
     sn = tau_shot(mode, readout)
@@ -295,7 +329,7 @@ class NcavScan:
 
     n_cav: np.ndarray
     n_min: np.ndarray
-    budgets: tuple[NoiseBudget, ...]
+    budgets: NoiseBudget  # one array per field, one value per n_cav
     best_n_cav: float
     best_n_min: float
     best_index: int
@@ -320,11 +354,11 @@ def optimize_ncav(
         raise ValueError("n_cav grid must be non-empty and positive")
     if not isinstance(beam.modulation, PulseTrain):
         raise ValueError("optimize_ncav requires a pulse-train beam")
-    budgets = tuple(
-        budget(mode, readout_at_ncav(readout, n), t_kelvin, beam, bandwidth_hz)
-        for n in grid
-    )
-    n_min = np.array([b.n_min for b in budgets])
+    points = [budget(mode, readout_at_ncav(readout, n), t_kelvin, beam, bandwidth_hz)
+              for n in grid]
+    budgets = NoiseBudget(*(np.array([getattr(b, f.name) for b in points])
+                            for f in fields(NoiseBudget)))
+    n_min = budgets.n_min
     i = int(np.argmin(n_min))
     return NcavScan(
         n_cav=grid, n_min=n_min, budgets=budgets,
@@ -344,17 +378,18 @@ def budget_row(x, b: NoiseBudget) -> str:
     return ",".join("" if v is None else repr(float(v)) for v in cells)
 
 
-def write_budget_sweep(path, axis_name: str, axis_values, budgets) -> None:
-    """Write one row per budget, as budget_row formats it, under a header
+def write_budget_sweep(path, axis_name: str, axis_values, budgets: NoiseBudget) -> None:
+    """Write one row per sweep point, as budget_row formats it, under a header
     keyed by a sweep axis.
 
-    The canonical support-length sweep uses axis_name 'l_s_um'; photon-number
-    sweeps use 'n_cav'.
+    `budgets` holds one array per field with one value per axis value, as
+    budget returns for a grid.  The canonical support-length sweep uses
+    axis_name 'l_s_um'; photon-number sweeps use 'n_cav'.
     """
-    pairs = list(zip(axis_values, budgets))
-    cells = np.array([(x, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min,
-                       0.0 if b.n_min is None else b.n_min) for x, b in pairs],
-                     dtype=np.float64).reshape(len(pairs), 1 + len(BUDGET_COLUMNS))
-    blank = np.zeros(cells.shape, dtype=bool)
-    blank[:, -1] = [b.n_min is None for _, b in pairs]  # CW: no photon number
-    table.write_table(path, ",".join((axis_name,) + BUDGET_COLUMNS), cells.T, blank)
+    b = budgets
+    cw = b.n_min is None  # no photon number: its cells are left blank
+    columns = [axis_values, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min,
+               np.zeros(len(axis_values)) if cw else b.n_min]
+    blank = np.zeros((len(axis_values), len(columns)), dtype=bool)
+    blank[:, -1] = cw
+    table.write_table(path, ",".join((axis_name,) + BUDGET_COLUMNS), columns, blank)

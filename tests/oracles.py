@@ -10,7 +10,8 @@ zero-padded spectrum built and shifted as a centred array.  The budget
 sweep, response curve and pillar layout are written row by row, with scalar
 abs and np.angle per response point.  Dataset interpolation is done one l_s
 at a time, re-sorting the branch's records and rebuilding each column for
-every query.  The cavity dip is evaluated
+every query, and the noise budget one record at a time in Python floats,
+with math.sqrt and **.  The cavity dip is evaluated
 point by point for finite-difference slopes, and an exported pillar layout
 is read back with np.loadtxt.
 """
@@ -162,12 +163,14 @@ def save_raster_per_cell(matrix, path) -> None:
 
 def write_budget_sweep_per_row(path, axis_name, axis_values, budgets) -> None:
     """Budget sweep export formatting each row's cells with repr(float(v)),
-    n_min left blank where it is None."""
+    n_min left blank where it is None.  `budgets` holds one array per field."""
     from oamsense import noise
 
+    b = budgets
     lines = [",".join((axis_name,) + noise.BUDGET_COLUMNS)]
-    for x, b in zip(axis_values, budgets):
-        cells = (x, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min, b.n_min)
+    for i, x in enumerate(axis_values):
+        cells = (x, b.tau_th[i], b.tau_sn[i], b.tau_dn[i], b.tau_ba[i], b.tau_min[i],
+                 b.p_min[i], None if b.n_min is None else b.n_min[i])
         lines.append(",".join("" if v is None else repr(float(v)) for v in cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -251,6 +254,71 @@ def interpolate_per_call(dataset, branch, l_s_um, q_m_override=None):
         q_m=q_m,
         g_om=field(lambda r: r.g_om),
     )
+
+
+def mode_columns(records):
+    """The records as columns: a device.MODE_DTYPE record array, one row each."""
+    import dataclasses
+
+    from oamsense import device
+
+    return np.rec.fromrecords([dataclasses.astuple(r) for r in records],
+                              dtype=device.MODE_DTYPE)
+
+
+def budget_per_point(mode, readout, t_kelvin, beam, bandwidth_hz=1.0):
+    """noise.budget of one MechanicalModeRecord, in Python floats.
+
+    Every term is written out in the library's operation order with
+    math.sqrt and **, so the result must match noise.budget bit for bit.
+    """
+    from oamsense import noise
+    from oamsense.constants import C, HBAR, KB
+
+    if t_kelvin < 0.0:
+        raise ValueError("temperature must be >= 0")
+    if mode.g_om == 0.0:
+        raise ValueError(
+            f"g_om = 0 for the {mode.branch} mode at l_s = {mode.l_s_um} um: "
+            "the cavity does not transduce its motion, so no readout noise budget exists"
+        )
+    th = math.sqrt(4.0 * KB * t_kelvin * mode.omega_m * mode.m_eff * mode.r_eff**2 / mode.q_m)
+    slope = noise.MAX_SLOPE_FACTOR * readout.dip_depth / readout.kappa
+
+    def transduced(power_noise):
+        return (mode.m_eff * mode.omega_m**2 * mode.r_eff * power_noise
+                / (slope * mode.q_m * readout.p_det * mode.g_om))
+
+    sn = transduced(math.sqrt(2.0 * HBAR * readout.omega0 * readout.p_det / readout.eta_qe))
+    dn = transduced(readout.p_dn)
+    ba = 2.0 * HBAR * mode.g_om * mode.r_eff * math.sqrt(readout.n_cav / readout.kappa)
+    tau_min = math.sqrt(th**2 + sn**2 + dn**2 + ba**2)
+    scale = beam.eta_conv * beam.contrast * beam.delta_l
+    p_min = math.inf if scale == 0.0 else tau_min * (2.0 * math.pi * C / beam.lambda_sig) / scale
+    n_min = None
+    if isinstance(beam.modulation, noise.PulseTrain):
+        f_rep = beam.modulation.f_rep
+        if f_rep is None:
+            f_rep = mode.omega_m / (2.0 * math.pi)
+        if f_rep <= 0.0 or bandwidth_hz <= 0.0:
+            raise ValueError("f_rep and bandwidth_hz must be > 0")
+        n_min = (math.inf if scale == 0.0
+                 else tau_min * math.sqrt(bandwidth_hz) / (scale * HBAR * f_rep))
+    return noise.NoiseBudget(th, sn, dn, ba, tau_min, p_min, n_min)
+
+
+def budget_columns_per_point(modes, readout, t_kelvin, beam, bandwidth_hz=1.0):
+    """budget_per_point at each record of a sequence, stacked as noise.budget
+    returns a grid: one array per field (n_min None for CW beams)."""
+    from oamsense import noise
+
+    points = [budget_per_point(m, readout, t_kelvin, beam, bandwidth_hz) for m in modes]
+    columns = [np.array([getattr(b, name) for b in points], dtype=np.float64)
+               for name in ("tau_th", "tau_sn", "tau_dn", "tau_ba", "tau_min", "p_min")]
+    n_min = None
+    if isinstance(beam.modulation, noise.PulseTrain):
+        n_min = np.array([b.n_min for b in points], dtype=np.float64)
+    return noise.NoiseBudget(*columns, n_min=n_min)
 
 
 def transmission(readout, delta: float) -> float:

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import oamsense
-from oamsense import beams, cli, device, swg
-from oracles import interpolate_per_call, load_layout, save_raster_per_cell
+from oamsense import beams, cli, device, noise, swg
+from oracles import (budget_columns_per_point, budget_per_point, interpolate_per_call,
+                     load_layout, mode_columns, save_raster_per_cell,
+                     write_budget_sweep_per_row)
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,14 +124,48 @@ class TestNoiseSweep:
         assert cli.main(argv + ["--out", str(tmp_path / "grid")]) == 0
 
         def per_call(dataset, branch, l_s_values, q_m_override=None):
-            return [interpolate_per_call(dataset, branch, l_s, q_m_override)
-                    for l_s in l_s_values]
+            return mode_columns([interpolate_per_call(dataset, branch, l_s, q_m_override)
+                                 for l_s in l_s_values])
 
         monkeypatch.setattr(device, "interpolate_grid", per_call)
         assert cli.main(argv + ["--out", str(tmp_path / "oracle")]) == 0
         grid = (tmp_path / "grid" / "noise_sweep.csv").read_bytes()
         assert grid.count(b"\n") == 2002
         assert grid == (tmp_path / "oracle" / "noise_sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, files", [
+        (["noise-sweep", "--preset", "paper-fig5"], ["noise_sweep.csv"]),
+        (["pulse-budget", "--preset", "paper-fig8"],
+         ["pulse_ls_sweep.csv", "pulse_ncav_sweep.csv"]),
+    ], ids=["noise-sweep-fine", "pulse-budget"])
+    def test_same_bytes_as_oracle_chain(self, tmp_path, monkeypatch, capsys, argv, files):
+        # per-call interpolation, per-point Python-float budgets, per-row writer
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nl_s_step_um = 0.005\n" if argv[0] == "noise-sweep" else "")
+        argv = argv + ["--config", str(cfg)]
+        assert cli.main(argv + ["--out", str(tmp_path / "lib")]) == 0
+        printed = capsys.readouterr().out
+
+        def grid(dataset, branch, l_s_values, q_m_override=None):
+            return [interpolate_per_call(dataset, branch, l_s, q_m_override)
+                    for l_s in l_s_values]
+
+        def budget(modes, *args, **kwargs):
+            if isinstance(modes, device.MechanicalModeRecord):
+                return budget_per_point(modes, *args, **kwargs)
+            return budget_columns_per_point(modes, *args, **kwargs)
+
+        monkeypatch.setattr(device, "interpolate", interpolate_per_call)
+        monkeypatch.setattr(device, "interpolate_grid", grid)
+        monkeypatch.setattr(noise, "budget", budget)
+        monkeypatch.setattr(noise, "write_budget_sweep", write_budget_sweep_per_row)
+        assert cli.main(argv + ["--out", str(tmp_path / "oracle")]) == 0
+        assert capsys.readouterr().out == printed.replace(str(tmp_path / "lib"),
+                                                          str(tmp_path / "oracle"))
+        for name in files:
+            got = (tmp_path / "lib" / name).read_bytes()
+            assert got.count(b"\n") in (42, 2002)
+            assert got == (tmp_path / "oracle" / name).read_bytes()
 
     def test_summary_row_is_the_csv_minimum_row(self, tmp_path, capsys):
         assert cli.main(["noise-sweep", "--preset", "paper-fig5",
@@ -449,6 +485,13 @@ class TestConfigHandling:
         ("noise-sweep", "paper-fig5", "readout", "p_dn_w", "-1e-12"),
         ("pulse-budget", "paper-fig8", "readout", "n_cav", "-1"),
         ("noise-sweep", "paper-fig5", "beam", "delta_l", "-1"),
+        ("mech-response", "paper-fig2b", "mechanics", "f_min_hz", "-1e6"),
+        ("mech-response", "paper-fig2b", "mechanics", "f_max_hz", "0"),
+        ("swg-gen", None, "swg", "phase_sign", "0"),
+        ("beam-sim", None, "swg", "phase_sign", "2"),
+        ("beam-sim", None, "grid", "n", "0"),
+        ("beam-sim", None, "grid", "n", "16"),
+        ("beam-sim", None, "grid", "n", "1000"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, preset, section, key,
                                  value):
@@ -460,6 +503,51 @@ class TestConfigHandling:
         assert cli.main(argv) == 2
         assert f"config key {section}.{key} = {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, preset, section, key, value", [
+        ("mech-response", "paper-fig2b", "mechanics", "l_s_um", "50"),
+        ("noise-sweep", "paper-fig5", "sweep", "l_s_min_um", "2"),
+        ("noise-sweep", "paper-fig5", "sweep", "l_s_max_um", "20"),
+        ("pulse-budget", "paper-fig8", "sweep", "l_s_ncav_um", "50"),
+    ])
+    def test_l_s_outside_domain_names_key(self, tmp_path, capsys, command, preset, section,
+                                          key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert cli.main([command, "--preset", preset, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert (f"error: config key {section}.{key} = {float(value)!r} is outside branch "
+                f"'twist-like' domain [8.0, 18.0] um") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values", [
+        "f_min_hz = 6e6\nf_max_hz = 5e6\n", "f_min_hz = 5e6\nf_max_hz = 5e6\n",
+        "f_min_hz = 9e6\n",
+    ])
+    def test_frequency_range_names_both_keys(self, tmp_path, capsys, values):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[mechanics]\n" + values)
+        assert cli.main(["mech-response", "--preset", "paper-fig2b", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "mechanics.f_min_hz = " in err and "must be < mechanics.f_max_hz = " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_benchmark_traced_names_resolve(self):
+        # benchmark/run.py wraps these module attributes by name; it is read,
+        # not imported, so a rename fails here rather than in a traced run
+        import ast
+        import importlib
+
+        path = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                      and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+        names = [(entry.elts[0].value, entry.elts[1].value) for entry in traced.elts]
+        assert ("noise", "budget") in names and len(names) >= 10
+        for module, fn in names:
+            assert callable(getattr(importlib.import_module(f"oamsense.{module}"), fn, None)), \
+                f"benchmark traces oamsense.{module}.{fn}, which does not exist"
 
     def test_ncav_point_outside_domain_writes_nothing(self, tmp_path, capsys):
         # the n_cav scan runs before either pulse-budget file is written

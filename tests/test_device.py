@@ -184,6 +184,7 @@ def _sample():
 
 
 def _bits(rec):
+    """Branch and float.hex of each field of a record or of one grid row."""
     values = (rec.l_s_um, rec.w_h_um, rec.l_h_um, rec.omega_m, rec.m_eff, rec.r_eff, rec.q_m,
               rec.g_om)
     return rec.branch, tuple(float(v).hex() for v in values)
@@ -207,8 +208,10 @@ def test_grid_matches_per_call_oracle(case):
     ds = _sample()
     got = device.interpolate_grid(ds, branch, np.array(grid), q_m_override=q_m)
     want = [interpolate_per_call(ds, branch, l_s, q_m) for l_s in grid]
-    assert got == want
+    assert got.dtype == device.MODE_DTYPE and got.shape == (len(grid),)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    if grid:
+        assert device.interpolate(ds, branch, grid[-1], q_m) == want[-1]
 
 
 def test_grid_knots_equal_stored_records():
@@ -216,11 +219,20 @@ def test_grid_knots_equal_stored_records():
     recs = ds.records_for("twist-like")
     grid = [r.l_s_um for r in recs]
     got = device.interpolate_grid(ds, "twist-like", grid)
-    assert got == list(recs)
+    assert [device.MechanicalModeRecord(*r.item()) for r in got] == list(recs)
     assert [_bits(r) for r in got] == [_bits(r) for r in recs]
     overridden = device.interpolate_grid(ds, "twist-like", grid, q_m_override=7.0)
-    assert [r.q_m for r in overridden] == [7.0] * len(recs)
-    assert [r.omega_m for r in overridden] == [r.omega_m for r in recs]
+    assert overridden.q_m.tolist() == [7.0] * len(recs)
+    assert overridden.omega_m.tolist() == [r.omega_m for r in recs]
+
+
+@pytest.mark.parametrize("q_m", [0.0, -1.0, float("nan")])
+def test_nonpositive_q_m_override_rejected(q_m):
+    for l_s_values in ([9.0, 10.0], []):
+        with pytest.raises(device.DatasetError, match="record field q_m must be > 0"):
+            device.interpolate_grid(_sample(), "twist-like", l_s_values, q_m_override=q_m)
+    with pytest.raises(device.DatasetError, match="record field q_m must be > 0"):
+        device.interpolate(_sample(), "twist-like", 10.0, q_m_override=q_m)
 
 
 @pytest.mark.parametrize("grid, bad", [

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oamsense import device, noise
 from oamsense.constants import C, HBAR, KB
-from oracles import transmission, write_budget_sweep_per_row
+from oracles import budget_per_point, mode_columns, transmission, write_budget_sweep_per_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -326,12 +326,88 @@ class TestZeroCoupling:
         with pytest.raises(ValueError, match="g_om"):
             noise.budget(mode, make_readout(), 4.0, beam)
 
+    def test_grid_names_first_uncoupled_point(self):
+        modes = [dataclasses.replace(make_mode(g_om_hz_per_m=g), l_s_um=l_s)
+                 for l_s, g in ((9.0, 1e18), (9.5, 0.0), (10.0, 0.0))]
+        beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=1.0)
+        with pytest.raises(ValueError, match="g_om = 0 for the bounce-like mode at l_s = 9.5 um"):
+            noise.budget(mode_columns(modes), make_readout(), 4.0, beam)
+
+
+def _hex(b):
+    values = (b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min, b.n_min)
+    return tuple(None if v is None else float(v).hex() for v in values)
+
+
+_MODES = st.lists(st.builds(
+    make_mode, omega_hz=st.floats(1e5, 1e8), m_eff=st.floats(1e-16, 1e-11),
+    r_eff=st.floats(1e-8, 1e-3), q_m=st.floats(1.0, 1e9),
+    g_om_hz_per_m=st.floats(1e15, 1e21)), min_size=1, max_size=30)
+
+
+class TestColumnarBudget:
+    """budget over a grid's columns against the per-point Python-float oracle."""
+
+    # each case pins the parameter it covers; the rest are drawn at random
+    CASES = {
+        "cw": {},
+        "pulse-auto-f_rep": {"modulation": noise.PulseTrain()},
+        "pulse-explicit-f_rep": {"modulation": noise.PulseTrain(4.2e6)},
+        "no-conversion": {"delta_l": 0.0, "modulation": noise.PulseTrain()},
+        "no-backaction": {"n_cav": 0.0},
+        "no-detector-noise": {"p_dn": 0.0},
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @settings(max_examples=40, deadline=None)
+    @given(modes=_MODES, t_k=st.floats(0.0, 300.0), bandwidth=st.floats(0.01, 1e4),
+           q_o=st.floats(1e3, 1e8), p_det=st.floats(1e-12, 1e-3),
+           fractions=st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=4),
+           p_dn=st.floats(1e-18, 1e-10), n_cav=st.floats(1e-6, 1.0),
+           delta_l=st.floats(0.5, 20.0))
+    def test_matches_per_point_oracle(self, case, modes, t_k, bandwidth, q_o, p_det,
+                                      fractions, p_dn, n_cav, delta_l):
+        over = self.CASES[case]
+        dip, eta_qe, eta_conv, contrast = fractions
+        readout = make_readout(q_o=q_o, p_det=p_det, dip_depth=dip, eta_qe=eta_qe,
+                               p_dn=over.get("p_dn", p_dn), n_cav=over.get("n_cav", n_cav))
+        beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=over.get("delta_l", delta_l),
+                                eta_conv=eta_conv, contrast=contrast,
+                                modulation=over.get("modulation", noise.CwModulation()))
+        got = noise.budget(mode_columns(modes), readout, t_k, beam, bandwidth)
+        want = [budget_per_point(m, readout, t_k, beam, bandwidth) for m in modes]
+        assert [_hex(got.at(i)) for i in range(len(modes))] == [_hex(b) for b in want]
+        assert [_hex(noise.budget(m, readout, t_k, beam, bandwidth)) for m in modes] == \
+            [_hex(b) for b in want]
+        if case == "no-conversion":
+            assert np.all(got.p_min == math.inf) and np.all(got.n_min == math.inf)
+
+
+# 0.9827323782383632 is one of the inputs where x * x and libm pow round apart
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+@example([0.9827323782383632, 1.3350340678102797, 1e200, -3.0, 5e-324])
+def test_square_has_python_pow_bits(values):
+    # The byte-identical outputs were written with Python's x ** 2, which
+    # calls libm pow; NumPy's x ** 2 computes x * x, whose last bit differs
+    # from pow's for some inputs, so the budget squares with _square.
+    def py_square(x):
+        try:
+            return x**2
+        except OverflowError:
+            return math.inf
+
+    want = [py_square(v).hex() for v in values]
+    with np.errstate(over="ignore"):
+        assert [float(v).hex() for v in noise._square(np.array(values))] == want
+        assert [float(noise._square(v)).hex() for v in values] == want
+
 
 class TestSweepExport:
     def test_blank_n_min_for_cw(self, tmp_path):
-        mode = make_mode()
+        modes = mode_columns([make_mode()])
         beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=1.0)
-        budgets = [noise.budget(mode, make_readout(), 4.0, beam)]
+        budgets = noise.budget(modes, make_readout(), 4.0, beam)
         path = tmp_path / "sweep.csv"
         noise.write_budget_sweep(path, "l_s_um", [10.0], budgets)
         lines = path.read_text().splitlines()
@@ -339,15 +415,17 @@ class TestSweepExport:
         assert lines[1].endswith(",")  # empty n_min column
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.floats(), st.builds(
-        noise.NoiseBudget, *[st.floats()] * 6, n_min=st.none() | st.floats()))))
-    @example([])
-    @example([(-0.0, noise.NoiseBudget(math.inf, -math.inf, math.nan, -0.0, 5e-324,
-                                       -2.2250738585072014e-308, None)),
-              (10.0, noise.NoiseBudget(0.0, 1.0, 1.0, 1e300, -1e-300, 1.0, math.nan))])
-    def test_file_matches_per_row_oracle(self, rows):
-        axis = [x for x, _ in rows]
-        budgets = [b for _, b in rows]
+    @given(st.lists(st.tuples(*[st.floats()] * 8)), st.booleans())
+    @example([], True)
+    @example([(-0.0, math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2250738585072014e-308,
+               0.0),
+              (10.0, 0.0, 1.0, 1.0, 1e300, -1e-300, 1.0, math.nan)], True)
+    @example([(-0.0, math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2250738585072014e-308,
+               -0.0),
+              (10.0, 0.0, 1.0, 1.0, 1e300, -1e-300, 1.0, math.nan)], False)
+    def test_file_matches_per_row_oracle(self, rows, cw):
+        axis, *columns, n_min = np.array(rows, dtype=np.float64).reshape(len(rows), 8).T
+        budgets = noise.NoiseBudget(*columns, n_min=None if cw else n_min)
         with tempfile.TemporaryDirectory() as tmp:
             fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
             noise.write_budget_sweep(fast, "n_cav", axis, budgets)
