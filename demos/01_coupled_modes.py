@@ -26,9 +26,9 @@ q_m = 500.0  # matching the solver convention used for response curves
 twist = device.interpolate(ds, "twist-like", 12.0, q_m_override=q_m)
 bounce = device.interpolate(ds, "bounce-like", 12.0, q_m_override=q_m)
 model = mechanics.CoupledOscillator(
-    m1=twist.m_eff, m2=bounce.m_eff,
-    omega1=twist.omega_m, omega2=bounce.omega_m,
-    gamma1=twist.omega_m / q_m, gamma2=bounce.omega_m / q_m,
+    m1=twist["m_eff"], m2=bounce["m_eff"],
+    omega1=twist["omega_m"], omega2=bounce["omega_m"],
+    gamma1=twist["omega_m"] / q_m, gamma2=bounce["omega_m"] / q_m,
     g_m=TWO_PI * 0.5e6,
 )
 grid = TWO_PI * np.linspace(4.0e6, 7.0e6, 3001)
@@ -49,7 +49,7 @@ for ls in np.arange(8.0, 13.0, 1.0):
     t = device.interpolate(ds, "twist-like", ls)
     b = device.interpolate(ds, "bounce-like", ls)
     pair = mechanics.CoupledOscillator(
-        m1=t.m_eff, m2=b.m_eff, omega1=t.omega_m, omega2=b.omega_m, g_m=g_m)
+        m1=t["m_eff"], m2=b["m_eff"], omega1=t["omega_m"], omega2=b["omega_m"], g_m=g_m)
     lo, hi = mechanics.hybrid_frequencies(pair)
     print(f"  {ls:6.1f}   {lo / TWO_PI / 1e6:10.4f}  {hi / TWO_PI / 1e6:10.4f}"
           f"  {(hi - lo) / TWO_PI / 1e6:8.4f}")
@@ -62,7 +62,7 @@ for ls in np.arange(8.0, 12.5, 0.5):
     t = device.interpolate(ds, "twist-like", ls)
     b = device.interpolate(ds, "bounce-like", ls)
     pair = mechanics.CoupledOscillator(
-        m1=1.0, m2=1.0, omega1=t.omega_m, omega2=b.omega_m, g_m=g_m)
+        m1=1.0, m2=1.0, omega1=t["omega_m"], omega2=b["omega_m"], g_m=g_m)
     lo, hi = mechanics.hybrid_frequencies(pair)
     rows.append((ls, lo, hi))
 fit = mechanics.fit_gm(

@@ -26,7 +26,7 @@ print(f"operating point (l_s = 10 um, n_cav = 1e-3):")
 print(f"  detected readout power: {readout.p_det * 1e12:.3f} pW")
 print(f"  tau_min = {b.tau_min:.3e} N m/rtHz")
 print(f"  n_min   = {b.n_min:.0f} photons per pulse "
-      f"(repetition {mode.omega_m / (2 * np.pi) / 1e6:.2f} MHz)")
+      f"(repetition {mode['omega_m'] / (2 * np.pi) / 1e6:.2f} MHz)")
 print()
 
 print("support-length sweep (n_cav = 1e-3):")

@@ -152,8 +152,8 @@ def _int_where(test: Callable[[int], bool], what: str) -> Parser:
     return parse
 
 
-def _auto_or_float(raw: str) -> float | str:
-    return raw if raw == "auto" else _FLOAT(raw)
+def _auto_or_positive(raw: str) -> float | str:
+    return raw if raw == "auto" else _POSITIVE(raw)
 
 
 class Key(NamedTuple):
@@ -174,7 +174,7 @@ KEYS: dict[str, Key] = {
                                  f"one of {', '.join(device.BRANCHES)}"), "twist-like", _BUDGET),
     "mechanics.l_s_um": Key(_FLOAT, 12.0, _MECH),
     "mechanics.q_m": Key(_POSITIVE, 500.0, _MECH),
-    "mechanics.g_m_hz": Key(_FLOAT, 5e5, _MECH),
+    "mechanics.g_m_hz": Key(_NONNEGATIVE, 5e5, _MECH),
     "mechanics.f_d_n": Key(_FLOAT, 1e-15, _MECH),
     "mechanics.f_min_hz": Key(_POSITIVE, None, _MECH),  # from the mode frequencies
     "mechanics.f_max_hz": Key(_POSITIVE, None, _MECH),
@@ -189,7 +189,7 @@ KEYS: dict[str, Key] = {
     "readout.lambda0_m": Key(_POSITIVE, 1.428e-6, _BUDGET),
     "readout.q_o": Key(_POSITIVE, 1e6, _BUDGET),
     "readout.dip_depth": Key(_FRACTION, 1.0, _BUDGET),
-    "readout.p_det_w": Key(_auto_or_float, 1e-7, _BUDGET),
+    "readout.p_det_w": Key(_auto_or_positive, 1e-7, _BUDGET),
     "readout.eta_qe": Key(_FRACTION, 1.0, _BUDGET),
     "readout.p_dn_w": Key(_NONNEGATIVE, 2.5e-12, _BUDGET),
     "readout.n_cav": Key(_NONNEGATIVE, 0.0, _BUDGET),
@@ -200,7 +200,7 @@ KEYS: dict[str, Key] = {
     "beam.eta_conv": Key(_FRACTION, 1.0, _BUDGET),
     "beam.contrast": Key(_FRACTION, 1.0, _BUDGET),
     "beam.modulation": Key(_choice({"cw": "cw", "pulse": "pulse"}, "cw or pulse"), "cw", _BUDGET),
-    "beam.f_rep_hz": Key(_auto_or_float, "auto", _BUDGET),
+    "beam.f_rep_hz": Key(_auto_or_positive, "auto", _BUDGET),
     "beam.bandwidth_hz": Key(_POSITIVE, 1.0, _BUDGET),
     "beam.w0_m": Key(_POSITIVE, 5e-6, ("beam-sim",)),
     "grid.n": Key(_int_where(lambda n: n >= 32 and n & (n - 1) == 0, "a power of two >= 32"),
@@ -209,7 +209,9 @@ KEYS: dict[str, Key] = {
     "swg.aperture_d_m": Key(_POSITIVE, 20e-6, _GRATING),
     "swg.lattice_a_m": Key(_POSITIVE, 360e-9, _GRATING),
     "swg.delta_l": Key(_INT, 1, _GRATING),
-    "swg.design_lambda_m": Key(_FLOAT, None, _GRATING),  # beam.lambda_sig_m
+    "swg.design_lambda_m": Key(_number(ge=swg.LOOKUP_LAMBDA_RANGE[0],
+                                       le=swg.LOOKUP_LAMBDA_RANGE[1]),
+                               None, _GRATING),  # beam.lambda_sig_m
     "swg.phase_sign": Key(_int_where(lambda s: s in (-1, 1), "1 or -1"), 1, _GRATING),
     "swg.z_eval_m": Key(_FLOAT, 0.0, ("beam-sim",)),
     "swg.ideal_vortex": Key(_BOOL, False, ("beam-sim",)),
@@ -361,19 +363,17 @@ def cmd_mech_response(args, cfg: dict) -> int:
     twist = device.interpolate(dataset, "twist-like", l_s, q_m_override=q_m)
     bounce = device.interpolate(dataset, "bounce-like", l_s, q_m_override=q_m)
     g_m = TWO_PI * cfg["mechanics.g_m_hz"]
-    model = mechanics.CoupledOscillator(
-        m1=twist.m_eff,
-        m2=bounce.m_eff,
-        omega1=twist.omega_m,
-        omega2=bounce.omega_m,
-        gamma1=twist.omega_m / q_m,
-        gamma2=bounce.omega_m / q_m,
-        g_m=g_m,
-    )
-    f_min = _derived(cfg, "mechanics.f_min_hz",
-                     0.7 * min(twist.omega_m, bounce.omega_m) / TWO_PI)
-    f_max = _derived(cfg, "mechanics.f_max_hz",
-                     1.2 * max(twist.omega_m, bounce.omega_m) / TWO_PI)
+    # Python floats: the model computes, and the messages below print, in float
+    (m1, omega1), (m2, omega2) = ((r["m_eff"].item(), r["omega_m"].item())
+                                  for r in (twist, bounce))
+    try:
+        model = mechanics.CoupledOscillator(m1=m1, m2=m2, omega1=omega1, omega2=omega2,
+                                            gamma1=omega1 / q_m, gamma2=omega2 / q_m, g_m=g_m)
+    except ValueError as exc:  # the modes and q_m are checked: g_m is what is left
+        raise ConfigError(f"config key mechanics.g_m_hz = {cfg['mechanics.g_m_hz']!r} "
+                          f"at mechanics.l_s_um = {l_s!r}: {exc}") from None
+    f_min = _derived(cfg, "mechanics.f_min_hz", 0.7 * min(omega1, omega2) / TWO_PI)
+    f_max = _derived(cfg, "mechanics.f_max_hz", 1.2 * max(omega1, omega2) / TWO_PI)
     if not f_min < f_max:
         raise ConfigError(f"mechanics.f_min_hz = {f_min!r} must be < "
                           f"mechanics.f_max_hz = {f_max!r}")
@@ -402,7 +402,7 @@ def cmd_mech_response(args, cfg: dict) -> int:
 class _LsSweep(NamedTuple):
     """The budget over the sweep.l_s_* grid, and the inputs it was built from."""
 
-    mode_at: Callable[[str, float], device.MechanicalModeRecord]
+    mode_at: Callable[[str, float], np.void]  # one MODE_DTYPE record
     readout: noise.OpticalReadout
     beam: noise.SignalBeam
     t_k: float
@@ -416,6 +416,9 @@ def _ls_sweep(cfg: dict, t_k_default: float) -> _LsSweep:
     the columns of the interpolated l_s grid."""
     dataset = _load_cfg_dataset(cfg)
     branch = cfg["device.branch"]
+    if branch not in dataset.branches():
+        raise ConfigError(f"config key device.branch = {branch!r} is not in the dataset, "
+                          f"which has {', '.join(dataset.branches())}")
     readout = _readout(cfg)
     beam = _beam(cfg)
     t_k = _derived(cfg, "environment.t_k", t_k_default)
@@ -423,7 +426,7 @@ def _ls_sweep(cfg: dict, t_k_default: float) -> _LsSweep:
     bandwidth = cfg["beam.bandwidth_hz"]
     grid = _ls_grid(cfg, dataset, branch)
 
-    def mode_at(key: str, l_s: float) -> device.MechanicalModeRecord:
+    def mode_at(key: str, l_s: float) -> np.void:
         _check_in_domain(key, l_s, dataset, branch)
         return device.interpolate(dataset, branch, l_s, q_m_override=q_m or None)
 

@@ -7,11 +7,11 @@ finite-element sweeps or measurement, so here they are treated purely as
 data: loaded from CSV, validated, and linearly interpolated along the
 support length ``l_s``.
 
-Datasets are immutable after loading; every record and the dataset itself
-are frozen dataclasses, so concurrent readers need no synchronization.  A
-record is one row of the file, with one field per column.  Interpolation
-sorts a branch's records by l_s when called and evaluates a whole l_s grid
-in one vectorised pass, returning it as columns (a MODE_DTYPE record array).
+A mode has one shape, a MODE_DTYPE record, read by field name: a dataset is
+a read-only array of them, checked and sorted by (branch, l_s) once when it
+is built, so concurrent readers need no synchronization; an interpolated
+grid is an array of them, evaluated in one vectorised pass over a branch's
+knot columns, and one point is a single record.
 
 File format (UTF-8, comma separated, ``#`` starts a comment line)::
 
@@ -25,10 +25,7 @@ Leading comment lines are kept as the dataset's provenance note.
 from __future__ import annotations
 
 import math
-import dataclasses
-from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
@@ -39,101 +36,105 @@ BRANCHES = ("twist-like", "bounce-like", "hybrid-lower", "hybrid-upper", "see-sa
 
 HEADER = "l_s_um,w_h_um,l_h_um,branch,omega_m_hz,m_eff_kg,r_eff_m,q_m,g_om_hz_per_m"
 
+#: One mechanical branch at one geometry point; the fields follow the file's
+#: columns.  l_s_um, w_h_um and l_h_um are the support length, hanger width
+#: and hanger length (um); omega_m is the angular mode frequency (rad/s),
+#: m_eff the effective mass (kg), r_eff the effective lever arm (m), q_m the
+#: mechanical quality factor, and g_om the optomechanical coupling (rad/s per
+#: metre of displacement).  The branch field is one character wider than the
+#: longest label, so a longer label is cut to one that no check accepts.
+MODE_DTYPE = np.dtype([
+    ("l_s_um", np.float64), ("w_h_um", np.float64), ("l_h_um", np.float64),
+    ("branch", f"U{max(map(len, BRANCHES)) + 1}"),
+    ("omega_m", np.float64), ("m_eff", np.float64), ("r_eff", np.float64),
+    ("q_m", np.float64), ("g_om", np.float64),
+])
+
 
 class DatasetError(ValueError):
     """Raised for malformed dataset files or invariant violations."""
 
 
-@dataclass(frozen=True)
-class MechanicalModeRecord:
-    """One mechanical branch at one geometry point: one row of a dataset file.
-
-    The fields follow the file's columns.  l_s_um, w_h_um and l_h_um are the
-    support length, hanger width and hanger length (um); omega_m is the
-    angular mode frequency (rad/s), m_eff the effective mass (kg), r_eff the
-    effective lever arm (m), q_m the mechanical quality factor, and g_om the
-    optomechanical coupling (rad/s per metre of displacement).
-    """
-
-    l_s_um: float
-    w_h_um: float
-    l_h_um: float
-    branch: str
-    omega_m: float
-    m_eff: float
-    r_eff: float
-    q_m: float
-    g_om: float
-
-    def __post_init__(self) -> None:
-        for name in ("l_s_um", "w_h_um", "l_h_um"):
-            if not getattr(self, name) > 0.0:
-                raise DatasetError(f"geometry field {name} must be > 0")
-        if self.branch not in BRANCHES:
-            raise DatasetError(
-                f"unknown branch {self.branch!r}; expected one of {', '.join(BRANCHES)}"
-            )
-        for name in ("omega_m", "m_eff", "r_eff", "q_m"):
-            if not getattr(self, name) > 0.0:
-                raise DatasetError(f"record field {name} must be > 0")
-        if self.g_om < 0.0:
-            raise DatasetError("record field g_om must be >= 0")
+def _row_fault(row: tuple) -> str | None:
+    """The first invariant a row (Python values in MODE_DTYPE order) breaks, or None."""
+    l_s, w_h, l_h, branch, omega_m, m_eff, r_eff, q_m, g_om = row
+    for name, value in (("l_s_um", l_s), ("w_h_um", w_h), ("l_h_um", l_h)):
+        if not value > 0.0:
+            return f"geometry field {name} must be > 0"
+    if branch not in BRANCHES:
+        return f"unknown branch {branch!r}; expected one of {', '.join(BRANCHES)}"
+    for name, value in (("omega_m", omega_m), ("m_eff", m_eff), ("r_eff", r_eff),
+                        ("q_m", q_m)):
+        if not value > 0.0:
+            return f"record field {name} must be > 0"
+    return "record field g_om must be >= 0" if g_om < 0.0 else None
 
 
-@dataclass(frozen=True)
 class DeviceDataset:
-    """Validated, immutable collection of mode records.
+    """Validated, immutable table of modes: one read-only MODE_DTYPE array.
 
-    Within each branch the l_s values are strictly increasing; that interval
-    is the branch's interpolation domain.  The accessors below filter and
-    sort `records` when called.
+    `records` may be any sequence of MODE_DTYPE rows.  Construction checks
+    the rows in order and raises DatasetError for the first fault of the
+    first faulty row, then sorts them by (branch, l_s) once, so each branch
+    is a contiguous slice of `records`.  Within a branch the l_s values must
+    be strictly increasing; that interval is the branch's interpolation
+    domain.
     """
 
-    records: tuple[MechanicalModeRecord, ...]
-    provenance: str = ""
-
-    def __post_init__(self) -> None:
-        for branch in self.branches():
-            ls = [r.l_s_um for r in self.records_for(branch)]
+    def __init__(self, records, provenance: str = "") -> None:
+        rows = np.array(records, dtype=MODE_DTYPE).reshape(-1)
+        fault = next(filter(None, map(_row_fault, rows.tolist())), None)
+        if fault is not None:
+            raise DatasetError(fault)
+        rows = rows[np.lexsort((rows["l_s_um"], rows["branch"]))]
+        rows.flags.writeable = False
+        names, starts = np.unique(rows["branch"], return_index=True)
+        ends = [*starts[1:].tolist(), len(rows)]
+        self._by_branch: dict[str, np.ndarray] = {}
+        for branch, start, end in zip(names.tolist(), starts.tolist(), ends):
+            ls = rows["l_s_um"][start:end].tolist()
             for a, b in zip(ls, ls[1:]):
                 if not a < b:
                     raise DatasetError(
                         f"branch {branch!r}: l_s values must be strictly increasing "
                         f"(found {a} followed by {b})"
                     )
+            self._by_branch[branch] = rows[start:end]
+        self.records = rows
+        self.provenance = provenance
 
     def branches(self) -> tuple[str, ...]:
-        return tuple(sorted({r.branch for r in self.records}))
+        return tuple(self._by_branch)
 
-    def records_for(self, branch: str) -> tuple[MechanicalModeRecord, ...]:
-        """The branch's records, sorted by l_s."""
-        recs = sorted((r for r in self.records if r.branch == branch), key=lambda r: r.l_s_um)
-        if not recs:
+    def records_for(self, branch: str) -> np.ndarray:
+        """The branch's rows, sorted by l_s: a read-only slice of `records`."""
+        rows = self._by_branch.get(branch)
+        if rows is None:
             raise DatasetError(
                 f"branch {branch!r} not present; dataset has {', '.join(self.branches())}"
             )
-        return tuple(recs)
+        return rows
 
     def domain(self, branch: str) -> tuple[float, float]:
-        recs = self.records_for(branch)
-        return recs[0].l_s_um, recs[-1].l_s_um
+        ls = self.records_for(branch)["l_s_um"]
+        return ls[0].item(), ls[-1].item()
 
 
-def _parse_row(fields: Sequence[str], line_no: int) -> MechanicalModeRecord:
+def _parse_row(fields: list[str], line_no: int) -> tuple:
+    """The row's fields in MODE_DTYPE order, checked as DeviceDataset checks them."""
     if len(fields) != 9:
         raise DatasetError(f"line {line_no}: expected 9 columns, got {len(fields)}")
     try:
-        l_s, w_h, l_h = (float(fields[i]) for i in range(3))
+        l_s, w_h, l_h = map(float, fields[:3])
         branch = fields[3].strip()
-        omega_hz, m_eff, r_eff, q_m, g_om_hz = (float(fields[i]) for i in range(4, 9))
+        omega_hz, m_eff, r_eff, q_m, g_om_hz = map(float, fields[4:])
     except ValueError as exc:
         raise DatasetError(f"line {line_no}: {exc}") from exc
-    try:
-        # the record's fields follow the file's columns
-        return MechanicalModeRecord(l_s, w_h, l_h, branch, TWO_PI * omega_hz,
-                                    m_eff, r_eff, q_m, TWO_PI * g_om_hz)
-    except DatasetError as exc:
-        raise DatasetError(f"line {line_no}: {exc}") from exc
+    row = (l_s, w_h, l_h, branch, TWO_PI * omega_hz, m_eff, r_eff, q_m, TWO_PI * g_om_hz)
+    fault = _row_fault(row)
+    if fault is not None:
+        raise DatasetError(f"line {line_no}: {fault}")
+    return row
 
 
 def load_dataset(path) -> DeviceDataset:
@@ -145,7 +146,7 @@ def load_dataset(path) -> DeviceDataset:
     """
     provenance_lines: list[str] = []
     header_seen = False
-    records: list[MechanicalModeRecord] = []
+    records: list[tuple] = []
     first_line: dict[tuple[str, float], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -163,20 +164,20 @@ def load_dataset(path) -> DeviceDataset:
                     )
                 header_seen = True
                 continue
-            record = _parse_row(line.split(","), line_no)
-            key = (record.branch, record.l_s_um)
-            if key in first_line:
+            row = _parse_row(line.split(","), line_no)
+            l_s, branch = row[0], row[3]
+            if (branch, l_s) in first_line:
                 raise DatasetError(
-                    f"{path}, line {line_no}: repeats the {record.branch} row at "
-                    f"l_s = {record.l_s_um} um of line {first_line[key]}"
+                    f"{path}, line {line_no}: repeats the {branch} row at "
+                    f"l_s = {l_s} um of line {first_line[branch, l_s]}"
                 )
-            first_line[key] = line_no
-            records.append(record)
+            first_line[branch, l_s] = line_no
+            records.append(row)
     if not header_seen:
         raise DatasetError(f"{path}: empty file (no header row)")
     if not records:
         raise DatasetError(f"{path}: no data rows")
-    return DeviceDataset(tuple(records), provenance="\n".join(provenance_lines))
+    return DeviceDataset(records, provenance="\n".join(provenance_lines))
 
 
 CROSSING_HEADER = "w_h_um,l_s_um,f_minus_hz,f_plus_hz"
@@ -222,26 +223,17 @@ def load_crossings(path) -> dict[float, np.ndarray]:
     return {w_h: np.asarray(groups[w_h]) for w_h in sorted(groups)}
 
 
-#: One record per point of an interpolated grid: the fields of
-#: MechanicalModeRecord, in its order, as float64 columns and a branch label.
-MODE_DTYPE = np.dtype([
-    (f.name, f"U{max(map(len, BRANCHES))}" if f.name == "branch" else np.float64)
-    for f in dataclasses.fields(MechanicalModeRecord)
-])
-
-
 def interpolate(
     dataset: DeviceDataset,
     branch: str,
     l_s_um: float,
     q_m_override: float | None = None,
-) -> MechanicalModeRecord:
+) -> np.void:
     """Piecewise-linear interpolation of one branch at support length l_s (um).
 
-    The one-point case of interpolate_grid, returned as a validated record.
+    The one-point case of interpolate_grid: its single MODE_DTYPE record.
     """
-    point = interpolate_grid(dataset, branch, (l_s_um,), q_m_override)[0]
-    return MechanicalModeRecord(*point.item())
+    return interpolate_grid(dataset, branch, (l_s_um,), q_m_override)[0]
 
 
 def interpolate_grid(
@@ -249,22 +241,24 @@ def interpolate_grid(
     branch: str,
     l_s_values,
     q_m_override: float | None = None,
-) -> np.recarray:
+) -> np.ndarray:
     """Piecewise-linear interpolation of one branch at each l_s (um) of a grid.
 
-    Returns a MODE_DTYPE record array with one record per l_s: columns read
-    as modes.omega_m and single points as modes[k].omega_m, and noise.budget
-    takes the whole array.  Each float column is interpolated over the whole
-    grid by one np.interp call, which gives every point the bits a scalar
-    query would; np.interp returns the tabulated value exactly at a knot, so
-    a tabulated l_s reproduces its stored record.  q_m_override, when given,
-    replaces the interpolated quality factor (run-time override) and must be
-    > 0.  A query outside the branch domain raises DatasetError naming the
-    first such l_s.  The points are not validated one by one: between
-    validated knots the interpolated values keep the knots' signs.
+    Returns a MODE_DTYPE array with one record per l_s: modes["omega_m"] is
+    a column, modes[k] one point, and noise.budget takes the whole array.
+    Each float field is interpolated over the whole grid by one np.interp
+    call on the branch's knot columns, read straight from the dataset's
+    table; that gives every point the bits a scalar query would, and since
+    np.interp returns the tabulated value exactly at a knot, a tabulated l_s
+    reproduces its stored record.  q_m_override, when given, replaces the
+    interpolated quality factor (run-time override) and must be > 0.  A
+    query outside the branch domain raises DatasetError naming the first
+    such l_s.  The points are not validated one by one: between validated
+    knots the interpolated values keep the knots' signs.
     """
-    recs = dataset.records_for(branch)
-    lo, hi = recs[0].l_s_um, recs[-1].l_s_um
+    knots = dataset.records_for(branch)
+    ls = knots["l_s_um"]
+    lo, hi = ls[0].item(), ls[-1].item()
     grid = np.asarray(l_s_values, dtype=np.float64)
     outside = ~((lo <= grid) & (grid <= hi))
     if outside.any():
@@ -274,12 +268,11 @@ def interpolate_grid(
         )
     if q_m_override is not None and not q_m_override > 0.0:
         raise DatasetError("record field q_m must be > 0")
-    modes = np.recarray(grid.shape, dtype=MODE_DTYPE)
+    modes = np.empty(grid.shape, dtype=MODE_DTYPE)
     modes["l_s_um"] = grid
     modes["branch"] = branch
-    ls = [r.l_s_um for r in recs]
     for name in ("w_h_um", "l_h_um", "omega_m", "m_eff", "r_eff", "q_m", "g_om"):
-        modes[name] = np.interp(grid, ls, [getattr(r, name) for r in recs])
+        modes[name] = np.interp(grid, ls, knots[name])
     if q_m_override is not None:
         modes["q_m"] = q_m_override
     return modes

@@ -22,12 +22,13 @@ versus detuning; an inverted-Lorentzian dip of depth d is assumed with the
 probe laser parked at the maximum-slope detuning, giving
 |dT/dD|_max = (3 sqrt(3) / 4) d / kappa.
 
-All functions are pure.  The torque terms and budget take one mode record
-or a whole grid of them as columns (the record array of
-device.interpolate_grid) and run the same operations in the same order on
-both, so each grid point gets the bits of a one-point call.  That holds
-because squares go through _square (libm pow, as Python's ** uses) and
-square roots through np.sqrt (correctly rounded, as math.sqrt).
+All functions are pure.  The torque terms and budget take a mode in its one
+shape, device.MODE_DTYPE: one record for an operating point, or an array of
+them for a grid (as device.interpolate_grid returns).  They read its fields
+by name and run the same operations in the same order on both, so each grid
+point gets the bits of a one-point call.  That holds because squares go
+through _square (libm pow, as Python's ** uses) and square roots through
+np.sqrt (correctly rounded, as math.sqrt).
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ import numpy as np
 
 from . import table
 from .constants import C, HBAR, KB
-from .device import MechanicalModeRecord
 
 TWO_PI = 2.0 * math.pi
 
-#: One mode record, or a grid of them as columns (device.MODE_DTYPE records).
-Modes = MechanicalModeRecord | np.recarray
+#: A device.MODE_DTYPE record (one point) or array (a grid); either reads a
+#: field by name, mode["omega_m"], as a value or a column.
+Modes = np.void | np.ndarray
 
 # Slope prefactor of the symmetric dip T(D) = 1 - d / (1 + (2 D / kappa)^2):
 # the extremum sits at D = +- kappa / (2 sqrt(3)) with |dT/dD| = (3 sqrt3/4) d/kappa.
@@ -198,8 +199,8 @@ def tau_thermal(mode: Modes, t_kelvin: float):
     """Thermal noise-equivalent torque (N m / sqrt(Hz)) at temperature T."""
     if t_kelvin < 0.0:
         raise ValueError("temperature must be >= 0")
-    return np.sqrt(4.0 * KB * t_kelvin * mode.omega_m * mode.m_eff * _square(mode.r_eff)
-                   / mode.q_m)
+    return np.sqrt(4.0 * KB * t_kelvin * mode["omega_m"] * mode["m_eff"]
+                   * _square(mode["r_eff"]) / mode["q_m"])
 
 
 def transmission_slope(readout: OpticalReadout) -> float:
@@ -214,21 +215,21 @@ def shot_noise_psd(readout: OpticalReadout) -> float:
 
 def _transduction_torque(mode: Modes, readout: OpticalReadout, power_noise: float):
     """Torque equivalent of an optical power noise density at the detector."""
-    zero = np.asarray(mode.g_om) == 0.0
+    zero = np.asarray(mode["g_om"]) == 0.0
     if zero.any():
         k = np.argmax(zero)  # the first point without coupling
         raise ValueError(
-            f"g_om = 0 for the {np.ravel(mode.branch)[k]} mode at "
-            f"l_s = {np.ravel(mode.l_s_um)[k]} um: "
+            f"g_om = 0 for the {np.ravel(mode['branch'])[k]} mode at "
+            f"l_s = {np.ravel(mode['l_s_um'])[k]} um: "
             "the cavity does not transduce its motion, so no readout noise budget exists"
         )
     slope = transmission_slope(readout)
     return (
-        mode.m_eff
-        * _square(mode.omega_m)
-        * mode.r_eff
+        mode["m_eff"]
+        * _square(mode["omega_m"])
+        * mode["r_eff"]
         * power_noise
-        / (slope * mode.q_m * readout.p_det * mode.g_om)
+        / (slope * mode["q_m"] * readout.p_det * mode["g_om"])
     )
 
 
@@ -244,7 +245,7 @@ def tau_detector(mode: Modes, readout: OpticalReadout):
 
 def tau_backaction(mode: Modes, readout: OpticalReadout):
     """Radiation-pressure back-action torque 2 hbar g_om r_eff sqrt(n_cav/kappa)."""
-    return 2.0 * HBAR * mode.g_om * mode.r_eff * math.sqrt(readout.n_cav / readout.kappa)
+    return 2.0 * HBAR * mode["g_om"] * mode["r_eff"] * math.sqrt(readout.n_cav / readout.kappa)
 
 
 def quadrature_tau_min(tau_th, tau_sn, tau_dn, tau_ba):
@@ -281,11 +282,11 @@ def budget(
 ) -> NoiseBudget:
     """Full noise budget of one operating point, or of every point of a grid.
 
-    `mode` is one record, giving a budget of floats, or a grid's columns
-    from device.interpolate_grid, giving one array per field.  The drive and
-    measurement are taken at the mechanical resonance omega_m.  For a
-    PulseTrain beam the repetition rate defaults to omega_m / 2 pi and the
-    minimum photon number per pulse is filled in; for CW beams n_min is
+    `mode` is one MODE_DTYPE record, giving a budget of scalars, or a
+    grid's array from device.interpolate_grid, giving one array per field.
+    The drive and measurement are taken at the mechanical resonance omega_m.
+    For a PulseTrain beam the repetition rate defaults to omega_m / 2 pi and
+    the minimum photon number per pulse is filled in; for CW beams n_min is
     None.  A point with g_om = 0 raises ValueError naming its branch and
     l_s (the first such point of a grid).
     """
@@ -300,7 +301,7 @@ def budget(
     if isinstance(beam.modulation, PulseTrain):
         f_rep = beam.modulation.f_rep
         if f_rep is None:
-            f_rep = mode.omega_m / TWO_PI
+            f_rep = mode["omega_m"] / TWO_PI
         n_min = min_photons_per_pulse(tau_min, beam, f_rep, bandwidth_hz)
     return NoiseBudget(
         tau_th=th, tau_sn=sn, tau_dn=dn, tau_ba=ba,
@@ -336,14 +337,15 @@ class NcavScan:
 
 
 def optimize_ncav(
-    mode: MechanicalModeRecord,
+    mode: np.void,
     readout: OpticalReadout,
     t_kelvin: float,
     beam: SignalBeam,
     n_cav_grid,
     bandwidth_hz: float = 1.0,
 ) -> NcavScan:
-    """Evaluate the pulsed budget across an intracavity photon-number grid.
+    """Evaluate the pulsed budget of one MODE_DTYPE record across an
+    intracavity photon-number grid.
 
     The detected power is tied to each grid point (see detected_power_for_ncav)
     so shot and detector terms fall with n_cav while back-action grows.

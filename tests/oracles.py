@@ -209,65 +209,49 @@ def fourier_upsample_centred(amps, factor):
     return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big))) * factor * factor
 
 
+def mode_record(**fields):
+    """One device.MODE_DTYPE record from its nine fields, given by keyword."""
+    from oamsense import device
+
+    names = device.MODE_DTYPE.names
+    if fields.keys() != set(names):
+        raise TypeError(f"a mode record takes exactly the fields {', '.join(names)}")
+    return np.array(tuple(fields[name] for name in names), dtype=device.MODE_DTYPE)[()]
+
+
 def interpolate_per_call(dataset, branch, l_s_um, q_m_override=None):
     """device.interpolate at one l_s, from the dataset's records alone.
 
-    The branch's records are sorted and each field's column is rebuilt for
-    the query, and np.interp runs on a scalar.  A tabulated l_s returns the
-    stored record, or a copy with q_m replaced.
+    The branch's rows are picked out and sorted for the query, and np.interp
+    runs on a scalar once per field.  A tabulated l_s returns a copy of the
+    stored row, with q_m replaced when an override is given.
     """
     from oamsense import device
 
-    recs = sorted((r for r in dataset.records if r.branch == branch),
-                  key=lambda r: r.l_s_um)
-    if not recs:
+    rows = [r for r in dataset.records.tolist() if r[3] == branch]
+    rows = [dict(zip(device.MODE_DTYPE.names, r)) for r in sorted(rows, key=lambda r: r[0])]
+    if not rows:
         raise device.DatasetError(f"branch {branch!r} not present")
-    lo, hi = recs[0].l_s_um, recs[-1].l_s_um
+    lo, hi = rows[0]["l_s_um"], rows[-1]["l_s_um"]
     if not lo <= l_s_um <= hi:
         raise device.DatasetError(
             f"l_s = {l_s_um} um outside branch {branch!r} domain [{lo}, {hi}] um"
         )
-    ls = np.array([r.l_s_um for r in recs])
+    ls = np.array([r["l_s_um"] for r in rows])
     idx = int(np.searchsorted(ls, l_s_um))
-    if idx < len(recs) and ls[idx] == l_s_um:
-        hit = recs[idx]
-        if q_m_override is None:
-            return hit
-        return device.MechanicalModeRecord(
-            l_s_um=hit.l_s_um, w_h_um=hit.w_h_um, l_h_um=hit.l_h_um, branch=hit.branch,
-            omega_m=hit.omega_m, m_eff=hit.m_eff, r_eff=hit.r_eff, q_m=q_m_override,
-            g_om=hit.g_om,
-        )
-
-    def field(get):
-        return float(np.interp(l_s_um, ls, np.array([get(r) for r in recs])))
-
-    q_m = q_m_override if q_m_override is not None else field(lambda r: r.q_m)
-    return device.MechanicalModeRecord(
-        l_s_um=l_s_um,
-        w_h_um=field(lambda r: r.w_h_um),
-        l_h_um=field(lambda r: r.l_h_um),
-        branch=branch,
-        omega_m=field(lambda r: r.omega_m),
-        m_eff=field(lambda r: r.m_eff),
-        r_eff=field(lambda r: r.r_eff),
-        q_m=q_m,
-        g_om=field(lambda r: r.g_om),
-    )
-
-
-def mode_columns(records):
-    """The records as columns: a device.MODE_DTYPE record array, one row each."""
-    import dataclasses
-
-    from oamsense import device
-
-    return np.rec.fromrecords([dataclasses.astuple(r) for r in records],
-                              dtype=device.MODE_DTYPE)
+    if idx < len(rows) and ls[idx] == l_s_um:
+        point = dict(rows[idx])
+    else:
+        point = {name: float(np.interp(l_s_um, ls, np.array([r[name] for r in rows])))
+                 for name in ("w_h_um", "l_h_um", "omega_m", "m_eff", "r_eff", "q_m", "g_om")}
+        point.update(l_s_um=l_s_um, branch=branch)
+    if q_m_override is not None:
+        point["q_m"] = q_m_override
+    return mode_record(**point)
 
 
 def budget_per_point(mode, readout, t_kelvin, beam, bandwidth_hz=1.0):
-    """noise.budget of one MechanicalModeRecord, in Python floats.
+    """noise.budget of one device.MODE_DTYPE record, in Python floats.
 
     Every term is written out in the library's operation order with
     math.sqrt and **, so the result must match noise.budget bit for bit.
@@ -275,23 +259,24 @@ def budget_per_point(mode, readout, t_kelvin, beam, bandwidth_hz=1.0):
     from oamsense import noise
     from oamsense.constants import C, HBAR, KB
 
+    l_s_um, _, _, branch, omega_m, m_eff, r_eff, q_m, g_om = mode.item()
     if t_kelvin < 0.0:
         raise ValueError("temperature must be >= 0")
-    if mode.g_om == 0.0:
+    if g_om == 0.0:
         raise ValueError(
-            f"g_om = 0 for the {mode.branch} mode at l_s = {mode.l_s_um} um: "
+            f"g_om = 0 for the {branch} mode at l_s = {l_s_um} um: "
             "the cavity does not transduce its motion, so no readout noise budget exists"
         )
-    th = math.sqrt(4.0 * KB * t_kelvin * mode.omega_m * mode.m_eff * mode.r_eff**2 / mode.q_m)
+    th = math.sqrt(4.0 * KB * t_kelvin * omega_m * m_eff * r_eff**2 / q_m)
     slope = noise.MAX_SLOPE_FACTOR * readout.dip_depth / readout.kappa
 
     def transduced(power_noise):
-        return (mode.m_eff * mode.omega_m**2 * mode.r_eff * power_noise
-                / (slope * mode.q_m * readout.p_det * mode.g_om))
+        return (m_eff * omega_m**2 * r_eff * power_noise
+                / (slope * q_m * readout.p_det * g_om))
 
     sn = transduced(math.sqrt(2.0 * HBAR * readout.omega0 * readout.p_det / readout.eta_qe))
     dn = transduced(readout.p_dn)
-    ba = 2.0 * HBAR * mode.g_om * mode.r_eff * math.sqrt(readout.n_cav / readout.kappa)
+    ba = 2.0 * HBAR * g_om * r_eff * math.sqrt(readout.n_cav / readout.kappa)
     tau_min = math.sqrt(th**2 + sn**2 + dn**2 + ba**2)
     scale = beam.eta_conv * beam.contrast * beam.delta_l
     p_min = math.inf if scale == 0.0 else tau_min * (2.0 * math.pi * C / beam.lambda_sig) / scale
@@ -299,7 +284,7 @@ def budget_per_point(mode, readout, t_kelvin, beam, bandwidth_hz=1.0):
     if isinstance(beam.modulation, noise.PulseTrain):
         f_rep = beam.modulation.f_rep
         if f_rep is None:
-            f_rep = mode.omega_m / (2.0 * math.pi)
+            f_rep = omega_m / (2.0 * math.pi)
         if f_rep <= 0.0 or bandwidth_hz <= 0.0:
             raise ValueError("f_rep and bandwidth_hz must be > 0")
         n_min = (math.inf if scale == 0.0
@@ -308,7 +293,7 @@ def budget_per_point(mode, readout, t_kelvin, beam, bandwidth_hz=1.0):
 
 
 def budget_columns_per_point(modes, readout, t_kelvin, beam, bandwidth_hz=1.0):
-    """budget_per_point at each record of a sequence, stacked as noise.budget
+    """budget_per_point at each record of an array, stacked as noise.budget
     returns a grid: one array per field (n_min None for CW beams)."""
     from oamsense import noise
 

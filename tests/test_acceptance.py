@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oamsense import beams, cli, device, mechanics, noise, swg
-from oracles import (lg_radial, radial_fidelity, random_stable_model,
+from oamsense import beams, cli, mechanics, noise, swg
+from oracles import (lg_radial, mode_record, radial_fidelity, random_stable_model,
                      rk4_steady_state)
 
 TWO_PI = 2.0 * math.pi
@@ -187,7 +187,7 @@ def test_criterion_9_noise_budget_identities():
     beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=1.0)
     checks = 0
     for _ in range(25):
-        mode = device.MechanicalModeRecord(
+        mode = mode_record(
             l_s_um=10.0, w_h_um=7.0, l_h_um=1.0,
             branch="twist-like",
             omega_m=TWO_PI * rng.uniform(1e6, 1e7),
@@ -205,12 +205,14 @@ def test_criterion_9_noise_budget_identities():
         assert b.tau_min == math.sqrt(b.tau_th**2 + b.tau_sn**2
                                       + b.tau_dn**2 + b.tau_ba**2)
 
-        r2 = dataclasses.replace(mode, r_eff=2.0 * mode.r_eff)
+        r2 = mode.copy()
+        r2["r_eff"] = 2.0 * mode["r_eff"]
         assert noise.tau_thermal(r2, t_k) == pytest.approx(
             2.0 * noise.tau_thermal(mode, t_k), rel=1e-12)
         for fn in (noise.tau_shot, noise.tau_detector, noise.tau_backaction):
             assert fn(r2, readout) == pytest.approx(2.0 * fn(mode, readout), rel=1e-12)
-        q4 = dataclasses.replace(mode, q_m=4.0 * mode.q_m)
+        q4 = mode.copy()
+        q4["q_m"] = 4.0 * mode["q_m"]
         assert noise.tau_thermal(q4, t_k) == pytest.approx(
             0.5 * noise.tau_thermal(mode, t_k), rel=1e-12)
         assert noise.tau_shot(q4, readout) == pytest.approx(

@@ -13,8 +13,7 @@ import pytest
 import oamsense
 from oamsense import beams, cli, device, noise, swg
 from oracles import (budget_columns_per_point, budget_per_point, interpolate_per_call,
-                     load_layout, mode_columns, save_raster_per_cell,
-                     write_budget_sweep_per_row)
+                     load_layout, save_raster_per_cell, write_budget_sweep_per_row)
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,6 +37,24 @@ def column(path, name):
     header, rows = read_csv(path)
     i = header.index(name)
     return np.array([float(r[i]) if r[i] else np.nan for r in rows])
+
+
+@pytest.mark.parametrize("argv, name, digest", [
+    # the paper-fig5 sweep as written before its cells were passed
+    # through float(): plain floats must keep their exact repr
+    (["noise-sweep", "--preset", "paper-fig5"], "noise_sweep.csv",
+     "74816333d8871e416d971e1499a957b84fcc7e0cf1db3834c68b56ef2fc556b1"),
+    # outputs whose every input passes through an interpolated mode record
+    (["pulse-budget", "--preset", "paper-fig8"], "pulse_ls_sweep.csv",
+     "6088c575cefda3f7a535bebe06b90955bb6a9688a2f8b6118cc441105fae8d47"),
+    (["pulse-budget", "--preset", "paper-fig8"], "pulse_ncav_sweep.csv",
+     "4320fbc7d10de90ee373d6bac991cf2ccb6c6680747d41cf484f7cd765a56aee"),
+    (["mech-response", "--preset", "paper-fig2b"], "response.csv",
+     "89d6f319799f9d0cd776ac7fca234c20a0862541a163667aaf6a3aaee1c69eee"),
+], ids=["noise-sweep-fig5", "pulse-budget-ls", "pulse-budget-ncav", "mech-response"])
+def test_output_bytes_unchanged(tmp_path, argv, name, digest):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestMechResponse:
@@ -109,14 +126,6 @@ class TestNoiseSweep:
         assert (out_a / "noise_sweep.csv").read_bytes() == \
             (out_b / "noise_sweep.csv").read_bytes()
 
-    def test_fig5_bytes_unchanged(self, tmp_path):
-        # sha256 of the paper-fig5 sweep as written before its cells were
-        # passed through float(): plain floats must keep their exact repr
-        assert cli.main(["noise-sweep", "--preset", "paper-fig5",
-                         "--out", str(tmp_path)]) == 0
-        digest = hashlib.sha256((tmp_path / "noise_sweep.csv").read_bytes()).hexdigest()
-        assert digest == "74816333d8871e416d971e1499a957b84fcc7e0cf1db3834c68b56ef2fc556b1"
-
     def test_fine_sweep_matches_per_call_interpolation(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[sweep]\nl_s_step_um = 0.005\n")
@@ -124,8 +133,8 @@ class TestNoiseSweep:
         assert cli.main(argv + ["--out", str(tmp_path / "grid")]) == 0
 
         def per_call(dataset, branch, l_s_values, q_m_override=None):
-            return mode_columns([interpolate_per_call(dataset, branch, l_s, q_m_override)
-                                 for l_s in l_s_values])
+            return np.array([interpolate_per_call(dataset, branch, l_s, q_m_override)
+                             for l_s in l_s_values])
 
         monkeypatch.setattr(device, "interpolate_grid", per_call)
         assert cli.main(argv + ["--out", str(tmp_path / "oracle")]) == 0
@@ -147,11 +156,11 @@ class TestNoiseSweep:
         printed = capsys.readouterr().out
 
         def grid(dataset, branch, l_s_values, q_m_override=None):
-            return [interpolate_per_call(dataset, branch, l_s, q_m_override)
-                    for l_s in l_s_values]
+            return np.array([interpolate_per_call(dataset, branch, l_s, q_m_override)
+                             for l_s in l_s_values])
 
         def budget(modes, *args, **kwargs):
-            if isinstance(modes, device.MechanicalModeRecord):
+            if np.ndim(modes) == 0:
                 return budget_per_point(modes, *args, **kwargs)
             return budget_columns_per_point(modes, *args, **kwargs)
 
@@ -260,7 +269,7 @@ class TestPulseBudget:
         ds = device.load_sample_dataset()
         for k in (0, 10, 20):
             mode = device.interpolate(ds, "twist-like", float(ls[k]))
-            f_rep = mode.omega_m / TWO_PI
+            f_rep = mode["omega_m"] / TWO_PI
             assert n_min[k] == pytest.approx(tau[k] / (10.0 * HBAR * f_rep), rel=1e-9)
 
 
@@ -492,6 +501,14 @@ class TestConfigHandling:
         ("beam-sim", None, "grid", "n", "0"),
         ("beam-sim", None, "grid", "n", "16"),
         ("beam-sim", None, "grid", "n", "1000"),
+        ("pulse-budget", "paper-fig8", "beam", "f_rep_hz", "-1"),
+        ("pulse-budget", "paper-fig8", "beam", "f_rep_hz", "0"),
+        ("noise-sweep", "paper-fig5", "readout", "p_det_w", "-1"),
+        ("noise-sweep", "paper-fig5", "readout", "p_det_w", "0"),
+        ("mech-response", "paper-fig2b", "mechanics", "g_m_hz", "-5e5"),
+        ("swg-gen", None, "swg", "design_lambda_m", "-1e-6"),
+        ("swg-gen", None, "swg", "design_lambda_m", "1.5e-6"),
+        ("noise-sweep", "paper-fig5", "device", "branch", "see-saw"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, preset, section, key,
                                  value):
@@ -518,6 +535,16 @@ class TestConfigHandling:
                          "--out", str(tmp_path / "out")]) == 2
         assert (f"error: config key {section}.{key} = {float(value)!r} is outside branch "
                 f"'twist-like' domain [8.0, 18.0] um") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unstable_coupling_names_key(self, tmp_path, capsys):
+        # g_m^4 >= omega1^2 omega2^2 at the preset's l_s: no stable two-mode model
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[mechanics]\ng_m_hz = 1e7\n")
+        assert cli.main(["mech-response", "--preset", "paper-fig2b", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert ("error: config key mechanics.g_m_hz = 10000000.0 at mechanics.l_s_um = 12.0: "
+                "unstable model") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("values", [

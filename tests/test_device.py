@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oamsense import device
-from oracles import interpolate_per_call
+from oracles import interpolate_per_call, mode_record
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,9 +38,9 @@ def test_sample_dataset_shape_and_resonance():
     bounce = ds.records_for("bounce-like")
     assert len(twist) == 11 and len(bounce) == 11
     # branch frequencies come closest (equal) at l_s = 10 um
-    gaps = [abs(t.omega_m - b.omega_m) for t, b in zip(twist, bounce)]
+    gaps = np.abs(twist["omega_m"] - bounce["omega_m"])
     i = int(np.argmin(gaps))
-    assert twist[i].l_s_um == 10.0
+    assert twist[i]["l_s_um"] == 10.0
     assert gaps[i] == 0.0
 
 
@@ -48,12 +48,12 @@ def test_sample_dataset_anchor_values():
     ds = device.load_sample_dataset()
     t12 = device.interpolate(ds, "twist-like", 12.0)
     b12 = device.interpolate(ds, "bounce-like", 12.0)
-    assert t12.omega_m / TWO_PI == pytest.approx(4.81e6, rel=1e-12)
-    assert b12.omega_m / TWO_PI == pytest.approx(5.96e6, rel=1e-12)
+    assert t12["omega_m"] / TWO_PI == pytest.approx(4.81e6, rel=1e-12)
+    assert b12["omega_m"] / TWO_PI == pytest.approx(5.96e6, rel=1e-12)
     # off-resonance bounce coupling ~ 32 GHz/nm, bounce mass 27 pg
     b8 = device.interpolate(ds, "bounce-like", 8.0)
-    assert b8.g_om / TWO_PI == pytest.approx(32e18, rel=1e-2)
-    assert b8.m_eff == pytest.approx(27e-15, rel=1e-12)
+    assert b8["g_om"] / TWO_PI == pytest.approx(32e18, rel=1e-2)
+    assert b8["m_eff"] == pytest.approx(27e-15, rel=1e-12)
 
 
 def test_empty_file_is_parse_error(tmp_path):
@@ -118,7 +118,7 @@ def test_bad_header_rejected(tmp_path):
 def test_interpolation_identity_at_knots(small_file):
     ds = device.load_dataset(small_file)
     for rec in ds.records:
-        got = device.interpolate(ds, rec.branch, rec.l_s_um)
+        got = device.interpolate(ds, rec["branch"], rec["l_s_um"])
         assert got == rec
 
 
@@ -127,18 +127,18 @@ def test_interpolation_midpoint_is_mean(small_file):
     recs = ds.records_for("twist-like")
     mid = device.interpolate(ds, "twist-like", 9.0)
     for attr in ("omega_m", "m_eff", "r_eff", "q_m", "g_om"):
-        a, b = getattr(recs[0], attr), getattr(recs[1], attr)
-        assert getattr(mid, attr) == pytest.approx(0.5 * (a + b), rel=1e-15)
+        a, b = recs[0][attr], recs[1][attr]
+        assert mid[attr] == pytest.approx(0.5 * (a + b), rel=1e-15)
 
 
 def test_interpolation_monotone_between_knots(small_file):
     ds = device.load_dataset(small_file)
     recs = ds.records_for("twist-like")
     queries = np.linspace(8.0, 10.0, 17)
-    values = [device.interpolate(ds, "twist-like", q).m_eff for q in queries]
+    values = [device.interpolate(ds, "twist-like", q)["m_eff"] for q in queries]
     assert all(x < y for x, y in zip(values, values[1:]))
-    lo = min(recs[0].m_eff, recs[1].m_eff)
-    hi = max(recs[0].m_eff, recs[1].m_eff)
+    lo = min(recs[0]["m_eff"], recs[1]["m_eff"])
+    hi = max(recs[0]["m_eff"], recs[1]["m_eff"])
     assert all(lo <= v <= hi for v in values)
 
 
@@ -157,25 +157,37 @@ def test_missing_branch_lists_available(small_file):
 def test_q_m_override(small_file):
     ds = device.load_dataset(small_file)
     rec = device.interpolate(ds, "twist-like", 10.0, q_m_override=500.0)
-    assert rec.q_m == 500.0
-    assert rec.omega_m == ds.records_for("twist-like")[1].omega_m
+    assert rec["q_m"] == 500.0
+    assert rec["omega_m"] == ds.records_for("twist-like")[1]["omega_m"]
 
 
 def test_direct_construction_matches_loaded(small_file):
     ds = device.load_dataset(small_file)
-    direct = device.DeviceDataset(records=tuple(reversed(ds.records)))
+    direct = device.DeviceDataset(records=ds.records[::-1])
     assert direct.branches() == ("bounce-like", "twist-like")
-    assert direct.records_for("twist-like") == ds.records_for("twist-like")
+    assert np.array_equal(direct.records_for("twist-like"), ds.records_for("twist-like"))
+    assert np.array_equal(direct.records, ds.records)
     assert direct.domain("bounce-like") == (8.0, 12.0)
     mid = device.interpolate(ds, "twist-like", 9.0)
     assert device.interpolate(direct, "twist-like", 9.0) == mid
-    assert ds == device.DeviceDataset(records=ds.records, provenance=ds.provenance)
+    again = device.DeviceDataset(records=ds.records, provenance=ds.provenance)
+    assert np.array_equal(again.records, ds.records) and again.provenance == ds.provenance
+    # the rows are sorted by (branch, l_s) once, and the table is read-only
+    assert ds.records["branch"].tolist() == ["bounce-like"] * 3 + ["twist-like"] * 3
+    assert not ds.records.flags.writeable
+
+
+def test_direct_construction_rejects_overlong_branch():
+    # numpy cuts a string to the field width; the cut must not yield a valid label
+    row = (10.0, 7.0, 1.0, "hybrid-lower-x", 6.0e6, 2e-13, 2e-4, 1e6, 16e18)
+    with pytest.raises(device.DatasetError, match="unknown branch 'hybrid-lower-'"):
+        device.DeviceDataset(records=[row])
 
 
 def test_direct_construction_rejects_repeated_l_s(small_file):
     ds = device.load_dataset(small_file)
     with pytest.raises(device.DatasetError, match="strictly increasing"):
-        device.DeviceDataset(records=ds.records + ds.records[:1])
+        device.DeviceDataset(records=np.concatenate([ds.records, ds.records[:1]]))
 
 
 @functools.cache
@@ -185,15 +197,14 @@ def _sample():
 
 def _bits(rec):
     """Branch and float.hex of each field of a record or of one grid row."""
-    values = (rec.l_s_um, rec.w_h_um, rec.l_h_um, rec.omega_m, rec.m_eff, rec.r_eff, rec.q_m,
-              rec.g_om)
-    return rec.branch, tuple(float(v).hex() for v in values)
+    values = [rec[name] for name in device.MODE_DTYPE.names if name != "branch"]
+    return str(rec["branch"]), tuple(float(v).hex() for v in values)
 
 
 @st.composite
 def _grid_case(draw):
     branch = draw(st.sampled_from(("twist-like", "bounce-like")))
-    knots = [r.l_s_um for r in _sample().records_for(branch)]
+    knots = _sample().records_for(branch)["l_s_um"].tolist()
     lo, hi = knots[0], knots[-1]
     inner = draw(st.lists(st.floats(lo, hi), max_size=40))
     grid = sorted(set(knots + inner))
@@ -217,13 +228,13 @@ def test_grid_matches_per_call_oracle(case):
 def test_grid_knots_equal_stored_records():
     ds = _sample()
     recs = ds.records_for("twist-like")
-    grid = [r.l_s_um for r in recs]
+    grid = recs["l_s_um"]
     got = device.interpolate_grid(ds, "twist-like", grid)
-    assert [device.MechanicalModeRecord(*r.item()) for r in got] == list(recs)
+    assert np.array_equal(got, recs)
     assert [_bits(r) for r in got] == [_bits(r) for r in recs]
     overridden = device.interpolate_grid(ds, "twist-like", grid, q_m_override=7.0)
-    assert overridden.q_m.tolist() == [7.0] * len(recs)
-    assert overridden.omega_m.tolist() == [r.omega_m for r in recs]
+    assert overridden["q_m"].tolist() == [7.0] * len(recs)
+    assert overridden["omega_m"].tolist() == recs["omega_m"].tolist()
 
 
 @pytest.mark.parametrize("q_m", [0.0, -1.0, float("nan")])
@@ -276,7 +287,8 @@ def test_data_tool_reproduces_bundled_files(tmp_path):
 
 
 def test_geometry_invariants():
-    # the geometry checks run first, so a record with several faults names l_s_um
+    # the geometry checks run first, so a row with several faults names l_s_um
+    row = mode_record(l_s_um=-1.0, w_h_um=7.0, l_h_um=1.0, branch="wobble",
+                      omega_m=0.0, m_eff=0.0, r_eff=1e-4, q_m=1e6, g_om=-1.0)
     with pytest.raises(device.DatasetError, match="^geometry field l_s_um must be > 0$"):
-        device.MechanicalModeRecord(l_s_um=-1.0, w_h_um=7.0, l_h_um=1.0, branch="wobble",
-                                    omega_m=0.0, m_eff=0.0, r_eff=1e-4, q_m=1e6, g_om=-1.0)
+        device.DeviceDataset(records=[row])

@@ -25,9 +25,9 @@ def model_fig2b(g_m_hz=5e5, q_m=500.0):
     tw = device.interpolate(ds, "twist-like", 12.0, q_m_override=q_m)
     bo = device.interpolate(ds, "bounce-like", 12.0, q_m_override=q_m)
     return mechanics.CoupledOscillator(
-        m1=tw.m_eff, m2=bo.m_eff,
-        omega1=tw.omega_m, omega2=bo.omega_m,
-        gamma1=tw.omega_m / q_m, gamma2=bo.omega_m / q_m,
+        m1=tw["m_eff"], m2=bo["m_eff"],
+        omega1=tw["omega_m"], omega2=bo["omega_m"],
+        gamma1=tw["omega_m"] / q_m, gamma2=bo["omega_m"] / q_m,
         g_m=TWO_PI * g_m_hz,
     )
 
@@ -223,8 +223,8 @@ class TestHybridFrequencies:
         for ls in np.arange(8.0, 18.5, 1.0):
             tw = device.interpolate(ds, "twist-like", ls)
             bo = device.interpolate(ds, "bounce-like", ls)
-            m = mechanics.CoupledOscillator(m1=tw.m_eff, m2=bo.m_eff,
-                                            omega1=tw.omega_m, omega2=bo.omega_m,
+            m = mechanics.CoupledOscillator(m1=tw["m_eff"], m2=bo["m_eff"],
+                                            omega1=tw["omega_m"], omega2=bo["omega_m"],
                                             g_m=g_m)
             lo, hi = mechanics.hybrid_frequencies(m)
             gaps[ls] = hi - lo

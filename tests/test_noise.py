@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -9,13 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oamsense import device, noise
 from oamsense.constants import C, HBAR, KB
-from oracles import budget_per_point, mode_columns, transmission, write_budget_sweep_per_row
+from oracles import budget_per_point, mode_record, transmission, write_budget_sweep_per_row
 
 TWO_PI = 2.0 * math.pi
 
 
 def make_mode(omega_hz=5e6, m_eff=27e-15, r_eff=1e-6, q_m=1e6, g_om_hz_per_m=32e18):
-    return device.MechanicalModeRecord(
+    return mode_record(
         l_s_um=10.0, w_h_um=7.0, l_h_um=1.0,
         branch="bounce-like",
         omega_m=TWO_PI * omega_hz,
@@ -237,12 +236,14 @@ class TestBudget:
         for _ in range(20):
             mode = random_mode(rng)
             readout = make_readout(n_cav=rng.uniform(1e-6, 1.0))
-            doubled = dataclasses.replace(mode, r_eff=2.0 * mode.r_eff)
+            doubled = mode.copy()
+            doubled["r_eff"] = 2.0 * mode["r_eff"]
             for fn in (noise.tau_thermal, ):
                 assert fn(doubled, 4.0) == pytest.approx(2.0 * fn(mode, 4.0), rel=1e-12)
             for fn in (noise.tau_shot, noise.tau_detector, noise.tau_backaction):
                 assert fn(doubled, readout) == pytest.approx(2.0 * fn(mode, readout), rel=1e-12)
-            qx = dataclasses.replace(mode, q_m=100.0 * mode.q_m)
+            qx = mode.copy()
+            qx["q_m"] = 100.0 * mode["q_m"]
             assert noise.tau_thermal(qx, 4.0) == pytest.approx(
                 noise.tau_thermal(mode, 4.0) / 10.0, rel=1e-12)
             assert noise.tau_shot(qx, readout) == pytest.approx(
@@ -303,7 +304,8 @@ class TestPulsed:
 
     def test_ncav_monotone_without_backaction(self):
         mode, readout, beam = self.pulsed_setup()
-        feeble = dataclasses.replace(mode, g_om=1e-3)
+        feeble = mode.copy()
+        feeble["g_om"] = 1e-3
         scan = noise.optimize_ncav(feeble, readout, 0.01, beam, np.logspace(-5, -1, 21))
         assert np.all(np.diff(scan.n_min) <= 1e-9 * scan.n_min[:-1])
 
@@ -327,11 +329,11 @@ class TestZeroCoupling:
             noise.budget(mode, make_readout(), 4.0, beam)
 
     def test_grid_names_first_uncoupled_point(self):
-        modes = [dataclasses.replace(make_mode(g_om_hz_per_m=g), l_s_um=l_s)
-                 for l_s, g in ((9.0, 1e18), (9.5, 0.0), (10.0, 0.0))]
+        modes = np.array([make_mode(g_om_hz_per_m=g) for g in (1e18, 0.0, 0.0)])
+        modes["l_s_um"] = (9.0, 9.5, 10.0)
         beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=1.0)
         with pytest.raises(ValueError, match="g_om = 0 for the bounce-like mode at l_s = 9.5 um"):
-            noise.budget(mode_columns(modes), make_readout(), 4.0, beam)
+            noise.budget(modes, make_readout(), 4.0, beam)
 
 
 def _hex(b):
@@ -374,7 +376,7 @@ class TestColumnarBudget:
         beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=over.get("delta_l", delta_l),
                                 eta_conv=eta_conv, contrast=contrast,
                                 modulation=over.get("modulation", noise.CwModulation()))
-        got = noise.budget(mode_columns(modes), readout, t_k, beam, bandwidth)
+        got = noise.budget(np.array(modes), readout, t_k, beam, bandwidth)
         want = [budget_per_point(m, readout, t_k, beam, bandwidth) for m in modes]
         assert [_hex(got.at(i)) for i in range(len(modes))] == [_hex(b) for b in want]
         assert [_hex(noise.budget(m, readout, t_k, beam, bandwidth)) for m in modes] == \
@@ -405,7 +407,7 @@ def test_square_has_python_pow_bits(values):
 
 class TestSweepExport:
     def test_blank_n_min_for_cw(self, tmp_path):
-        modes = mode_columns([make_mode()])
+        modes = np.array([make_mode()])
         beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=1.0)
         budgets = noise.budget(modes, make_readout(), 4.0, beam)
         path = tmp_path / "sweep.csv"

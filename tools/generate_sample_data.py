@@ -43,16 +43,11 @@ CW = dict(t_k=4.0, q_m=1e6, p_det=1e-7, p_dn=2.5e-12, n_cav=0.0)
 PULSED = dict(t_k=0.01, q_m=1e8, p_dn=3.8e-17, n_cav=1e-3)
 
 
-def _mode(m_eff: float, r_eff: float, q_m: float) -> device.MechanicalModeRecord:
-    return device.MechanicalModeRecord(
-        l_s_um=LS_CROSS, w_h_um=7.0, l_h_um=1.0,
-        branch="twist-like",
-        omega_m=TWO_PI * F_CROSS,
-        m_eff=m_eff,
-        r_eff=r_eff,
-        q_m=q_m,
-        g_om=TWO_PI * G_CROSS_HZ_PER_M,
-    )
+def _mode(m_eff: float, r_eff: float, q_m: float) -> np.void:
+    """The twist-like mode at the crossing, as one device.MODE_DTYPE record."""
+    row = (LS_CROSS, 7.0, 1.0, "twist-like", TWO_PI * F_CROSS, m_eff, r_eff, q_m,
+           TWO_PI * G_CROSS_HZ_PER_M)
+    return np.array(row, dtype=device.MODE_DTYPE)[()]
 
 
 def calibrate() -> tuple[float, float]:
