@@ -13,6 +13,12 @@ and the phase exp(i l phi).  The waist search of conversion_metrics uses
 this: it projects the field onto exp(i l phi) and bins it by that key once,
 after which the overlap with LG_{p,l} at any waist is a 1-D sum over the
 distinct radii of the grid instead of a full n x n mode.
+
+A pillar grating is scored by one pipeline, grating_metrics: swg lays out the
+design, re-tunes it to the wavelength and rasterizes it to a mask, and a
+Gaussian input is converted against LG_{0, delta_l * phase_sign}.  beam-sim,
+the wavelength scan and demo 04 all go through it.  That is why beams
+imports swg at module level; swg imports only table, so there is no cycle.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import table
+from . import swg, table
 
 
 class BandLimitWarning(UserWarning):
@@ -399,38 +405,42 @@ def conversion_metrics(
     )
 
 
+def grating_metrics(design: swg.SWGDesign, lam: float, n: int, pitch: float, w0: float,
+                    z_eval: float = 0.0) -> ConversionMetrics:
+    """Conversion metrics of a pillar-grating design at one wavelength.
+
+    The design's layout is generated, its phases re-tuned to lam through the
+    dispersion table and rasterized to a mask on an n x n grid; a unit-power
+    Gaussian of waist w0 goes through it and is scored against
+    LG_{0, delta_l * phase_sign} at the same waist.  The scored field is
+    kept in output.
+    """
+    layout = swg.retune_layout(design, swg.generate_layout(design), lam)
+    mask = swg.layout_to_mask(layout, n, pitch)
+    target = LGIndex(p=0, l=design.delta_l * design.phase_sign, w0=w0)
+    return conversion_metrics(make_gaussian(n, pitch, lam, w0), mask, target, z_eval=z_eval)
+
+
 def fidelity_vs_wavelength(
-    design,
+    design: swg.SWGDesign,
     lambdas,
     n: int = 1024,
     pitch: float = 50e-9,
     w0: float = 5e-6,
     z_eval: float = 0.0,
 ) -> list[tuple[float, ConversionMetrics]]:
-    """Conversion metrics of a pillar-grating design across wavelengths.
+    """grating_metrics at each of a positive, increasing run of wavelengths.
 
-    For each wavelength the design's dispersion table re-tunes the per-pillar
-    phases, a fresh Gaussian input is built, and conversion_metrics is
-    evaluated against LG_{0, delta_l} at the same nominal waist.
+    Only the scores are kept (output is None), so a scan holds one field at
+    a time.
     """
-    from . import swg  # local import; swg builds masks, beams consumes them
-
     lams = list(lambdas)
     if any(l <= 0.0 for l in lams) or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("wavelengths must be positive and increasing")
-    layout = swg.generate_layout(design)
-    target_l = design.delta_l * design.phase_sign
-    results = []
-    for lam in lams:
-        retuned = swg.retune_layout(design, layout, lam)
-        mask = swg.layout_to_mask(retuned, n, pitch)
-        field_in = make_gaussian(n, pitch, lam, w0)
-        metrics = conversion_metrics(
-            field_in, mask, LGIndex(p=0, l=target_l, w0=w0), z_eval=z_eval
-        )
-        # keep the scores only, so a scan holds one field at a time
-        results.append((lam, dataclasses.replace(metrics, output=None)))
-    return results
+    return [
+        (lam, dataclasses.replace(grating_metrics(design, lam, n, pitch, w0, z_eval), output=None))
+        for lam in lams
+    ]
 
 
 def save_raster(matrix: np.ndarray, path) -> None:

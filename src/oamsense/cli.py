@@ -479,30 +479,38 @@ def cmd_pulse_budget(args, cfg: dict) -> int:
     return 0
 
 
+def _signal_in_lookup(cfg: dict) -> float:
+    """beam.lambda_sig_m where a grating uses it: inside the lookup table's range."""
+    lam = cfg["beam.lambda_sig_m"]
+    lo, hi = swg.LOOKUP_LAMBDA_RANGE
+    if not lo <= lam <= hi:
+        raise ConfigError(f"config key beam.lambda_sig_m = {lam!r} is outside the grating "
+                          f"lookup range [{lo}, {hi}] m")
+    return lam
+
+
 def _design(cfg: dict) -> swg.SWGDesign:
+    design_lambda = cfg["swg.design_lambda_m"]
     return swg.SWGDesign(
         aperture_d=cfg["swg.aperture_d_m"],
         lattice_a=cfg["swg.lattice_a_m"],
         delta_l=cfg["swg.delta_l"],
-        design_lambda=_derived(cfg, "swg.design_lambda_m", cfg["beam.lambda_sig_m"]),
+        design_lambda=_signal_in_lookup(cfg) if design_lambda is None else design_lambda,
         phase_sign=cfg["swg.phase_sign"],
     )
 
 
 def cmd_beam_sim(args, cfg: dict) -> int:
     n, pitch = cfg["grid.n"], cfg["grid.pitch_m"]
-    lam, w0 = cfg["beam.lambda_sig_m"], cfg["beam.w0_m"]
-    field_in = beams.make_gaussian(n, pitch, lam, w0)
+    lam, w0, z_eval = cfg["beam.lambda_sig_m"], cfg["beam.w0_m"], cfg["swg.z_eval_m"]
+    target = beams.LGIndex(p=0, l=cfg["swg.delta_l"] * cfg["swg.phase_sign"], w0=w0)
     if cfg["swg.ideal_vortex"]:
-        target_l = cfg["swg.delta_l"]
-        mask = beams.vortex_mask(n, pitch, target_l)
+        metrics = beams.conversion_metrics(beams.make_gaussian(n, pitch, lam, w0),
+                                           beams.vortex_mask(n, pitch, target.l), target,
+                                           z_eval=z_eval)
     else:
-        design = _design(cfg)
-        layout = swg.retune_layout(design, swg.generate_layout(design), lam)
-        mask = swg.layout_to_mask(layout, n, pitch)
-        target_l = design.delta_l * design.phase_sign
-    target = beams.LGIndex(p=0, l=target_l, w0=w0)
-    metrics = beams.conversion_metrics(field_in, mask, target, z_eval=cfg["swg.z_eval_m"])
+        metrics = beams.grating_metrics(_design(cfg), _signal_in_lookup(cfg), n, pitch, w0,
+                                        z_eval)
     out_field = metrics.output
     reference = beams.make_lg(n, pitch, lam, target)
 
@@ -520,7 +528,7 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     print(f"fidelity_fixed_waist = {metrics.fidelity_fixed_waist:.4f}")
     print(f"t_swg = {metrics.t_swg:.4f}")
     print(f"eta = {metrics.eta:.4f}")
-    l_values = list(range(target_l - 3, target_l + 4))
+    l_values = list(range(target.l - 3, target.l + 4))
     fractions = beams.azimuthal_spectrum(out_field, l_values)
     print("l,power_fraction")
     for l, frac in zip(l_values, fractions):

@@ -66,18 +66,6 @@ class CoupledOscillator:
 
 
 @dataclass(frozen=True)
-class DriveSpec:
-    """Harmonic drive on the pad: amplitude f_d (N), angular frequency omega_d."""
-
-    f_d: float
-    omega_d: float
-
-    def __post_init__(self) -> None:
-        if self.f_d < 0.0 or self.omega_d < 0.0:
-            raise ValueError("f_d and omega_d must be >= 0")
-
-
-@dataclass(frozen=True)
 class ResponseCurve:
     """Complex displacement amplitudes on a strictly increasing frequency grid."""
 
@@ -132,12 +120,6 @@ def _solve(model: CoupledOscillator, f_d: float, omega):
     x1 = (f_d / model.m1) * q2 / det
     x2 = g2 * f_d / (math.sqrt(model.m1 * model.m2) * det)
     return x1, x2
-
-
-def driven_response(model: CoupledOscillator, drive: DriveSpec):
-    """Steady-state complex amplitudes (x1, x2) in metres at drive.omega_d."""
-    x1, x2 = _solve(model, drive.f_d, drive.omega_d)
-    return complex(x1), complex(x2)
 
 
 def response_curve(model: CoupledOscillator, f_d: float, omega_grid) -> ResponseCurve:

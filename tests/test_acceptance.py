@@ -73,7 +73,8 @@ def test_criterion_4_mechanics_oracle_equivalence():
     for _ in range(50):
         model = random_stable_model(rng, mechanics)
         omega_d = rng.uniform(0.5, 1.3) * max(model.omega1, model.omega2)
-        xf = mechanics.driven_response(model, mechanics.DriveSpec(1.0, omega_d))
+        curve = mechanics.response_curve(model, 1.0, [omega_d])
+        xf = (curve.x1[0], curve.x2[0])
         xt = rk4_steady_state(model, 1.0, omega_d)
         for f, t in zip(xf, xt):
             if f == 0.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 import warnings
@@ -406,7 +407,28 @@ class TestWavelengthScan:
         direct = beams.conversion_metrics(
             beams.make_gaussian(256, 80e-9, 840e-9, 2.5e-6), mask,
             beams.LGIndex(0, 1, 2.5e-6))
-        assert scan[0][1].fidelity == pytest.approx(direct.fidelity, rel=1e-12)
+        # re-tuning to the design wavelength reads the same table row, so
+        # every score is equal, not close (output takes no part in ==)
+        assert scan[0][1] == direct
+
+    def test_scan_is_grating_metrics_per_wavelength(self):
+        design = swg.SWGDesign(delta_l=2, phase_sign=-1)
+        lams = [780e-9, 840e-9, 910e-9]
+        scan = beams.fidelity_vs_wavelength(design, lams, n=256, pitch=80e-9, w0=2.5e-6)
+        expected = [
+            (lam, dataclasses.replace(
+                beams.grating_metrics(design, lam, 256, 80e-9, 2.5e-6), output=None))
+            for lam in lams
+        ]
+
+        def bits(results):
+            return [(lam.hex(), m.output,
+                     *(getattr(m, f.name).hex() for f in dataclasses.fields(m)
+                       if f.name != "output"))
+                    for lam, m in results]
+
+        assert bits(scan) == bits(expected)
+        assert [(lam, m.output) for lam, m in scan] == [(lam, None) for lam in lams]
 
     def test_dispersionless_lookup_constant(self):
         flat_row_p = tuple(np.linspace(0.0, 2.0 * math.pi * 10.0 / 11.0, 11))

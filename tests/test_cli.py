@@ -294,6 +294,38 @@ class TestBeamSim:
                            if l.startswith("fidelity_fixed")).split("=")[1])
         assert fixed == pytest.approx(math.pi / 4.0, abs=0.01)
 
+    def test_ideal_vortex_honours_phase_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 512\npitch_m = 80e-9\n"
+                       "[swg]\nideal_vortex = true\nphase_sign = -1\n")
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fixed = float(next(l for l in lines if l.startswith("fidelity_fixed")).split("=")[1])
+        assert fixed == pytest.approx(math.pi / 4.0, abs=0.01)
+        start = lines.index("l,power_fraction") + 1
+        spectrum = {int(l): float(f) for l, f in (row.split(",") for row in lines[start:-1])}
+        assert sorted(spectrum) == list(range(-4, 3))
+        assert max(spectrum, key=spectrum.get) == -1
+
+    def test_one_grating_pipeline(self, tmp_path, monkeypatch):
+        # beam-sim and the wavelength scan both score the grating through
+        # grating_metrics, once per run and once per wavelength
+        calls = []
+        grating_metrics = beams.grating_metrics
+
+        def counting(design, lam, *args, **kwargs):
+            calls.append(lam)
+            return grating_metrics(design, lam, *args, **kwargs)
+
+        monkeypatch.setattr(beams, "grating_metrics", counting)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 256\npitch_m = 80e-9\n[beam]\nw0_m = 2.5e-6\n")
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert calls == [8.4e-7]
+        beams.fidelity_vs_wavelength(swg.SWGDesign(), [800e-9, 840e-9, 880e-9], n=256,
+                                     pitch=80e-9, w0=2.5e-6)
+        assert calls == [8.4e-7, 800e-9, 840e-9, 880e-9]
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_higher_order_design(self, tmp_path, capsys):
         # evaluate a little past the grating so the vortex core opens up
@@ -536,6 +568,37 @@ class TestConfigHandling:
         assert (f"error: config key {section}.{key} = {float(value)!r} is outside branch "
                 f"'twist-like' domain [8.0, 18.0] um") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, value", [
+        ("swg-gen", "lambda_sig_m = 1.5e-6\n", 1.5e-6),
+        ("beam-sim", "lambda_sig_m = 1.5e-6\n", 1.5e-6),
+        ("beam-sim", "lambda_sig_m = 6.5e-7\n", 6.5e-7),
+        ("beam-sim", "lambda_sig_m = 1.5e-6\n[swg]\ndesign_lambda_m = 8.4e-7\n", 1.5e-6),
+    ])
+    def test_signal_wavelength_outside_lookup_names_key(self, tmp_path, capsys, command,
+                                                         text, value):
+        # the grating is designed at, or evaluated at, the signal wavelength
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[beam]\n" + text)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert (f"error: config key beam.lambda_sig_m = {value!r} is outside the grating "
+                f"lookup range [7e-07, 1e-06] m") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, preset, text", [
+        ("noise-sweep", "paper-fig5", ""),
+        ("pulse-budget", "paper-fig8", ""),
+        ("beam-sim", None, "[grid]\nn = 128\npitch_m = 80e-9\n[swg]\nideal_vortex = true\n"),
+        ("swg-gen", None, "[swg]\ndesign_lambda_m = 8.4e-7\n"),
+    ])
+    def test_signal_wavelength_outside_lookup_accepted_without_grating(
+            self, tmp_path, command, preset, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[beam]\nlambda_sig_m = 1.5e-6\n" + text)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if preset is not None:
+            argv += ["--preset", preset]
+        assert cli.main(argv) == 0
 
     def test_unstable_coupling_names_key(self, tmp_path, capsys):
         # g_m^4 >= omega1^2 omega2^2 at the preset's l_s: no stable two-mode model
