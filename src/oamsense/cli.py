@@ -6,11 +6,18 @@ fit-gm.  Runs are configured by flat INI-style files (``[section]`` headers,
 a named preset.  The table ``KEYS`` is the list of config keys: each one's
 type, bound, default and the subcommands that read it.  A config file may set
 only the keys its subcommand reads, and every value is checked before any
-output is written.  Every output is a comma-separated table written
-atomically (temp file + rename) under --out; each float cell reads as
-repr(float(v)), written by table.write_table (gm_fit.csv, whose error rows
-carry text, is written line by line here).  A fixed config yields
-byte-identical outputs.
+output is written.  A subcommand reads only the keys it uses: changing one
+changes stdout or an output file, or exits 2 naming the key.  So noise-sweep
+is the CW budget (its n_min column is blank), and pulse-budget, the pulsed
+one, is the only reader of beam.f_rep_hz and beam.bandwidth_hz; swg-gen
+designs at beam.lambda_sig_m, and only beam-sim reads swg.design_lambda_m;
+beam-sim's ideal vortex builds no pillar grating, so it exits 2 if
+swg.aperture_d_m, swg.lattice_a_m or swg.design_lambda_m is set.  The
+exception: with the bundled lookup, swg-gen's layout is the same at every
+beam.lambda_sig_m.  Every output is a comma-separated table written atomically
+(temp file + rename) under --out; each float cell reads as repr(float(v)),
+written by table.write_table (gm_fit.csv, whose error rows carry text, is
+written line by line here).  A fixed config yields byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "beam.lambda_sig_m": "8.4e-7",
         "beam.delta_l": "1",
         "beam.eta_conv": "0.83",
-        "beam.modulation": "cw",
     },
     # Pulsed photon-counting budget: idealized device, single-photon detector.
     "paper-fig8": {
@@ -92,7 +98,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "beam.lambda_sig_m": "8.4e-7",
         "beam.delta_l": "10",
         "beam.eta_conv": "1",
-        "beam.modulation": "pulse",
         "beam.f_rep_hz": "auto",
         "beam.bandwidth_hz": "1",
     },
@@ -199,19 +204,18 @@ KEYS: dict[str, Key] = {
     "beam.delta_l": Key(_NONNEGATIVE, 1.0, _BUDGET),
     "beam.eta_conv": Key(_FRACTION, 1.0, _BUDGET),
     "beam.contrast": Key(_FRACTION, 1.0, _BUDGET),
-    "beam.modulation": Key(_choice({"cw": "cw", "pulse": "pulse"}, "cw or pulse"), "cw", _BUDGET),
-    "beam.f_rep_hz": Key(_auto_or_positive, "auto", _BUDGET),
-    "beam.bandwidth_hz": Key(_POSITIVE, 1.0, _BUDGET),
+    "beam.f_rep_hz": Key(_auto_or_positive, "auto", ("pulse-budget",)),
+    "beam.bandwidth_hz": Key(_POSITIVE, 1.0, ("pulse-budget",)),
     "beam.w0_m": Key(_POSITIVE, 5e-6, ("beam-sim",)),
     "grid.n": Key(_int_where(lambda n: n >= 32 and n & (n - 1) == 0, "a power of two >= 32"),
                   1024, ("beam-sim",)),
     "grid.pitch_m": Key(_POSITIVE, 50e-9, ("beam-sim",)),
-    "swg.aperture_d_m": Key(_POSITIVE, 20e-6, _GRATING),
-    "swg.lattice_a_m": Key(_POSITIVE, 360e-9, _GRATING),
+    "swg.aperture_d_m": Key(_POSITIVE, None, _GRATING),  # swg.SWGDesign's default
+    "swg.lattice_a_m": Key(_POSITIVE, None, _GRATING),  # swg.SWGDesign's default
     "swg.delta_l": Key(_INT, 1, _GRATING),
     "swg.design_lambda_m": Key(_number(ge=swg.LOOKUP_LAMBDA_RANGE[0],
                                        le=swg.LOOKUP_LAMBDA_RANGE[1]),
-                               None, _GRATING),  # beam.lambda_sig_m
+                               None, ("beam-sim",)),  # beam.lambda_sig_m
     "swg.phase_sign": Key(_int_where(lambda s: s in (-1, 1), "1 or -1"), 1, _GRATING),
     "swg.z_eval_m": Key(_FLOAT, 0.0, ("beam-sim",)),
     "swg.ideal_vortex": Key(_BOOL, False, ("beam-sim",)),
@@ -291,12 +295,7 @@ def _readout(cfg: dict) -> noise.OpticalReadout:
     return readout
 
 
-def _beam(cfg: dict) -> noise.SignalBeam:
-    if cfg["beam.modulation"] == "cw":
-        modulation: noise.CwModulation | noise.PulseTrain = noise.CwModulation()
-    else:
-        f_rep = cfg["beam.f_rep_hz"]
-        modulation = noise.PulseTrain(None if f_rep == "auto" else f_rep)
+def _beam(cfg: dict, modulation: noise.CwModulation | noise.PulseTrain) -> noise.SignalBeam:
     return noise.SignalBeam(
         lambda_sig=cfg["beam.lambda_sig_m"],
         delta_l=cfg["beam.delta_l"],
@@ -404,26 +403,23 @@ class _LsSweep(NamedTuple):
 
     mode_at: Callable[[str, float], np.void]  # one MODE_DTYPE record
     readout: noise.OpticalReadout
-    beam: noise.SignalBeam
     t_k: float
-    bandwidth: float
     grid: np.ndarray
     budgets: noise.NoiseBudget  # one array per field, one value per l_s
 
 
-def _ls_sweep(cfg: dict, t_k_default: float) -> _LsSweep:
+def _ls_sweep(cfg: dict, t_k_default: float, beam: noise.SignalBeam,
+              bandwidth: float = 1.0) -> _LsSweep:
     """The set-up noise-sweep and pulse-budget share: one budget call over
-    the columns of the interpolated l_s grid."""
+    the columns of the interpolated l_s grid, for the subcommand's beam."""
     dataset = _load_cfg_dataset(cfg)
     branch = cfg["device.branch"]
     if branch not in dataset.branches():
         raise ConfigError(f"config key device.branch = {branch!r} is not in the dataset, "
                           f"which has {', '.join(dataset.branches())}")
     readout = _readout(cfg)
-    beam = _beam(cfg)
     t_k = _derived(cfg, "environment.t_k", t_k_default)
     q_m = cfg["environment.q_m"]
-    bandwidth = cfg["beam.bandwidth_hz"]
     grid = _ls_grid(cfg, dataset, branch)
 
     def mode_at(key: str, l_s: float) -> np.void:
@@ -432,11 +428,11 @@ def _ls_sweep(cfg: dict, t_k_default: float) -> _LsSweep:
 
     modes = device.interpolate_grid(dataset, branch, grid, q_m_override=q_m or None)
     budgets = noise.budget(modes, readout, t_k, beam, bandwidth_hz=bandwidth)
-    return _LsSweep(mode_at, readout, beam, t_k, bandwidth, grid, budgets)
+    return _LsSweep(mode_at, readout, t_k, grid, budgets)
 
 
 def cmd_noise_sweep(args, cfg: dict) -> int:
-    sweep = _ls_sweep(cfg, t_k_default=4.0)
+    sweep = _ls_sweep(cfg, 4.0, _beam(cfg, noise.CwModulation()))
     out = _out_dir(args)
     _atomic_write(
         out / "noise_sweep.csv",
@@ -451,15 +447,15 @@ def cmd_noise_sweep(args, cfg: dict) -> int:
 
 
 def cmd_pulse_budget(args, cfg: dict) -> int:
-    sweep = _ls_sweep(cfg, t_k_default=0.01)
-    if not isinstance(sweep.beam.modulation, noise.PulseTrain):
-        raise ConfigError("pulse-budget requires beam.modulation = pulse")
+    f_rep, bandwidth = cfg["beam.f_rep_hz"], cfg["beam.bandwidth_hz"]
+    beam = _beam(cfg, noise.PulseTrain(None if f_rep == "auto" else f_rep))
+    sweep = _ls_sweep(cfg, 0.01, beam, bandwidth)
     grid, budgets = sweep.grid, sweep.budgets
     l_s0 = cfg["sweep.l_s_ncav_um"]
     ncav_grid = np.logspace(math.log10(cfg["sweep.n_cav_min"]),
                             math.log10(cfg["sweep.n_cav_max"]), cfg["sweep.n_cav_points"])
     scan = noise.optimize_ncav(sweep.mode_at("sweep.l_s_ncav_um", l_s0), sweep.readout,
-                               sweep.t_k, sweep.beam, ncav_grid, bandwidth_hz=sweep.bandwidth)
+                               sweep.t_k, beam, ncav_grid, bandwidth_hz=bandwidth)
 
     out = _out_dir(args)
     _atomic_write(
@@ -489,13 +485,12 @@ def _signal_in_lookup(cfg: dict) -> float:
     return lam
 
 
-def _design(cfg: dict) -> swg.SWGDesign:
-    design_lambda = cfg["swg.design_lambda_m"]
+def _design(cfg: dict, design_lambda: float) -> swg.SWGDesign:
     return swg.SWGDesign(
-        aperture_d=cfg["swg.aperture_d_m"],
-        lattice_a=cfg["swg.lattice_a_m"],
+        aperture_d=_derived(cfg, "swg.aperture_d_m", swg.SWGDesign.aperture_d),
+        lattice_a=_derived(cfg, "swg.lattice_a_m", swg.SWGDesign.lattice_a),
         delta_l=cfg["swg.delta_l"],
-        design_lambda=_signal_in_lookup(cfg) if design_lambda is None else design_lambda,
+        design_lambda=design_lambda,
         phase_sign=cfg["swg.phase_sign"],
     )
 
@@ -505,19 +500,22 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     lam, w0, z_eval = cfg["beam.lambda_sig_m"], cfg["beam.w0_m"], cfg["swg.z_eval_m"]
     target = beams.LGIndex(p=0, l=cfg["swg.delta_l"] * cfg["swg.phase_sign"], w0=w0)
     if cfg["swg.ideal_vortex"]:
+        for name in ("swg.aperture_d_m", "swg.lattice_a_m", "swg.design_lambda_m"):
+            if cfg[name] is not None:
+                raise ConfigError(f"config key {name} = {cfg[name]!r} describes a pillar "
+                                  "grating, which swg.ideal_vortex = true replaces")
         metrics = beams.conversion_metrics(beams.make_gaussian(n, pitch, lam, w0),
                                            beams.vortex_mask(n, pitch, target.l), target,
                                            z_eval=z_eval)
     else:
-        metrics = beams.grating_metrics(_design(cfg), _signal_in_lookup(cfg), n, pitch, w0,
-                                        z_eval)
-    out_field = metrics.output
+        design = _design(cfg, _derived(cfg, "swg.design_lambda_m", _signal_in_lookup(cfg)))
+        metrics = beams.grating_metrics(design, lam, n, pitch, w0, z_eval)
     reference = beams.make_lg(n, pitch, lam, target)
 
     out = _out_dir(args)
     exports = {
-        "intensity_swg.csv": np.abs(out_field.amps) ** 2,
-        "phase_swg.csv": np.angle(out_field.amps),
+        "intensity_swg.csv": np.abs(metrics.output.amps) ** 2,
+        "phase_swg.csv": np.angle(metrics.output.amps),
         "intensity_target.csv": np.abs(reference.amps) ** 2,
         "phase_target.csv": np.angle(reference.amps),
     }
@@ -529,7 +527,7 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     print(f"t_swg = {metrics.t_swg:.4f}")
     print(f"eta = {metrics.eta:.4f}")
     l_values = list(range(target.l - 3, target.l + 4))
-    fractions = beams.azimuthal_spectrum(out_field, l_values)
+    fractions = beams.azimuthal_spectrum(metrics.output, l_values)
     print("l,power_fraction")
     for l, frac in zip(l_values, fractions):
         print(f"{l},{frac:.6f}")
@@ -538,7 +536,7 @@ def cmd_beam_sim(args, cfg: dict) -> int:
 
 
 def cmd_swg_gen(args, cfg: dict) -> int:
-    design = _design(cfg)
+    design = _design(cfg, _signal_in_lookup(cfg))
     layout = swg.generate_layout(design)
     out = _out_dir(args)
     _atomic_write(out / "layout.csv", lambda p: swg.export_layout(layout, p))

@@ -32,7 +32,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 #: Recognised mechanical branch labels.
-BRANCHES = ("twist-like", "bounce-like", "hybrid-lower", "hybrid-upper", "see-saw")
+BRANCHES = ("twist-like", "bounce-like", "hybrid-lower", "hybrid-upper")
 
 HEADER = "l_s_um,w_h_um,l_h_um,branch,omega_m_hz,m_eff_kg,r_eff_m,q_m,g_om_hz_per_m"
 

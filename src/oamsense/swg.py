@@ -64,7 +64,9 @@ def default_lookup(design_lambda: float = 840e-9, n_diameters: int = 11) -> SWGL
     At the design wavelength the phases ramp linearly over the diameters,
     spanning exactly [0, 2 pi (1 - 1/n)] (endpoint-exclusive full circle);
     the amplitude is uniform sqrt(0.92).  The ramp span disperses linearly
-    with wavelength, span(lam) = span0 * (2 - lam / design_lambda).
+    with wavelength, span(lam) = span0 * (2 - lam / design_lambda), so the
+    levels at the design wavelength, and generate_layout's layouts, are the
+    same for every design_lambda.
     """
     lo, hi = LOOKUP_LAMBDA_RANGE
     if not lo <= design_lambda <= hi:

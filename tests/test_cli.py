@@ -1,6 +1,7 @@
 import configparser
 import hashlib
 import importlib.util
+import itertools
 import math
 import os
 import subprocess
@@ -184,6 +185,21 @@ class TestNoiseSweep:
         i = int(np.argmin(column(tmp_path / "noise_sweep.csv", "tau_min")))
         assert printed[1:3] == [lines[0], lines[1 + i]]
 
+    def test_fig8_preset_gives_the_cw_budget(self, tmp_path):
+        # the subcommand fixes the drive: on the pulsed preset noise-sweep
+        # leaves n_min blank, and pulse-budget writes the pulsed l_s table
+        assert cli.main(["noise-sweep", "--preset", "paper-fig8",
+                         "--out", str(tmp_path / "cw")]) == 0
+        assert cli.main(["pulse-budget", "--preset", "paper-fig8",
+                         "--out", str(tmp_path / "pulsed")]) == 0
+        cw_header, cw = read_csv(tmp_path / "cw" / "noise_sweep.csv")
+        pulsed_header, pulsed = read_csv(tmp_path / "pulsed" / "pulse_ls_sweep.csv")
+        assert cw_header == pulsed_header and cw_header[-1] == "n_min"
+        assert len(cw) == 41
+        assert [r[:-1] for r in cw] == [r[:-1] for r in pulsed]
+        assert all(r[-1] == "" for r in cw)
+        assert all(float(r[-1]) > 0.0 for r in pulsed)
+
     def test_zero_coupling_dataset_fails_cleanly(self, tmp_path, capsys):
         lines = device.sample_dataset_path().read_text(encoding="utf-8").splitlines()
         header = lines.index(device.HEADER)
@@ -306,6 +322,21 @@ class TestBeamSim:
         spectrum = {int(l): float(f) for l, f in (row.split(",") for row in lines[start:-1])}
         assert sorted(spectrum) == list(range(-4, 3))
         assert max(spectrum, key=spectrum.get) == -1
+
+    @pytest.mark.parametrize("key, value", [
+        ("aperture_d_m", "2e-05"), ("lattice_a_m", "3.6e-07"), ("design_lambda_m", "8.4e-07"),
+    ])
+    def test_ideal_vortex_rejects_grating_keys(self, tmp_path, capsys, key, value):
+        # no pillar grating is built, so a grating key is refused even when
+        # set to the value the grating would take without it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[swg]\nideal_vortex = true\n{key} = {value}\n")
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key swg.{key} = {float(value)!r} describes a pillar grating, "
+            "which swg.ideal_vortex = true replaces\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_one_grating_pipeline(self, tmp_path, monkeypatch):
         # beam-sim and the wavelength scan both score the grating through
@@ -502,14 +533,12 @@ class TestConfigHandling:
         ("mech-response", "paper-fig2b", "mechanics", "q_m", "0"),
         ("mech-response", "paper-fig2b", "mechanics", "n_points", "0"),
         ("noise-sweep", "paper-fig5", "sweep", "l_s_step_um", "0"),
-        ("noise-sweep", "paper-fig5", "beam", "modulation", "square"),
         ("pulse-budget", "paper-fig8", "sweep", "n_cav_min", "0"),
         ("pulse-budget", "paper-fig8", "sweep", "n_cav_max", "-1"),
         ("pulse-budget", "paper-fig8", "sweep", "n_cav_points", "0"),
         ("beam-sim", None, "swg", "ideal_vortex", "maybe"),
         ("pulse-budget", "paper-fig8", "beam", "bandwidth_hz", "0"),
         ("pulse-budget", "paper-fig8", "beam", "bandwidth_hz", "-1"),
-        ("noise-sweep", "paper-fig5", "beam", "bandwidth_hz", "-1"),
         ("noise-sweep", "paper-fig5", "device", "branch", "twist"),
         ("beam-sim", None, "grid", "pitch_m", "0"),
         ("beam-sim", None, "beam", "w0_m", "-1e-6"),
@@ -538,8 +567,8 @@ class TestConfigHandling:
         ("noise-sweep", "paper-fig5", "readout", "p_det_w", "-1"),
         ("noise-sweep", "paper-fig5", "readout", "p_det_w", "0"),
         ("mech-response", "paper-fig2b", "mechanics", "g_m_hz", "-5e5"),
-        ("swg-gen", None, "swg", "design_lambda_m", "-1e-6"),
-        ("swg-gen", None, "swg", "design_lambda_m", "1.5e-6"),
+        ("beam-sim", None, "swg", "design_lambda_m", "-1e-6"),
+        ("beam-sim", None, "swg", "design_lambda_m", "1.5e-6"),
         ("noise-sweep", "paper-fig5", "device", "branch", "see-saw"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, preset, section, key,
@@ -589,7 +618,6 @@ class TestConfigHandling:
         ("noise-sweep", "paper-fig5", ""),
         ("pulse-budget", "paper-fig8", ""),
         ("beam-sim", None, "[grid]\nn = 128\npitch_m = 80e-9\n[swg]\nideal_vortex = true\n"),
-        ("swg-gen", None, "[swg]\ndesign_lambda_m = 8.4e-7\n"),
     ])
     def test_signal_wavelength_outside_lookup_accepted_without_grating(
             self, tmp_path, command, preset, text):
@@ -752,6 +780,134 @@ class TestConfigHandling:
                              "--out", str(tmp_path / name)]) == 0
         zero = (tmp_path / "zero" / "noise_sweep.csv").read_bytes()
         assert zero == (tmp_path / "unset" / "noise_sweep.csv").read_bytes()
+
+
+# One valid value per config key that differs from the value of each base
+# config below; where a base already holds the first value, the second is
+# used.  device.dataset gets a modified copy of the bundled file.
+PERTURBED = {
+    "device.branch": "bounce-like",
+    "mechanics.l_s_um": "11",
+    "mechanics.q_m": "400",
+    "mechanics.g_m_hz": "4e5",
+    "mechanics.f_d_n": "2e-15",
+    "mechanics.f_min_hz": "4.5e6",
+    "mechanics.f_max_hz": "6.5e6",
+    "mechanics.n_points": "1001",
+    "sweep.l_s_min_um": "9",
+    "sweep.l_s_max_um": "17",
+    "sweep.l_s_step_um": "0.5",
+    "sweep.l_s_ncav_um": "11",
+    "sweep.n_cav_min": "1e-4",
+    "sweep.n_cav_max": "1e-2",
+    "sweep.n_cav_points": "21",
+    "readout.lambda0_m": "1.55e-6",
+    "readout.q_o": "5e5",
+    "readout.dip_depth": "0.5",
+    "readout.p_det_w": "2e-7",
+    "readout.eta_qe": "0.5",
+    "readout.p_dn_w": "5e-12",
+    "readout.n_cav": "2e-3",
+    "environment.t_k": "2",
+    "environment.q_m": "5e5",
+    "beam.lambda_sig_m": "9e-7",
+    "beam.delta_l": "2",
+    "beam.eta_conv": "0.5",
+    "beam.contrast": "0.5",
+    "beam.f_rep_hz": "5e6",
+    "beam.bandwidth_hz": "2",
+    "beam.w0_m": "8e-7",
+    "grid.n": "128",
+    "grid.pitch_m": "5e-8",
+    "swg.aperture_d_m": "2.5e-6",
+    "swg.lattice_a_m": "3e-7",
+    "swg.delta_l": "2",
+    "swg.design_lambda_m": "8e-7",
+    "swg.phase_sign": "-1",
+    "swg.z_eval_m": "3e-6",
+    "swg.ideal_vortex": ("true", "false"),
+    "fit.f2_hz": ("6e6", "5.9e6"),
+}
+
+# A small beam-sim run, evaluated past the grating: at z = 0 the signal
+# wavelength does not act on the ideal vortex.
+_BEAM_SIM = {"grid.n": "64", "grid.pitch_m": "6e-8", "beam.w0_m": "1e-6", "swg.z_eval_m": "2e-6"}
+
+# A base config of each subcommand and branch: (subcommand, preset, file keys).
+BASES = {
+    "mech-response": ("mech-response", "paper-fig2b", {}),
+    "noise-sweep": ("noise-sweep", "paper-fig5", {}),
+    "noise-sweep-auto-p_det": ("noise-sweep", "paper-fig8", {}),
+    "pulse-budget": ("pulse-budget", "paper-fig8", {}),
+    "beam-sim-grating": ("beam-sim", None, {**_BEAM_SIM, "swg.aperture_d_m": "3e-6"}),
+    "beam-sim-ideal-vortex": ("beam-sim", None, {**_BEAM_SIM, "swg.ideal_vortex": "true"}),
+    "swg-gen": ("swg-gen", None, {}),
+    "fit-gm-fitted-f2": ("fit-gm", None, {}),
+    "fit-gm-fixed-f2": ("fit-gm", None, {"fit.f2_hz": "6e6"}),
+}
+
+
+def _write_config(path, keys):
+    sections = {}
+    for name, value in keys.items():
+        section, key = name.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    path.write_text("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+
+
+class TestKeysRead:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_every_key_in_scope_changes_the_run(self, tmp_path, capsys):
+        # a run reads only the keys it uses: a change to any key in scope
+        # changes stdout or an output file, or exits 2 naming the key
+        lines = device.sample_dataset_path().read_text(encoding="utf-8").splitlines()
+        header = lines.index(device.HEADER)
+        rows = [r.split(",") for r in lines[header + 1:] if r]
+        for r in rows:
+            r[5] = repr(1.5 * float(r[5]))  # m_eff_kg
+        dataset = tmp_path / "heavier.csv"
+        dataset.write_text("\n".join(lines[:header + 1] + [",".join(r) for r in rows]) + "\n")
+        perturbed = {**PERTURBED, "device.dataset": str(dataset)}
+        runs = itertools.count()
+
+        def run(command, preset, keys):
+            k = next(runs)
+            out, cfg = tmp_path / f"out{k}", tmp_path / f"run{k}.cfg"
+            _write_config(cfg, keys)
+            argv = [command] + (["bundled"] if command == "fit-gm" else [])
+            argv += (["--preset", preset] if preset else []) + ["--config", str(cfg)]
+            code = cli.main(argv + ["--out", str(out)])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+            return code, (captured.out.replace(str(out), "<out>"), files), captured.err, cfg
+
+        seen, ignored, rejected = set(), set(), set()
+        for base_id, (command, preset, keys) in BASES.items():
+            code, reference, err, cfg = run(command, preset, keys)
+            assert code == 0, err
+            base = cli.resolve_config(command, preset, str(cfg))
+            for name in base:
+                values = perturbed[name]
+                candidates = (values,) if isinstance(values, str) else values
+                value = next(v for v in candidates if cli.KEYS[name].parse(v) != base[name])
+                code, result, err, _ = run(command, preset, {**keys, name: value})
+                if code == 2:
+                    assert name in err and result[1] is None, (base_id, name, err)
+                    rejected.add((base_id, name))
+                else:
+                    assert code == 0, (base_id, name, err)
+                    if result == reference:
+                        ignored.add((command, name))
+                seen.add(name)
+        assert seen == set(cli.KEYS)
+        # the ideal vortex builds no pillar grating, so it refuses a grating key
+        assert rejected == {("beam-sim-grating", "swg.ideal_vortex")} | {
+            ("beam-sim-ideal-vortex", name)
+            for name in ("swg.aperture_d_m", "swg.lattice_a_m", "swg.design_lambda_m")}
+        # the one exemption: the bundled lookup table gives one layout at
+        # every design wavelength (tests/test_swg.py), so swg-gen's signal
+        # wavelength moves nothing; the benchmark's swg-gen jobs set it
+        assert ignored == {("swg-gen", "beam.lambda_sig_m")}
 
 
 class TestEntryPoint:

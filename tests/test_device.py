@@ -108,6 +108,14 @@ def test_unknown_branch_rejected(tmp_path):
         device.load_dataset(path)
 
 
+def test_see_saw_branch_rejected(tmp_path):
+    # no data and no model produce a see-saw mode
+    path = tmp_path / "see_saw.csv"
+    path.write_text(device.HEADER + "\n8.0,7.0,1.0,see-saw,7.0e6,1e-13,1e-4,1e6,2e18\n")
+    with pytest.raises(device.DatasetError, match="line 2: unknown branch 'see-saw'"):
+        device.load_dataset(path)
+
+
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "hdr2.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -179,6 +187,7 @@ def test_direct_construction_matches_loaded(small_file):
 
 def test_direct_construction_rejects_overlong_branch():
     # numpy cuts a string to the field width; the cut must not yield a valid label
+    assert device.MODE_DTYPE["branch"] == np.dtype("U13")
     row = (10.0, 7.0, 1.0, "hybrid-lower-x", 6.0e6, 2e-13, 2e-4, 1e6, 16e18)
     with pytest.raises(device.DatasetError, match="unknown branch 'hybrid-lower-'"):
         device.DeviceDataset(records=[row])

@@ -121,6 +121,20 @@ class TestLayout:
         err = abs(site_m.phase - expected) % TWO_PI
         assert min(err, TWO_PI - err) <= math.pi / 11.0 + 1e-9
 
+    @pytest.mark.parametrize("phase_sign", [1, -1])
+    @pytest.mark.parametrize("delta_l", [1, 2, 3])
+    def test_layout_independent_of_design_wavelength(self, delta_l, phase_sign):
+        # the bundled lookup puts the same levels at every design wavelength,
+        # so the wavelength swg-gen designs at moves no pillar
+        def layout_bytes(design_lambda):
+            design = swg.SWGDesign(delta_l=delta_l, design_lambda=design_lambda,
+                                   phase_sign=phase_sign)
+            return swg.generate_layout(design).tobytes()
+
+        reference = layout_bytes(840e-9)
+        for design_lambda in np.linspace(700e-9, 1000e-9, 37):
+            assert layout_bytes(float(design_lambda)) == reference
+
 
 class TestMask:
     def test_constant_phase_disk_for_zero_shift(self):
