@@ -14,11 +14,16 @@ this: it projects the field onto exp(i l phi) and bins it by that key once,
 after which the overlap with LG_{p,l} at any waist is a 1-D sum over the
 distinct radii of the grid instead of a full n x n mode.
 
-A pillar grating is scored by one pipeline, grating_metrics: swg lays out the
-design, re-tunes it to the wavelength and rasterizes it to a mask, and a
-Gaussian input is converted against LG_{0, delta_l * phase_sign}.  beam-sim,
-the wavelength scan and demo 04 all go through it.  That is why beams
-imports swg at module level; swg imports only table, so there is no cycle.
+A pillar grating is scored by one pipeline, a wavelength scan of which
+grating_metrics is the one-wavelength case: swg lays out the design, re-tunes
+it to each wavelength and rasterizes it to a mask, and a Gaussian input is
+converted against LG_{0, delta_l * phase_sign}.  A scan builds what does not
+depend on the wavelength once: the layout, the pixel -> pillar index, the
+Gaussian's amplitudes and the radial bins.  Per wavelength it re-tunes the
+layout, gathers the mask, masks (and propagates) the input at that
+wavelength and runs the waist search.  beam-sim, fidelity_vs_wavelength and
+demo 04 all go through it.  That is why beams imports swg at module level;
+swg imports only table, so there is no cycle.
 """
 
 from __future__ import annotations
@@ -311,6 +316,43 @@ def _golden_section(fun, lo: float, hi: float, iters: int = 60) -> float:
     return 0.5 * (a + b)
 
 
+def _waist_fidelity(n: int, pitch: float, p: int, l: int):
+    """_lg_fidelity_by_waist split at the field: bind(field) returns fid(w0).
+
+    The pixel keys, the count and squared radius of each key present and the
+    exp(-i l phi) projection depend only on the grid and l; they are built
+    here once, and bind projects and bins each field.
+    """
+    offsets = np.arange(n) - n // 2
+    keys = (offsets[:, None] ** 2 + offsets[None, :] ** 2).ravel()
+    phase = np.exp(-1j * l * np.arctan2(offsets[:, None], offsets[None, :])) if l != 0 else None
+    counts = np.bincount(keys)
+    present = np.flatnonzero(counts)
+    counts = counts[present]
+    r2 = present * pitch**2
+
+    def bind(field: ScalarField):
+        weighted = (field.amps * phase).ravel() if l != 0 else field.amps.ravel()
+        proj = (np.bincount(keys, weights=weighted.real)[present]
+                + 1j * np.bincount(keys, weights=weighted.imag)[present])
+        del weighted
+        power = float(np.sum(np.abs(field.amps) ** 2))
+
+        def fid(w0: float) -> float:
+            _check_sampling(w0, pitch)
+            if power == 0.0:
+                raise ValueError("zero-power field")
+            radial = _lg_radial(p, l, w0, r2)
+            ref_power = float(np.dot(counts, radial**2))
+            if not math.isfinite(ref_power):
+                raise ValueError(f"LG_({p},{l}) at w0 = {w0} is not finite on this grid")
+            return float(np.abs(np.dot(radial, proj)) ** 2) / (power * ref_power)
+
+        return fid
+
+    return bind
+
+
 def _lg_fidelity_by_waist(field: ScalarField, p: int, l: int):
     """fidelity(field, make_lg(..., LGIndex(p, l, w0))) as a function of w0.
 
@@ -319,32 +361,7 @@ def _lg_fidelity_by_waist(field: ScalarField, p: int, l: int):
     the distinct keys: the overlap sum(radial * proj) and the reference power
     sum(count * radial^2).
     """
-    offsets = np.arange(field.n) - field.n // 2
-    keys = (offsets[:, None] ** 2 + offsets[None, :] ** 2).ravel()
-    if l != 0:
-        phase = np.exp(-1j * l * np.arctan2(offsets[:, None], offsets[None, :]))
-        weighted = (field.amps * phase).ravel()
-    else:
-        weighted = field.amps.ravel()
-    counts = np.bincount(keys)
-    present = np.flatnonzero(counts)
-    counts = counts[present]
-    proj = (np.bincount(keys, weights=weighted.real)[present]
-            + 1j * np.bincount(keys, weights=weighted.imag)[present])
-    r2 = present * field.pitch**2
-    power = float(np.sum(np.abs(field.amps) ** 2))
-
-    def fid(w0: float) -> float:
-        _check_sampling(w0, field.pitch)
-        if power == 0.0:
-            raise ValueError("zero-power field")
-        radial = _lg_radial(p, l, w0, r2)
-        ref_power = float(np.dot(counts, radial**2))
-        if not math.isfinite(ref_power):
-            raise ValueError(f"LG_({p},{l}) at w0 = {w0} is not finite on this grid")
-        return float(np.abs(np.dot(radial, proj)) ** 2) / (power * ref_power)
-
-    return fid
+    return _waist_fidelity(field.n, field.pitch, p, l)(field)
 
 
 @dataclass(frozen=True)
@@ -365,6 +382,41 @@ class ConversionMetrics:
     output: ScalarField | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
+def _scorer(field_in: ScalarField, target: LGIndex, z_eval: float):
+    """conversion_metrics split at the mask: score(mask, lam) scores one mask.
+
+    The input power and the radial bins of the waist search are built once.
+    score applies the mask to the input's amplitudes at wavelength lam, the
+    one propagate reads.
+    """
+    p_in = field_in.total_power()
+    by_waist = _waist_fidelity(field_in.n, field_in.pitch, target.p, target.l)
+    lo = max(0.3 * target.w0, 4.0 * field_in.pitch)
+
+    def score(mask: np.ndarray, lam: float) -> ConversionMetrics:
+        out = apply_mask(dataclasses.replace(field_in, lam=lam), mask)
+        del mask  # a scan's mask is freed here, before the binning of the waist search
+        t_swg = out.total_power() / p_in
+        if z_eval != 0.0:
+            out = propagate(out, z_eval)
+        fid = by_waist(out)
+        f_fixed = fid(target.w0)
+        w_opt = _golden_section(lambda w: -fid(w), lo, 3.0 * target.w0)
+        f_opt = fid(w_opt)
+        if f_fixed > f_opt:  # keep the better of the two ends of the search
+            f_opt, w_opt = f_fixed, target.w0
+        return ConversionMetrics(
+            fidelity=f_opt,
+            fidelity_fixed_waist=f_fixed,
+            w0_opt=w_opt,
+            t_swg=t_swg,
+            eta=f_opt * t_swg,
+            output=out,
+        )
+
+    return score
+
+
 def conversion_metrics(
     field_in: ScalarField,
     mask: np.ndarray,
@@ -383,26 +435,20 @@ def conversion_metrics(
     removing exp(i l phi), so each waist of the search costs a 1-D sum over
     the distinct radii of the grid, not an n x n reference mode.
     """
-    out = apply_mask(field_in, mask)
-    t_swg = out.total_power() / field_in.total_power()
-    if z_eval != 0.0:
-        out = propagate(out, z_eval)
+    return _scorer(field_in, target, z_eval)(mask, field_in.lam)
 
-    fid = _lg_fidelity_by_waist(out, target.p, target.l)
-    f_fixed = fid(target.w0)
-    lo = max(0.3 * target.w0, 4.0 * field_in.pitch)
-    w_opt = _golden_section(lambda w: -fid(w), lo, 3.0 * target.w0)
-    f_opt = fid(w_opt)
-    if f_fixed > f_opt:  # keep the better of the two ends of the search
-        f_opt, w_opt = f_fixed, target.w0
-    return ConversionMetrics(
-        fidelity=f_opt,
-        fidelity_fixed_waist=f_fixed,
-        w0_opt=w_opt,
-        t_swg=t_swg,
-        eta=f_opt * t_swg,
-        output=out,
-    )
+
+def _grating_scan(design: swg.SWGDesign, lams: list[float], n: int, pitch: float, w0: float,
+                  z_eval: float):
+    """Yield grating_metrics at each wavelength of lams, doing the
+    wavelength-independent work once (see fidelity_vs_wavelength)."""
+    layout = swg.generate_layout(design)
+    index = swg.pillar_index(layout, n, pitch)
+    target = LGIndex(p=0, l=design.delta_l * design.phase_sign, w0=w0)
+    score = _scorer(make_gaussian(n, pitch, lams[0], w0), target, z_eval)
+    for lam in lams:
+        # no name here holds a wavelength's mask, so it is freed once scored
+        yield score(swg.gather_mask(swg.retune_layout(design, layout, lam), index), lam)
 
 
 def grating_metrics(design: swg.SWGDesign, lam: float, n: int, pitch: float, w0: float,
@@ -413,12 +459,12 @@ def grating_metrics(design: swg.SWGDesign, lam: float, n: int, pitch: float, w0:
     dispersion table and rasterized to a mask on an n x n grid; a unit-power
     Gaussian of waist w0 goes through it and is scored against
     LG_{0, delta_l * phase_sign} at the same waist.  The scored field is
-    kept in output.
+    kept in output.  This is the one-wavelength case of the scan of
+    fidelity_vs_wavelength: the layout, the pixel -> pillar index, the
+    Gaussian and the radial bins are built once, then the retune, the mask
+    gather and the waist search run for lam.
     """
-    layout = swg.retune_layout(design, swg.generate_layout(design), lam)
-    mask = swg.layout_to_mask(layout, n, pitch)
-    target = LGIndex(p=0, l=design.delta_l * design.phase_sign, w0=w0)
-    return conversion_metrics(make_gaussian(n, pitch, lam, w0), mask, target, z_eval=z_eval)
+    return next(_grating_scan(design, [lam], n, pitch, w0, z_eval))
 
 
 def fidelity_vs_wavelength(
@@ -431,16 +477,20 @@ def fidelity_vs_wavelength(
 ) -> list[tuple[float, ConversionMetrics]]:
     """grating_metrics at each of a positive, increasing run of wavelengths.
 
-    Only the scores are kept (output is None), so a scan holds one field at
-    a time.
+    What does not depend on the wavelength is done once per scan: the
+    layout, the pixel -> pillar index, the Gaussian input and the radial
+    bins of the waist search.  Each wavelength costs a retune, a gather of
+    the mask, the masked (and propagated) field and its waist search.  Only
+    the scores are kept (output is None), so a scan holds one field at a
+    time.
     """
     lams = list(lambdas)
     if any(l <= 0.0 for l in lams) or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("wavelengths must be positive and increasing")
-    return [
-        (lam, dataclasses.replace(grating_metrics(design, lam, n, pitch, w0, z_eval), output=None))
-        for lam in lams
-    ]
+    scan = _grating_scan(design, lams, n, pitch, w0, z_eval)
+    # next(scan), not a loop variable, so a wavelength's scored field is
+    # dropped before the next one is built
+    return [(lam, dataclasses.replace(next(scan), output=None)) for lam in lams]
 
 
 def save_raster(matrix: np.ndarray, path) -> None:

@@ -510,6 +510,9 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     else:
         design = _design(cfg, _derived(cfg, "swg.design_lambda_m", _signal_in_lookup(cfg)))
         metrics = beams.grating_metrics(design, lam, n, pitch, w0, z_eval)
+    # the spectrum's upsampled grids are freed before the rasters are built
+    l_values = list(range(target.l - 3, target.l + 4))
+    fractions = beams.azimuthal_spectrum(metrics.output, l_values)
     reference = beams.make_lg(n, pitch, lam, target)
 
     out = _out_dir(args)
@@ -526,8 +529,6 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     print(f"fidelity_fixed_waist = {metrics.fidelity_fixed_waist:.4f}")
     print(f"t_swg = {metrics.t_swg:.4f}")
     print(f"eta = {metrics.eta:.4f}")
-    l_values = list(range(target.l - 3, target.l + 4))
-    fractions = beams.azimuthal_spectrum(metrics.output, l_values)
     print("l,power_fraction")
     for l, frac in zip(l_values, fractions):
         print(f"{l},{frac:.6f}")

@@ -13,6 +13,12 @@ the fields x, y (m), diameter (nm), phase (rad) and amplitude.  Columns read
 as layout.diameter and single pillars as layout[k].diameter; every layout
 function works on whole columns.
 
+A layout is rasterized in two steps.  pillar_index finds each grid pixel's
+nearest pillar from the positions alone; gather_mask fills a mask from the
+layout's phases and amplitudes through that index.  Re-tuning to another
+wavelength changes only the phases and amplitudes, so a wavelength scan
+builds the index once.
+
 Layout generation is pure and deterministic: one lattice vector points along
 +x, a pillar sits at the origin, and sites are emitted in (y, x) raster
 order.
@@ -202,14 +208,14 @@ def retune_layout(design: SWGDesign, layout: np.recarray, lam: float) -> np.reca
     return out
 
 
-def layout_to_mask(layout: np.recarray, n: int, pitch: float) -> np.ndarray:
-    """Rasterize a layout to a complex transmission mask for the beam engine.
+def pillar_index(layout: np.recarray, n: int, pitch: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which pillar each pixel of an n x n grid takes, for gather_mask.
 
-    Every grid pixel inside the pattern footprint takes the phase and
-    amplitude of its nearest pillar (piecewise-constant cells); pixels
-    outside are zero.  The grid must resolve the lattice: pitch <= lattice/4.
-    The mask holds the layout's phases as they are; re-tune the layout first
-    for another wavelength.
+    Returns (inside, nearest): the n x n boolean footprint of the pattern
+    and, for its pixels in row-major order, the index of the nearest pillar.
+    Only pillar positions enter, so one index serves a layout and every
+    retune_layout of it.  The grid must resolve the lattice:
+    pitch <= lattice/4.
     """
     from scipy.spatial import cKDTree
 
@@ -229,12 +235,34 @@ def layout_to_mask(layout: np.recarray, n: int, pitch: float) -> np.ndarray:
     r_sites = np.sqrt(np.sum(pos**2, axis=1))
     footprint = float(np.max(r_sites)) + lattice / 2.0
     inside = (xx**2 + yy**2) <= footprint**2
-    mask = np.zeros((n, n), dtype=np.complex128)
-    pts = np.column_stack([xx[inside], yy[inside]])
-    _, nearest = tree.query(pts, k=1)
+    _, nearest = tree.query(np.column_stack([xx[inside], yy[inside]]), k=1)
+    return inside, nearest
+
+
+def gather_mask(layout: np.recarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Complex transmission mask: each footprint pixel of a pillar_index takes
+    its pillar's amplitude * exp(i phase); pixels outside are zero.
+
+    The index must come from this layout's positions (or those of the layout
+    it was re-tuned from).
+    """
+    inside, nearest = index
+    mask = np.zeros(inside.shape, dtype=np.complex128)
     values = layout.amplitude * np.exp(1j * layout.phase)
     mask[inside] = values[nearest]
     return mask
+
+
+def layout_to_mask(layout: np.recarray, n: int, pitch: float) -> np.ndarray:
+    """Rasterize a layout to a complex transmission mask for the beam engine.
+
+    Every grid pixel inside the pattern footprint takes the phase and
+    amplitude of its nearest pillar (piecewise-constant cells); pixels
+    outside are zero.  The grid must resolve the lattice: pitch <= lattice/4.
+    The mask holds the layout's phases as they are; re-tune the layout first
+    for another wavelength.
+    """
+    return gather_mask(layout, pillar_index(layout, n, pitch))
 
 
 def export_layout(layout: np.recarray, path) -> None:

@@ -430,6 +430,38 @@ class TestWavelengthScan:
         assert bits(scan) == bits(expected)
         assert [(lam, m.output) for lam, m in scan] == [(lam, None) for lam in lams]
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        delta_l=st.sampled_from((1, 2, 3)),
+        phase_sign=st.sampled_from((-1, 1)),
+        lams=st.lists(st.floats(700e-9, 1000e-9), min_size=1, max_size=4, unique=True)
+        .map(sorted),
+        z_eval=st.sampled_from((0.0, 2e-6)),
+        n=st.sampled_from((64, 128)),
+    )
+    def test_scan_equals_grating_metrics_calls(self, delta_l, phase_sign, lams, z_eval, n):
+        # the scan builds the layout, pixel index, Gaussian and radial bins
+        # once; a nonzero z_eval shows if the first wavelength leaks into the
+        # propagation of the others
+        pitch = 80e-9
+        design = swg.SWGDesign(aperture_d=0.75 * n * pitch, delta_l=delta_l,
+                               phase_sign=phase_sign)
+        w0 = 0.15 * n * pitch
+        scan = beams.fidelity_vs_wavelength(design, lams, n=n, pitch=pitch, w0=w0,
+                                            z_eval=z_eval)
+        calls = [(lam, beams.grating_metrics(design, lam, n, pitch, w0, z_eval))
+                 for lam in lams]
+
+        def bits(results):
+            return [(lam.hex(), *(getattr(m, f.name).hex() for f in dataclasses.fields(m)
+                                  if f.name != "output"))
+                    for lam, m in results]
+
+        assert bits(scan) == bits(calls)
+        assert all(m.output is None for _, m in scan)
+        assert all(m.output.lam == lam for lam, m in calls)
+
     def test_dispersionless_lookup_constant(self):
         flat_row_p = tuple(np.linspace(0.0, 2.0 * math.pi * 10.0 / 11.0, 11))
         flat_row_a = (math.sqrt(0.92),) * 11

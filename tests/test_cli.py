@@ -340,22 +340,22 @@ class TestBeamSim:
 
     def test_one_grating_pipeline(self, tmp_path, monkeypatch):
         # beam-sim and the wavelength scan both score the grating through
-        # grating_metrics, once per run and once per wavelength
+        # one scan, once per run and once per scan
         calls = []
-        grating_metrics = beams.grating_metrics
+        grating_scan = beams._grating_scan
 
-        def counting(design, lam, *args, **kwargs):
-            calls.append(lam)
-            return grating_metrics(design, lam, *args, **kwargs)
+        def counting(design, lams, *args, **kwargs):
+            calls.append(list(lams))
+            return grating_scan(design, lams, *args, **kwargs)
 
-        monkeypatch.setattr(beams, "grating_metrics", counting)
+        monkeypatch.setattr(beams, "_grating_scan", counting)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[grid]\nn = 256\npitch_m = 80e-9\n[beam]\nw0_m = 2.5e-6\n")
         assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert calls == [8.4e-7]
+        assert calls == [[8.4e-7]]
         beams.fidelity_vs_wavelength(swg.SWGDesign(), [800e-9, 840e-9, 880e-9], n=256,
                                      pitch=80e-9, w0=2.5e-6)
-        assert calls == [8.4e-7, 800e-9, 840e-9, 880e-9]
+        assert calls == [[8.4e-7], [800e-9, 840e-9, 880e-9]]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_higher_order_design(self, tmp_path, capsys):

@@ -151,6 +151,33 @@ class TestMask:
         with pytest.raises(ValueError, match="lattice/4"):
             swg.layout_to_mask(layout, 128, 120e-9)
 
+    def test_mask_is_gather_through_pillar_index(self):
+        # the index depends on pillar positions only, so the one built from
+        # the design-wavelength layout rasterizes every retune of it
+        design = swg.SWGDesign(delta_l=2, phase_sign=-1)
+        layout = swg.generate_layout(design)
+        index = swg.pillar_index(layout, 256, 80e-9)
+        for lam in (700e-9, 777e-9, 905e-9, 1000e-9):
+            retuned = swg.retune_layout(design, layout, lam)
+            retuned_index = swg.pillar_index(retuned, 256, 80e-9)
+            assert all(np.array_equal(a, b) for a, b in zip(index, retuned_index))
+            mask = swg.layout_to_mask(retuned, 256, 80e-9)
+            assert mask.tobytes() == swg.gather_mask(retuned, index).tobytes()
+
+    def test_pillar_index_checks_match_mask(self):
+        layout = swg.generate_layout(swg.SWGDesign())
+
+        def message(fn, *args):
+            with pytest.raises(ValueError) as info:
+                fn(*args)
+            return str(info.value)
+
+        for args, expected in (((layout[:0], 64, 80e-9), "empty layout"),
+                               ((layout, 128, 120e-9), "pitch 1.2e-07 too coarse")):
+            text = message(swg.pillar_index, *args)
+            assert text == message(swg.layout_to_mask, *args)
+            assert text.startswith(expected)
+
     def test_masked_gaussian_azimuthal_purity(self):
         layout = swg.generate_layout(swg.SWGDesign(delta_l=1))
         mask = swg.layout_to_mask(layout, 512, 80e-9)
