@@ -18,12 +18,22 @@ beam.lambda_sig_m.  Every output is a comma-separated table written atomically
 (temp file + rename) under --out; each float cell reads as repr(float(v)),
 written by table.write_table (gm_fit.csv, whose error rows carry text, is
 written line by line here).  A fixed config yields byte-identical outputs.
+
+beam-sim runs in two halves on two cores: one worker forked after the config
+checks builds the target mode and writes intensity_target.csv and
+phase_target.csv, while this process scores the grating, takes the azimuthal
+spectrum and writes intensity_swg.csv and phase_swg.csv.  All four are temp
+files until both halves succeed; then this process renames them in that order
+and prints the summary, so the output bytes and order are those of a serial
+run.  A failed beam-sim exits 2 leaving no raster, no temp file and no --out
+directory that it created.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import secrets
@@ -332,14 +342,19 @@ def _ls_grid(cfg: dict, dataset: device.DeviceDataset, branch: str) -> np.ndarra
     return np.linspace(ls_min, ls_max, round(steps) + 1)
 
 
-def _atomic_write(path: Path, writer) -> None:
-    """Run writer on a temp file unique to this call, then rename it to path.
+def _temp_path(path: Path) -> Path:
+    """A temp file name beside path, unique to this call.
 
-    The temp file sits in the target directory, so concurrent runs into one
-    directory do not collide and the rename is atomic; it is removed if the
-    writer fails.
+    It sits in the target directory, so concurrent runs into one directory
+    do not collide and the rename to path is atomic.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    return path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+
+
+def _atomic_write(path: Path, writer) -> None:
+    """Run writer on a _temp_path of path, then rename it to path; the temp
+    file is removed if the writer fails."""
+    tmp = _temp_path(path)
     try:
         writer(tmp)
         os.replace(tmp, path)
@@ -495,7 +510,47 @@ def _design(cfg: dict, design_lambda: float) -> swg.SWGDesign:
     )
 
 
+#: beam-sim's rasters, in the order they are renamed into --out.
+BEAM_SIM_RASTERS = ("intensity_swg.csv", "phase_swg.csv",
+                    "intensity_target.csv", "phase_target.csv")
+
+#: A pitch within this relative distance of lattice/4 counts as at the limit:
+#: the grating measures its lattice from pillar positions, which can read a
+#: few ulps below swg.lattice_a_m.
+_LATTICE_RTOL = 1e-9
+
+
+def _check_resolves_lattice(cfg: dict, pitch: float, lattice: float) -> None:
+    """Raise ConfigError naming the keys unless pitch < lattice/4 (swg.pillar_index)."""
+    limit = lattice / 4.0
+    if pitch > limit or math.isclose(pitch, limit, rel_tol=_LATTICE_RTOL):
+        source = ("swg.lattice_a_m" if cfg["swg.lattice_a_m"] is not None
+                  else f"swg.lattice_a_m (default {lattice!r})")
+        raise ConfigError(f"config key grid.pitch_m = {pitch!r} does not resolve the pillar "
+                          f"lattice: it must be below {source} / 4 = {limit!r}")
+
+
+def _write_target_rasters(n: int, pitch: float, lam: float, target: beams.LGIndex,
+                          intensity_path: Path, phase_path: Path) -> None:
+    """beam-sim's worker half: |LG|^2 and arg LG of the target mode, written
+    to two temp files that the parent renames."""
+    reference = beams.make_lg(n, pitch, lam, target)
+    beams.save_raster(np.abs(reference.amps) ** 2, intensity_path)
+    beams.save_raster(np.angle(reference.amps), phase_path)
+
+
 def cmd_beam_sim(args, cfg: dict) -> int:
+    """Score the grating (or the ideal vortex) and write BEAM_SIM_RASTERS.
+
+    Once every check has passed, one worker forked from this process builds
+    the target mode and writes intensity_target.csv and phase_target.csv,
+    while this process scores the grating, takes the azimuthal spectrum and
+    writes the two *_swg.csv rasters.  All four go to temp files in --out;
+    only after both halves succeed are they renamed, in BEAM_SIM_RASTERS
+    order, and the summary printed.  Output bytes and order are those of a
+    serial run.  On failure the temp files, and any --out directories this
+    run created, are removed, and the worker has ended before this returns.
+    """
     n, pitch = cfg["grid.n"], cfg["grid.pitch_m"]
     lam, w0, z_eval = cfg["beam.lambda_sig_m"], cfg["beam.w0_m"], cfg["swg.z_eval_m"]
     target = beams.LGIndex(p=0, l=cfg["swg.delta_l"] * cfg["swg.phase_sign"], w0=w0)
@@ -504,26 +559,51 @@ def cmd_beam_sim(args, cfg: dict) -> int:
             if cfg[name] is not None:
                 raise ConfigError(f"config key {name} = {cfg[name]!r} describes a pillar "
                                   "grating, which swg.ideal_vortex = true replaces")
-        metrics = beams.conversion_metrics(beams.make_gaussian(n, pitch, lam, w0),
-                                           beams.vortex_mask(n, pitch, target.l), target,
-                                           z_eval=z_eval)
+        design = None
     else:
         design = _design(cfg, _derived(cfg, "swg.design_lambda_m", _signal_in_lookup(cfg)))
-        metrics = beams.grating_metrics(design, lam, n, pitch, w0, z_eval)
-    # the spectrum's upsampled grids are freed before the rasters are built
-    l_values = list(range(target.l - 3, target.l + 4))
-    fractions = beams.azimuthal_spectrum(metrics.output, l_values)
-    reference = beams.make_lg(n, pitch, lam, target)
+        _check_resolves_lattice(cfg, pitch, design.lattice_a)
+    if w0 < 4.0 * pitch:
+        raise ConfigError(f"config key beam.w0_m = {w0!r} is under-sampled: it must be "
+                          f">= 4 * grid.pitch_m = {4.0 * pitch!r}")
 
-    out = _out_dir(args)
-    exports = {
-        "intensity_swg.csv": np.abs(metrics.output.amps) ** 2,
-        "phase_swg.csv": np.angle(metrics.output.amps),
-        "intensity_target.csv": np.abs(reference.amps) ** 2,
-        "phase_target.csv": np.angle(reference.amps),
-    }
-    for name, matrix in exports.items():
-        _atomic_write(out / name, lambda p, m=matrix: beams.save_raster(m, p))
+    # imported here, not at module top: only beam-sim uses them (about 20 ms)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    out = Path(args.out)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    temps = {name: _temp_path(out / name) for name in BEAM_SIM_RASTERS}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            targets = pool.submit(_write_target_rasters, n, pitch, lam, target,
+                                  temps["intensity_target.csv"], temps["phase_target.csv"])
+            if design is None:
+                metrics = beams.conversion_metrics(beams.make_gaussian(n, pitch, lam, w0),
+                                                   beams.vortex_mask(n, pitch, target.l),
+                                                   target, z_eval=z_eval)
+            else:
+                metrics = beams.grating_metrics(design, lam, n, pitch, w0, z_eval)
+            # the spectrum's upsampled grids are freed before the rasters are built
+            l_values = list(range(target.l - 3, target.l + 4))
+            fractions = beams.azimuthal_spectrum(metrics.output, l_values)
+            beams.save_raster(np.abs(metrics.output.amps) ** 2, temps["intensity_swg.csv"])
+            beams.save_raster(np.angle(metrics.output.amps), temps["phase_swg.csv"])
+            try:
+                targets.result()
+            except BrokenProcessPool as exc:  # it ended without a result: killed or exited
+                raise OSError(f"target raster worker: {exc}") from None
+        for name, tmp in temps.items():
+            os.replace(tmp, out / name)
+    except BaseException:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        for d in created:
+            with contextlib.suppress(OSError):  # not empty: another run writes there
+                d.rmdir()
+        raise
 
     print(f"fidelity_opt = {metrics.fidelity:.4f} (w0_opt = {metrics.w0_opt * 1e6:.3f} um)")
     print(f"fidelity_fixed_waist = {metrics.fidelity_fixed_waist:.4f}")

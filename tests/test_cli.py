@@ -3,9 +3,11 @@ import hashlib
 import importlib.util
 import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +421,120 @@ class TestBeamSim:
         for name in ("intensity_swg.csv", "phase_swg.csv",
                      "intensity_target.csv", "phase_target.csv"):
             assert (fast / name).read_bytes() == (slow / name).read_bytes()
+
+    def test_target_rasters_are_the_target_mode(self, tmp_path):
+        # the worker writes |LG|^2 and arg LG of the run's target mode
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 64\npitch_m = 80e-9\n[beam]\nw0_m = 1.5e-6\n"
+                       "[swg]\ndelta_l = 2\nphase_sign = -1\n")
+        out = tmp_path / "out"
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        reference = beams.make_lg(64, 80e-9, 8.4e-7, beams.LGIndex(0, -2, 1.5e-6))
+        for name, matrix in (("intensity_target.csv", np.abs(reference.amps) ** 2),
+                             ("phase_target.csv", np.angle(reference.amps))):
+            beams.save_raster(matrix, tmp_path / name)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli.BEAM_SIM_RASTERS)
+
+    @pytest.mark.parametrize("text, message", [
+        # a waist under 4 pitches, on the grating and on the ideal vortex
+        ("[grid]\npitch_m = 8e-8\n[beam]\nw0_m = 3e-7\n",
+         "config key beam.w0_m = 3e-07 is under-sampled: it must be >= 4 * grid.pitch_m "
+         "= 3.2e-07"),
+        ("[grid]\npitch_m = 8e-8\n[beam]\nw0_m = 3e-7\n[swg]\nideal_vortex = true\n",
+         "config key beam.w0_m = 3e-07 is under-sampled: it must be >= 4 * grid.pitch_m "
+         "= 3.2e-07"),
+        # a pitch that does not resolve the default lattice, one at its limit
+        # (the grating measures 360 nm a few ulps short and rejects it too) and
+        # one that does not resolve a lattice the config sets
+        ("[grid]\npitch_m = 1e-7\n",
+         "config key grid.pitch_m = 1e-07 does not resolve the pillar lattice: it must be "
+         "below swg.lattice_a_m (default 3.6e-07) / 4 = 9e-08"),
+        ("[grid]\npitch_m = 9e-8\n",
+         "config key grid.pitch_m = 9e-08 does not resolve the pillar lattice: it must be "
+         "below swg.lattice_a_m (default 3.6e-07) / 4 = 9e-08"),
+        ("[grid]\npitch_m = 1.1e-7\n[swg]\nlattice_a_m = 4e-7\n",
+         "config key grid.pitch_m = 1.1e-07 does not resolve the pillar lattice: it must be "
+         "below swg.lattice_a_m / 4 = 1e-07"),
+    ], ids=["w0-grating", "w0-vortex", "pitch-default", "pitch-at-limit", "pitch-set-lattice"])
+    def test_sampling_limits_name_their_keys(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_lattice_limit_passes_only_resolved_pitches(self):
+        # the largest pitch the edge check passes is one the grating accepts,
+        # including lattices whose measured spacing reads below lattice_a
+        cfg = {"swg.lattice_a_m": None}
+
+        def passes(pitch, lattice):
+            try:
+                cli._check_resolves_lattice(cfg, pitch, lattice)
+            except cli.ConfigError:
+                return False
+            return True
+
+        short = 0
+        for lattice in [360e-9, *np.linspace(320e-9, 1000e-9, 35).tolist()]:
+            limit = lattice / 4.0
+            layout = swg.generate_layout(swg.SWGDesign(lattice_a=lattice))
+            assert not passes(limit, lattice)
+            try:
+                swg.pillar_index(layout, 32, limit)
+            except ValueError:
+                short += 1
+            pitch = limit * (1.0 - cli._LATTICE_RTOL)
+            while not passes(pitch, lattice):
+                pitch = np.nextafter(pitch, 0.0)
+            while passes(np.nextafter(pitch, 1.0), lattice):
+                pitch = np.nextafter(pitch, 1.0)
+            swg.pillar_index(layout, 32, float(pitch))
+        assert short >= 1
+
+    @pytest.mark.parametrize("found", [False, True], ids=["new-out", "found-out"])
+    @pytest.mark.parametrize("case", ["edge", "parent-raises", "worker-raises", "worker-dies"])
+    def test_failed_run_leaves_nothing(self, tmp_path, capsys, monkeypatch, case, found):
+        save_raster = beams.save_raster
+
+        def failing_worker(matrix, path):  # the parent writes only the *_swg rasters
+            if "_target" in Path(path).name:
+                if case == "worker-dies":
+                    os._exit(3)
+                raise OSError("injected worker failure")
+            save_raster(matrix, path)
+
+        def failing_parent(*args, **kwargs):
+            raise ValueError("injected parent failure")
+
+        w0 = "3e-7" if case == "edge" else "1.5e-6"
+        if case == "parent-raises":
+            monkeypatch.setattr(beams, "azimuthal_spectrum", failing_parent)
+        elif case.startswith("worker"):
+            monkeypatch.setattr(beams, "save_raster", failing_worker)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[grid]\nn = 64\npitch_m = 80e-9\n[beam]\nw0_m = {w0}\n")
+        if found:
+            out = tmp_path / "out"
+            out.mkdir()
+            (out / "keep.txt").write_text("not beam-sim's")
+        else:
+            out = tmp_path / "new" / "out"
+        threads = threading.enumerate()
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert {"edge": "config key beam.w0_m", "parent-raises": "injected parent failure",
+                "worker-raises": "injected worker failure",
+                "worker-dies": "target raster worker"}[case] in err
+        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == threads
+        if found:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        else:
+            assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 class TestSwgGen:
@@ -921,9 +1037,28 @@ class TestEntryPoint:
         assert proc.stderr == ""
         assert (tmp_path / "out" / "response.csv").exists()
 
+    def test_module_run_of_beam_sim(self, tmp_path, capsys):
+        # the forked worker adds no warning and no second copy of stdout
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 256\npitch_m = 80e-9\n")
+        argv = ["beam-sim", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "oamsense.cli", *argv],
+            cwd=tmp_path, env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == expected
+
     def test_package_import_leaves_scipy_unloaded(self, tmp_path):
-        script = ("import sys, oamsense\n"
-                  "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        # beam-sim imports its worker pool when it runs, so neither the
+        # package nor the cli module loads it
+        script = ("import sys, oamsense, oamsense.cli\n"
+                  "lazy = ('scipy', 'multiprocessing', 'concurrent')\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] in lazy))")
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
