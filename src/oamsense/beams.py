@@ -12,7 +12,10 @@ An LG mode depends on a pixel (i, j) only through the integer key i^2 + j^2
 and the phase exp(i l phi).  The waist search of conversion_metrics uses
 this: it projects the field onto exp(i l phi) and bins it by that key once,
 after which the overlap with LG_{p,l} at any waist is a 1-D sum over the
-distinct radii of the grid instead of a full n x n mode.
+distinct radii of the grid instead of a full n x n mode.  Every mode the
+package builds has p = 0, whose Laguerre factor L_0^|l| is exactly 1, so a
+waist costs an exponential and, for l != 0, a power of sqrt(u) per radius,
+and no Laguerre evaluation.
 
 A pillar grating is scored by one pipeline, a wavelength scan of which
 grating_metrics is the one-wavelength case: swg lays out the design, re-tunes
@@ -110,11 +113,19 @@ def _check_sampling(w0: float, pitch: float) -> None:
 
 
 def _lg_radial(p: int, l: int, w0: float, r2: np.ndarray) -> np.ndarray:
-    """Unnormalized LG_{p,l} radial profile at squared radii r2 (m^2)."""
-    from scipy.special import eval_genlaguerre
+    """Unnormalized LG_{p,l} radial profile at squared radii r2 (m^2).
 
+    L_0^|l| is exactly 1, so a p = 0 mode evaluates no Laguerre polynomial:
+    exp(-r^2/w0^2) times 1.0 is the same float64, and a product of two
+    floats does not depend on their order, so every profile is bit for bit
+    the Laguerre * exp * sqrt(u)^|l| product.
+    """
+    radial = np.exp(-r2 / w0**2)
     u = 2.0 * r2 / w0**2
-    radial = eval_genlaguerre(p, abs(l), u) * np.exp(-r2 / w0**2)
+    if p != 0:
+        from scipy.special import eval_genlaguerre
+
+        radial = radial * eval_genlaguerre(p, abs(l), u)
     if l != 0:
         radial = radial * np.sqrt(u) ** abs(l)
     return radial
@@ -239,17 +250,22 @@ def _fourier_upsample(amps: np.ndarray, factor: int) -> np.ndarray:
 
     The spectrum is padded in FFT order, zeros going between its positive and
     negative frequencies, so no shifted copy of the padded array is made.
-    The inverse transform runs one axis at a time, as ifft2 does, and the
-    padded array is released after the first axis: at most two full-size
-    arrays are alive at once.
+    The inverse transform runs one axis at a time, as ifft2 does.  Only the
+    n rows that hold the spectrum are padded along axis 1 and transformed
+    there, since the inverse transform of a zero row is zero; they are then
+    scattered into the zeroed full-size array for the axis-0 pass.  With the
+    half-size padded rows and their transform, at most two full-size arrays'
+    worth of memory is alive at once.
     """
     n = amps.shape[0]
-    big = np.zeros((n * factor, n * factor), dtype=np.complex128)
-    rows = np.arange(n)
-    rows[n // 2:] += n * factor - n
-    big[np.ix_(rows, rows)] = np.fft.fft2(np.fft.ifftshift(amps))
-    up = np.fft.ifft(big, axis=1)
-    del big
+    size = n * factor
+    index = np.arange(n)
+    index[n // 2:] += size - n
+    padded = np.zeros((n, size), dtype=np.complex128)
+    padded[:, index] = np.fft.fft2(np.fft.ifftshift(amps))
+    up = np.zeros((size, size), dtype=np.complex128)
+    up[index] = np.fft.ifft(padded, axis=1)
+    del padded
     up = np.fft.ifft(up, axis=0)
     up *= factor * factor
     return np.fft.fftshift(up)
@@ -328,7 +344,7 @@ def _waist_fidelity(n: int, pitch: float, p: int, l: int):
     phase = np.exp(-1j * l * np.arctan2(offsets[:, None], offsets[None, :])) if l != 0 else None
     counts = np.bincount(keys)
     present = np.flatnonzero(counts)
-    counts = counts[present]
+    counts = counts[present].astype(np.float64)  # cast once, not in each dot
     r2 = present * pitch**2
 
     def bind(field: ScalarField):
@@ -497,6 +513,6 @@ def save_raster(matrix: np.ndarray, path) -> None:
     """Comma-separated matrix export (one grid row per line), for plotting.
 
     Each cell is written as repr(float(v)), byte for byte, by
-    table.write_table, which formats each distinct float64 bit pattern once.
+    table.write_table, which formats each distinct magnitude once.
     """
     table.write_table(path, None, np.asarray(matrix).T)

@@ -2,22 +2,37 @@
 
 Contract: each cell is written as repr(float(v)) of its value, byte for
 byte, so a file is identical to one written by a per-cell repr loop.  Each
-distinct float64 bit pattern is formatted only once and the rows are joined
-from those strings.  Bit patterns, not values, are deduplicated, so -0.0
-keeps its own text; every NaN prints as 'nan'.
+distinct magnitude (float64 bit pattern with the sign bit cleared) is
+formatted only once and the rows are joined from those strings.  A negative
+cell gets "-" before its magnitude's text, since repr(-x) == "-" + repr(x)
+for every float64 that is not NaN, -0.0 and -inf included; so -0.0 keeps
+its own text '-0.0', and every NaN, whatever its sign bit or payload,
+prints as 'nan'.  A raster of an odd function (a phase, a sine) holds each
+magnitude with both signs, so this formats about half as many values as
+one repr per bit pattern would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)  # every bit but the sign bit
+
 
 def format_cells(values) -> np.ndarray:
     """repr(float(v)) of every cell of `values`, as a str object array of its shape."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse.reshape(values.shape)]
+    mags, inverse = np.unique(values.view(np.uint64) & _MAGNITUDE, return_inverse=True)
+    text = np.array(list(map(repr, mags.view(np.float64).tolist())), dtype=object)
+    inverse = inverse.reshape(values.shape)
+    cells = text[inverse]
+    negative = np.signbit(values) & ~np.isnan(values)
+    if negative.any():
+        # one signed string per distinct negative magnitude, as many as there
+        # are negative bit patterns
+        ids, which = np.unique(inverse[negative], return_inverse=True)
+        cells[negative] = ("-" + text[ids])[which]
+    return cells
 
 
 def write_table(path, header: str | None, columns, blank=None) -> None:

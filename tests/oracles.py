@@ -6,9 +6,11 @@ scheme, mode overlaps are evaluated by dense 1-D radial quadrature, and the
 waist search of conversion_metrics is repeated on full 2-D reference modes
 instead of the library's radial projection.  Raster export and spectral
 upsampling keep their straightforward forms: one repr per cell, and the
-zero-padded spectrum built and shifted as a centred array.  The budget
-sweep, response curve and pillar layout are written row by row, with scalar
-abs and np.angle per response point.  Dataset interpolation is done one l_s
+zero-padded spectrum built and shifted as a centred array, or padded in FFT
+order with every row of the full-size array transformed.  An LG radial
+profile is the full Laguerre * exp * sqrt(u)^|l| product at every p.  The
+budget sweep, response curve and pillar layout are written row by row, with
+scalar abs and np.angle per response point.  Dataset interpolation is done one l_s
 at a time, re-sorting the branch's records and rebuilding each column for
 every query, and the noise budget one record at a time in Python floats,
 with math.sqrt and **.  The cavity dip is evaluated
@@ -117,6 +119,18 @@ def lg_radial(p: int, l: int, w0: float):
     return profile
 
 
+def lg_radial_product(p: int, l: int, w0: float, r2):
+    """Unnormalized LG_{p,l} radial profile at squared radii r2, with the
+    generalized Laguerre polynomial evaluated for every p, p = 0 included."""
+    from scipy.special import eval_genlaguerre
+
+    u = 2.0 * r2 / w0**2
+    radial = eval_genlaguerre(p, abs(l), u) * np.exp(-r2 / w0**2)
+    if l != 0:
+        radial = radial * np.sqrt(u) ** abs(l)
+    return radial
+
+
 def random_stable_model(rng, mechanics_module):
     """Random damped, stable two-mode model in order-unity units."""
     w1 = rng.uniform(1.0, 2.0)
@@ -207,6 +221,19 @@ def fourier_upsample_centred(amps, factor):
     lo = (n * factor - n) // 2
     big[lo:lo + n, lo:lo + n] = spectrum
     return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big))) * factor * factor
+
+
+def fourier_upsample_all_rows(amps, factor):
+    """Spectral zero padding in FFT order into the full-size array, whose
+    every row, the zero ones too, goes through the axis-1 inverse transform."""
+    n = amps.shape[0]
+    big = np.zeros((n * factor, n * factor), dtype=np.complex128)
+    rows = np.arange(n)
+    rows[n // 2:] += n * factor - n
+    big[np.ix_(rows, rows)] = np.fft.fft2(np.fft.ifftshift(amps))
+    up = np.fft.ifft(np.fft.ifft(big, axis=1), axis=0)
+    up *= factor * factor
+    return np.fft.fftshift(up)
 
 
 def mode_record(**fields):

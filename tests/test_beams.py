@@ -11,9 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 from oamsense import beams, swg
 from oracles import (
+    fourier_upsample_all_rows,
     fourier_upsample_centred,
     grid_conversion_metrics,
     lg_radial,
+    lg_radial_product,
     radial_fidelity,
     save_raster_per_cell,
 )
@@ -109,6 +111,22 @@ class TestModeSynthesis:
         with pytest.raises(ValueError, match="power of two"):
             beams.ScalarField(n=48, pitch=PITCH, lam=LAM,
                               amps=np.zeros((48, 48), dtype=complex))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0, 1, 2]), st.integers(-10, 10), st.floats(1e-9, 1e-4),
+           hnp.arrays(np.float64, st.integers(0, 50), elements=st.floats(0.0, 1e-6)))
+    def test_lg_radial_matches_laguerre_product(self, p, l, w0, r2):
+        # bit for bit, not to a tolerance: p = 0 skips a factor of exactly 1
+        bits = beams._lg_radial(p, l, w0, r2).view(np.uint64)
+        assert np.array_equal(bits, lg_radial_product(p, l, w0, r2).view(np.uint64))
+
+    def test_laguerre_p0_is_exactly_one(self):
+        from scipy.special import eval_genlaguerre
+
+        u = np.concatenate([[0.0, np.finfo(np.float64).max, np.inf],
+                            np.geomspace(5e-324, 1e308, 20_000), np.linspace(0.0, 1e3, 20_000)])
+        for alpha in range(61):
+            assert np.all(eval_genlaguerre(0, alpha, u) == 1.0), alpha
 
 
 class TestMasks:
@@ -295,6 +313,16 @@ class TestAzimuthalSpectrum:
         fracs = beams.azimuthal_spectrum(out, ls)
         monkeypatch.setattr(beams, "_fourier_upsample", fourier_upsample_centred)
         assert np.array_equal(fracs, beams.azimuthal_spectrum(out, ls))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([32, 64, 128]), st.sampled_from([1, 2, 3]),
+           st.integers(0, 2**32 - 1), st.floats(1e-6, 1e6))
+    def test_upsample_matches_all_row_transform(self, n, factor, seed, scale):
+        rng = np.random.default_rng(seed)
+        amps = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        up = beams._fourier_upsample(amps, factor)
+        assert np.array_equal(up.view(np.uint64),
+                              fourier_upsample_all_rows(amps, factor).view(np.uint64))
 
 
 class TestConversionMetrics:

@@ -11,6 +11,8 @@ from oamsense import table
 @example(np.array([0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
                    0xFFF8000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
                    0x0000000000000001, 0x800FFFFFFFFFFFFF], dtype=np.uint64))
+@example(np.array([[0x3FF8000000000000, 0x7FF8000000000000],
+                   [0xFFF8000000000000, 0xBFF8000000000000]], dtype=np.uint64))
 def test_format_cells_is_repr_of_every_bit_pattern(bits):
     values = bits.view(np.float64)
     text = table.format_cells(values)
