@@ -15,7 +15,11 @@ after which the overlap with LG_{p,l} at any waist is a 1-D sum over the
 distinct radii of the grid instead of a full n x n mode.  Every mode the
 package builds has p = 0, whose Laguerre factor L_0^|l| is exactly 1, so a
 waist costs an exponential and, for l != 0, a power of sqrt(u) per radius,
-and no Laguerre evaluation.
+and no Laguerre evaluation.  The search over the waist is Brent's
+parabolic-interpolation method, written here rather than imported from
+scipy.optimize, whose import alone outlasts a scored field: it places a
+peak of the smooth F(w0) inside its bracket to sqrt(eps) in 11-20
+evaluations, and one beyond an end on that end in about 40.
 
 A pillar grating is scored by one pipeline, a wavelength scan of which
 grating_metrics is the one-wavelength case: swg lays out the design, re-tunes
@@ -245,30 +249,43 @@ def fidelity(field: ScalarField, reference: ScalarField) -> float:
     return min(float(np.abs(overlap) ** 2), 1.0)
 
 
+_BLOCK = 64  # rows, columns or radii per block of the spectrum's passes
+
+
 def _fourier_upsample(amps: np.ndarray, factor: int) -> np.ndarray:
     """Band-limited upsampling by spectral zero padding.
 
     The spectrum is padded in FFT order, zeros going between its positive and
     negative frequencies, so no shifted copy of the padded array is made.
-    The inverse transform runs one axis at a time, as ifft2 does.  Only the
-    n rows that hold the spectrum are padded along axis 1 and transformed
-    there, since the inverse transform of a zero row is zero; they are then
-    scattered into the zeroed full-size array for the axis-0 pass.  With the
-    half-size padded rows and their transform, at most two full-size arrays'
-    worth of memory is alive at once.
+    The inverse transform runs one axis at a time, as ifft2 does, in blocks
+    written into the one full-size array, so that array and the n x n
+    spectrum are the only large ones alive.  Along axis 1 only the n rows
+    that hold the spectrum are padded and transformed, a block of rows at a
+    time, since the inverse transform of a zero row is zero; each block is
+    stored with its column halves swapped.  Along axis 0 each block of
+    columns is transformed and stored with its row halves swapped.  Together
+    the swaps are the fftshift, and each 1-D transform is the one a
+    whole-array pass makes, so the result is the same bit for bit.
     """
     n = amps.shape[0]
     size = n * factor
+    half = size // 2
     index = np.arange(n)
     index[n // 2:] += size - n
-    padded = np.zeros((n, size), dtype=np.complex128)
-    padded[:, index] = np.fft.fft2(np.fft.ifftshift(amps))
+    spectrum = np.fft.fft2(np.fft.ifftshift(amps))
     up = np.zeros((size, size), dtype=np.complex128)
-    up[index] = np.fft.ifft(padded, axis=1)
-    del padded
-    up = np.fft.ifft(up, axis=0)
-    up *= factor * factor
-    return np.fft.fftshift(up)
+    rows = min(_BLOCK, n // 2)  # a block never straddles the two spectrum halves
+    for r in range(0, n, rows):
+        padded = np.zeros((rows, size), dtype=np.complex128)
+        padded[:, index] = spectrum[r:r + rows]
+        up[index[r]:index[r] + rows] = np.fft.fftshift(np.fft.ifft(padded, axis=1), axes=1)
+    del spectrum, padded
+    for c in range(0, size, _BLOCK):
+        block = slice(c, c + _BLOCK)
+        t = np.fft.ifft(up[:, block], axis=0)
+        t *= factor * factor
+        up[:half, block], up[half:, block] = t[half:], t[:half]
+    return up
 
 
 def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
@@ -277,7 +294,9 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
     The field is band-limit upsampled and resampled onto polar rings about
     the grid centre; an FFT along the angle projects out the harmonics, and
     ring powers are summed radially.  Fractions are relative to the field's
-    total power, so they sum to <= 1 over any set of orders.
+    total power, so they sum to <= 1 over any set of orders.  The rings are
+    sampled a block of radii at a time, and only the harmonics asked for
+    are kept.
     """
     from scipy.ndimage import map_coordinates
 
@@ -295,49 +314,123 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
     n_r = n // 2 - 1
     radii = (np.arange(n_r) + 0.5) * pitch
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    rr = radii[:, None]
-    cols = rr * np.cos(theta)[None, :] / pitch + n // 2
-    rows = rr * np.sin(theta)[None, :] / pitch + n // 2
-    coords = np.stack([rows.ravel(), cols.ravel()])
-    polar = (
-        map_coordinates(amps.real, coords, order=1, mode="nearest")
-        + 1j * map_coordinates(amps.imag, coords, order=1, mode="nearest")
-    ).reshape(n_r, n_theta)
-    coeffs = np.fft.fft(polar, axis=1) / n_theta
+    harmonics = l_values % n_theta
+    a_l = np.empty((len(l_values), n_r), dtype=np.complex128)  # a_l(r), one row per order
+    for r in range(0, n_r, _BLOCK):
+        rr = radii[r:r + _BLOCK, None]
+        cols = rr * np.cos(theta)[None, :] / pitch + n // 2
+        rows = rr * np.sin(theta)[None, :] / pitch + n // 2
+        coords = np.stack([rows.ravel(), cols.ravel()])
+        polar = (
+            map_coordinates(amps.real, coords, order=1, mode="nearest")
+            + 1j * map_coordinates(amps.imag, coords, order=1, mode="nearest")
+        ).reshape(len(rr), n_theta)
+        coeffs = np.fft.fft(polar, axis=1) / n_theta
+        a_l[:, r:r + _BLOCK] = coeffs[:, harmonics].T
     # power in order l: 2 pi * integral |a_l(r)|^2 r dr
     ring_weight = 2.0 * math.pi * radii * pitch
     fractions = np.empty(len(l_values))
-    for i, l in enumerate(l_values):
-        a_l = coeffs[:, l % n_theta]
-        fractions[i] = float(np.sum(np.abs(a_l) ** 2 * ring_weight)) / total
+    for i in range(len(l_values)):
+        fractions[i] = float(np.sum(np.abs(a_l[i]) ** 2 * ring_weight)) / total
     return fractions
 
 
-def _golden_section(fun, lo: float, hi: float, iters: int = 60) -> float:
-    """Deterministic golden-section minimizer on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _brent_min(fun, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize fun over [lo, hi], 0 < lo < hi, returning (x, fun(x)).
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5), the loop of scipy.optimize.fminbound: each
+    step is the vertex of the parabola through the three best points so far,
+    or a golden-section step into the larger side of the bracket when the
+    parabola falls outside it or does not halve the step before last.  The
+    bracket [a, b] always holds the minimum of a function that is
+    single-minimum on [lo, hi].  The search stops once both ends lie within
+    2 * sqrt(eps) * |x| of the best point x, the spacing below which float64
+    values of a smooth function no longer order points near its minimum.
+
+    One step is added to fminbound's loop: the first time the parabola is
+    refused while x lies within 2 * tol of one end, the step is tol toward
+    the other, which closes the bracket if x is the minimum.  Parabolas
+    fitted to values at the float64 floor then fall just outside the near
+    end, and golden steps would take a dozen more evaluations to bring the
+    far end in.  The steps stay at least tol = sqrt(eps) * |x| inside
+    (lo, hi); an end of [lo, hi] that the bracket never left is then
+    evaluated itself, since a minimum beyond it lies there, so that such a
+    search ends on the edge exactly.  The steps depend only on the values
+    of fun, so a repeat call returns the same floats.
+    """
     a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
+    x = w = v = a + _GOLDEN * (b - a)  # best, second best and previous w
+    fx = fw = fv = fun(x)
+    d = e = 0.0  # the last step and the one before it
+    probed = False
+    while True:
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if x <= m else -tol  # no evaluation next to an end
+        if golden and not probed and min(x - a, b - x) <= 2.0 * tol:
+            probed = True  # once, so a run of such steps cannot crawl
+            d = e = tol if x <= m else -tol
+        elif golden:
+            e = a - x if x >= m else b - x
+            d = _GOLDEN * e
+        step = max(abs(d), tol)
+        u = x - step if d < 0.0 else x + step
+        fu = fun(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    for end in (lo, hi):
+        if end in (a, b):
+            f_end = fun(end)
+            if f_end < fx:
+                x, fx = end, f_end
+    return x, fx
 
 
 def _waist_fidelity(n: int, pitch: float, p: int, l: int):
-    """_lg_fidelity_by_waist split at the field: bind(field) returns fid(w0).
+    """fidelity(field, make_lg(..., LGIndex(p, l, w0))) as a function of w0,
+    split at the field: bind(field) returns fid(w0).
 
-    The pixel keys, the count and squared radius of each key present and the
-    exp(-i l phi) projection depend only on the grid and l; they are built
-    here once, and bind projects and bins each field.
+    The field is projected onto exp(i l phi) and binned by the integer key
+    i^2 + j^2 of its pixel offsets once; each waist then costs one sum over
+    the distinct keys: the overlap sum(radial * proj) and the reference power
+    sum(count * radial^2).  The pixel keys, the count and squared radius of
+    each key present and the exp(-i l phi) projection depend only on the
+    grid and l; they are built here once, and bind projects and bins each
+    field.
     """
     offsets = np.arange(n) - n // 2
     keys = (offsets[:, None] ** 2 + offsets[None, :] ** 2).ravel()
@@ -369,17 +462,6 @@ def _waist_fidelity(n: int, pitch: float, p: int, l: int):
     return bind
 
 
-def _lg_fidelity_by_waist(field: ScalarField, p: int, l: int):
-    """fidelity(field, make_lg(..., LGIndex(p, l, w0))) as a function of w0.
-
-    The field is projected onto exp(i l phi) and binned by the integer key
-    i^2 + j^2 of its pixel offsets once; each waist then costs one sum over
-    the distinct keys: the overlap sum(radial * proj) and the reference power
-    sum(count * radial^2).
-    """
-    return _waist_fidelity(field.n, field.pitch, p, l)(field)
-
-
 @dataclass(frozen=True)
 class ConversionMetrics:
     """Mode-conversion scores: waist-optimized fidelity, fidelity at the
@@ -403,7 +485,8 @@ def _scorer(field_in: ScalarField, target: LGIndex, z_eval: float):
 
     The input power and the radial bins of the waist search are built once.
     score applies the mask to the input's amplitudes at wavelength lam, the
-    one propagate reads.
+    one propagate reads, and maximizes the fidelity over the waist with
+    _brent_min, which returns the fidelity at its optimum along with it.
     """
     p_in = field_in.total_power()
     by_waist = _waist_fidelity(field_in.n, field_in.pitch, target.p, target.l)
@@ -417,8 +500,8 @@ def _scorer(field_in: ScalarField, target: LGIndex, z_eval: float):
             out = propagate(out, z_eval)
         fid = by_waist(out)
         f_fixed = fid(target.w0)
-        w_opt = _golden_section(lambda w: -fid(w), lo, 3.0 * target.w0)
-        f_opt = fid(w_opt)
+        w_opt, f_neg = _brent_min(lambda w: -fid(w), lo, 3.0 * target.w0)
+        f_opt = -f_neg
         if f_fixed > f_opt:  # keep the better of the two ends of the search
             f_opt, w_opt = f_fixed, target.w0
         return ConversionMetrics(
@@ -443,8 +526,9 @@ def conversion_metrics(
 
     The mask is applied, the field optionally propagated by z_eval, and the
     fidelity against LG_{p,l} evaluated.  The reference waist is optimized by
-    golden-section search over [0.3, 3] x target.w0 (the fixed-waist value is
-    reported alongside).  t_swg is output power over input power.
+    Brent's method over [0.3, 3] x target.w0, to sqrt(eps) relative (the
+    fixed-waist value is reported alongside, and wins if it is the higher).
+    t_swg is output power over input power.
 
     The fidelity equals fidelity(out, make_lg(...)) but is computed by radial
     projection: the output field is binned once by pixel radius after

@@ -3,19 +3,20 @@
 These deliberately avoid the library's fast code paths: the coupled-mode
 response is integrated in the time domain with a fixed-step fourth-order
 scheme, mode overlaps are evaluated by dense 1-D radial quadrature, and the
-waist search of conversion_metrics is repeated on full 2-D reference modes
-instead of the library's radial projection.  Raster export and spectral
-upsampling keep their straightforward forms: one repr per cell, and the
-zero-padded spectrum built and shifted as a centred array, or padded in FFT
-order with every row of the full-size array transformed.  An LG radial
-profile is the full Laguerre * exp * sqrt(u)^|l| product at every p.  The
-budget sweep, response curve and pillar layout are written row by row, with
-scalar abs and np.angle per response point.  Dataset interpolation is done one l_s
-at a time, re-sorting the branch's records and rebuilding each column for
-every query, and the noise budget one record at a time in Python floats,
-with math.sqrt and **.  The cavity dip is evaluated
-point by point for finite-difference slopes, and an exported pillar layout
-is read back with np.loadtxt.
+waist search of conversion_metrics is repeated as a fixed golden section,
+on the radial projection or on full 2-D reference modes.  Raster export and
+spectral upsampling keep their straightforward forms: one repr per cell,
+and the zero-padded spectrum built and shifted as a centred array, or
+padded in FFT order with every row of the full-size array transformed; the
+azimuthal spectrum samples every ring at once and keeps every harmonic.
+An LG radial profile is the full Laguerre * exp * sqrt(u)^|l| product at
+every p.  The budget sweep, response curve and pillar layout are written
+row by row, with scalar abs and np.angle per response point.  Dataset
+interpolation is done one l_s at a time, re-sorting the branch's records
+and rebuilding each column for every query, and the noise budget one
+record at a time in Python floats, with math.sqrt and **.  The cavity dip
+is evaluated point by point for finite-difference slopes, and an exported
+pillar layout is read back with np.loadtxt.
 """
 
 from __future__ import annotations
@@ -144,12 +145,54 @@ def random_stable_model(rng, mechanics_module):
     )
 
 
+def golden_section(fun, lo: float, hi: float, iters: int = 60) -> float:
+    """Deterministic golden-section minimizer on [lo, hi]: the bracket shrinks
+    by 1/phi per evaluation, 62 evaluations in all, whatever fun is."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def lg_fidelity_by_waist(field, p: int, l: int):
+    """fidelity(field, make_lg(..., LGIndex(p, l, w0))) as a function of w0,
+    by the library's radial projection of one field."""
+    from oamsense import beams
+
+    return beams._waist_fidelity(field.n, field.pitch, p, l)(field)
+
+
+def golden_section_waist(fid, target, pitch):
+    """The waist search of conversion_metrics done by golden section: fid(w0)
+    maximized over [max(0.3 w0, 4 pitch), 3 w0] about target.w0, the
+    fixed-waist value kept when it is the better of the two.  Returns
+    (fidelity, fidelity_fixed_waist, w0_opt)."""
+    f_fixed = fid(target.w0)
+    lo = max(0.3 * target.w0, 4.0 * pitch)
+    w_opt = golden_section(lambda w: -fid(w), lo, 3.0 * target.w0)
+    f_opt = fid(w_opt)
+    if f_fixed > f_opt:
+        f_opt, w_opt = f_fixed, target.w0
+    return f_opt, f_fixed, w_opt
+
+
 def grid_conversion_metrics(field_in, mask, target):
     """conversion_metrics (z_eval = 0) scoring each waist on a full 2-D grid.
 
-    Every waist of the same golden-section search builds LG_{p,l} with
-    make_lg and overlaps it with beams.fidelity, pixel by pixel.  Returns
-    (fidelity, fidelity_fixed_waist, w0_opt).
+    Every waist of a golden-section search builds LG_{p,l} with make_lg and
+    overlaps it with beams.fidelity, pixel by pixel.  Returns (fidelity,
+    fidelity_fixed_waist, w0_opt).
     """
     from oamsense import beams
 
@@ -159,13 +202,7 @@ def grid_conversion_metrics(field_in, mask, target):
         ref = beams.make_lg(out.n, out.pitch, out.lam, beams.LGIndex(target.p, target.l, w0))
         return beams.fidelity(out, ref)
 
-    f_fixed = fid(target.w0)
-    lo = max(0.3 * target.w0, 4.0 * field_in.pitch)
-    w_opt = beams._golden_section(lambda w: -fid(w), lo, 3.0 * target.w0)
-    f_opt = fid(w_opt)
-    if f_fixed > f_opt:
-        f_opt, w_opt = f_fixed, target.w0
-    return f_opt, f_fixed, w_opt
+    return golden_section_waist(fid, target, field_in.pitch)
 
 
 def save_raster_per_cell(matrix, path) -> None:
@@ -234,6 +271,39 @@ def fourier_upsample_all_rows(amps, factor):
     up = np.fft.ifft(np.fft.ifft(big, axis=1), axis=0)
     up *= factor * factor
     return np.fft.fftshift(up)
+
+
+def azimuthal_spectrum_whole(field, l_values):
+    """beams.azimuthal_spectrum with every step done on whole arrays: the
+    all-row upsampling, every polar sample of every ring in one
+    map_coordinates call per part, and the FFT of every ring kept."""
+    from scipy.ndimage import map_coordinates
+
+    l_values = np.asarray(list(l_values), dtype=int)
+    total = field.total_power()
+    n_theta = 1024
+    up = 2 if field.n <= 2048 else 1
+    amps = fourier_upsample_all_rows(field.amps, up) if up > 1 else field.amps
+    n = field.n * up
+    pitch = field.pitch / up
+    n_r = n // 2 - 1
+    radii = (np.arange(n_r) + 0.5) * pitch
+    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    rr = radii[:, None]
+    cols = rr * np.cos(theta)[None, :] / pitch + n // 2
+    rows = rr * np.sin(theta)[None, :] / pitch + n // 2
+    coords = np.stack([rows.ravel(), cols.ravel()])
+    polar = (
+        map_coordinates(amps.real, coords, order=1, mode="nearest")
+        + 1j * map_coordinates(amps.imag, coords, order=1, mode="nearest")
+    ).reshape(n_r, n_theta)
+    coeffs = np.fft.fft(polar, axis=1) / n_theta
+    ring_weight = 2.0 * math.pi * radii * pitch
+    fractions = np.empty(len(l_values))
+    for i, l in enumerate(l_values):
+        a_l = coeffs[:, l % n_theta]
+        fractions[i] = float(np.sum(np.abs(a_l) ** 2 * ring_weight)) / total
+    return fractions
 
 
 def mode_record(**fields):

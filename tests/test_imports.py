@@ -1,7 +1,11 @@
 """Package import hygiene: every dependency between oamsense modules is a
-module-level import, so the import graph can be read off the module tops."""
+module-level import, so the import graph can be read off the module tops,
+and scoring a field imports no scipy.optimize."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import oamsense
@@ -57,3 +61,19 @@ def test_module_graph_has_no_cycle():
     assert graph["beams"] >= {"swg", "table"}
     assert _closure(graph, "swg") == {"table"}
     assert [m for m in graph if m in _closure(graph, m)] == []
+
+
+def test_waist_search_does_not_import_scipy_optimize():
+    # the waist search is in-house: scipy.optimize costs 80-140 ms to import
+    code = (
+        "import sys\n"
+        "from oamsense import beams\n"
+        "gauss = beams.make_gaussian(64, 100e-9, 840e-9, 1.5e-6)\n"
+        "beams.conversion_metrics(gauss, beams.vortex_mask(64, 100e-9, 1),\n"
+        "                         beams.LGIndex(0, 1, 1.5e-6))\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+    )
+    src = str(Path(oamsense.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
