@@ -164,19 +164,6 @@ def vortex_mask(n: int, pitch: float, delta_l: int) -> np.ndarray:
     return np.exp(1j * delta_l * np.arctan2(yy, xx))
 
 
-def staircase_vortex_mask(n: int, pitch: float, delta_l: int, levels: int = 11) -> np.ndarray:
-    """Spiral phase mask quantized to uniformly spaced discrete levels.
-
-    The leading azimuthal order of a `levels`-step staircase carries a power
-    fraction sinc^2(pi / levels) of an input without azimuthal structure.
-    """
-    xx, yy = _grids(n, pitch)
-    phi = np.mod(delta_l * np.arctan2(yy, xx), 2.0 * math.pi)
-    step = 2.0 * math.pi / levels
-    quantized = np.round(phi / step) % levels * step
-    return np.exp(1j * quantized)
-
-
 def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
     """Pixel-wise product of a field with a transmission mask."""
     mask = np.asarray(mask)

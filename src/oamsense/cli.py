@@ -14,19 +14,21 @@ designs at beam.lambda_sig_m, and only beam-sim reads swg.design_lambda_m;
 beam-sim's ideal vortex builds no pillar grating, so it exits 2 if
 swg.aperture_d_m, swg.lattice_a_m or swg.design_lambda_m is set.  The
 exception: with the bundled lookup, swg-gen's layout is the same at every
-beam.lambda_sig_m.  Every output is a comma-separated table written atomically
-(temp file + rename) under --out; each float cell reads as repr(float(v)),
+beam.lambda_sig_m.
+
+Every output is a comma-separated table, each float cell repr(float(v)),
 written by table.write_table (gm_fit.csv, whose error rows carry text, is
 written line by line here).  A fixed config yields byte-identical outputs.
+Every subcommand commits its output set the same way, through _outputs: it
+writes each file to a temp file in --out, and only once the whole set is
+written renames them, in a fixed order.  A failed run exits 2 leaving no
+output, no temp file and no --out directory that it created.
 
 beam-sim runs in two halves on two cores: one worker forked after the config
 checks builds the target mode and writes intensity_target.csv and
 phase_target.csv, while this process scores the grating, takes the azimuthal
-spectrum and writes intensity_swg.csv and phase_swg.csv.  All four are temp
-files until both halves succeed; then this process renames them in that order
-and prints the summary, so the output bytes and order are those of a serial
-run.  A failed beam-sim exits 2 leaving no raster, no temp file and no --out
-directory that it created.
+spectrum and writes intensity_swg.csv and phase_swg.csv.  The worker has
+ended before the set is renamed or removed.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import itertools
 import math
 import os
 import secrets
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -286,6 +289,15 @@ def _load_cfg_dataset(cfg: dict) -> device.DeviceDataset:
     return device.load_dataset(raw)
 
 
+def _check_ncav_power(cfg: dict, key: str, n_cav: float,
+                      readout: noise.OpticalReadout) -> None:
+    """Raise ConfigError naming `key` if the detected power tied to n_cav
+    (noise.detected_power_for_ncav) underflows to 0."""
+    if not noise.detected_power_for_ncav(readout, n_cav) > 0.0:
+        raise ConfigError(f"config key {key} = {cfg[key]!r} gives a detected power "
+                          "n_cav * hbar * omega0 * kappa that underflows to 0")
+
+
 def _readout(cfg: dict) -> noise.OpticalReadout:
     p_det_auto = cfg["readout.p_det_w"] == "auto"
     n_cav = cfg["readout.n_cav"]
@@ -301,6 +313,7 @@ def _readout(cfg: dict) -> noise.OpticalReadout:
     if p_det_auto:
         if n_cav <= 0.0:
             raise ConfigError("readout.p_det_w = auto requires readout.n_cav > 0")
+        _check_ncav_power(cfg, "readout.n_cav", n_cav, readout)
         readout = noise.readout_at_ncav(readout, n_cav)
     return readout
 
@@ -342,30 +355,31 @@ def _ls_grid(cfg: dict, dataset: device.DeviceDataset, branch: str) -> np.ndarra
     return np.linspace(ls_min, ls_max, round(steps) + 1)
 
 
-def _temp_path(path: Path) -> Path:
-    """A temp file name beside path, unique to this call.
+@contextlib.contextmanager
+def _outputs(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
+    """Commit one run's output set: yield {name: temp path in out}, then
+    rename every temp file to out / name, in the order of names.
 
-    It sits in the target directory, so concurrent runs into one directory
-    do not collide and the rename to path is atomic.
+    Each temp name is unique to this call and sits in out itself, so
+    concurrent runs into one directory do not collide and each rename is
+    atomic.  If anything fails (BaseException) before the renames, every
+    temp file and every directory this call created for out is removed, and
+    the exception propagates.
     """
-    return path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-
-
-def _atomic_write(path: Path, writer) -> None:
-    """Run writer on a _temp_path of path, then rename it to path; the temp
-    file is removed if the writer fails."""
-    tmp = _temp_path(path)
+    created = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
+    temps = {name: out / f"{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp" for name in names}
     try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # a no-op once renamed
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        out.mkdir(parents=True, exist_ok=True)
+        yield temps
+        for name, tmp in temps.items():
+            os.replace(tmp, out / name)
+    except BaseException:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        for d in created:  # deepest first
+            with contextlib.suppress(OSError):  # not empty: another run writes there
+                d.rmdir()
+        raise
 
 
 def cmd_mech_response(args, cfg: dict) -> int:
@@ -394,8 +408,8 @@ def cmd_mech_response(args, cfg: dict) -> int:
     omega = TWO_PI * np.linspace(f_min, f_max, cfg["mechanics.n_points"])
     curve = mechanics.response_curve(model, cfg["mechanics.f_d_n"], omega)
 
-    out = _out_dir(args)
-    _atomic_write(out / "response.csv", lambda p: mechanics.save_response_curve(curve, p))
+    with _outputs(args.out, ["response.csv"]) as temps:
+        mechanics.save_response_curve(curve, temps["response.csv"])
 
     if g_m == 0.0:
         print("warning: g_m = 0, nanobeam response x2 is identically zero", file=sys.stderr)
@@ -409,7 +423,7 @@ def cmd_mech_response(args, cfg: dict) -> int:
     for i in peaks:
         amp = abs(curve.x2[i]) if label == "x2" else abs(curve.x1[i])
         print(f"{float(curve.omega[i]) / TWO_PI!r},{float(amp)!r}")
-    print(f"wrote {out / 'response.csv'}")
+    print(f"wrote {args.out / 'response.csv'}")
     return 0
 
 
@@ -448,16 +462,13 @@ def _ls_sweep(cfg: dict, t_k_default: float, beam: noise.SignalBeam,
 
 def cmd_noise_sweep(args, cfg: dict) -> int:
     sweep = _ls_sweep(cfg, 4.0, _beam(cfg, noise.CwModulation()))
-    out = _out_dir(args)
-    _atomic_write(
-        out / "noise_sweep.csv",
-        lambda p: noise.write_budget_sweep(p, "l_s_um", sweep.grid, sweep.budgets),
-    )
+    with _outputs(args.out, ["noise_sweep.csv"]) as temps:
+        noise.write_budget_sweep(temps["noise_sweep.csv"], "l_s_um", sweep.grid, sweep.budgets)
     i = int(np.argmin(sweep.budgets.tau_min))
     print("# minimum of tau_min over the sweep")
     print(noise.BUDGET_SWEEP_HEADER)
     print(noise.budget_row(sweep.grid[i], sweep.budgets.at(i)))
-    print(f"wrote {out / 'noise_sweep.csv'}")
+    print(f"wrote {args.out / 'noise_sweep.csv'}")
     return 0
 
 
@@ -469,24 +480,21 @@ def cmd_pulse_budget(args, cfg: dict) -> int:
     l_s0 = cfg["sweep.l_s_ncav_um"]
     ncav_grid = np.logspace(math.log10(cfg["sweep.n_cav_min"]),
                             math.log10(cfg["sweep.n_cav_max"]), cfg["sweep.n_cav_points"])
+    for key, n_cav in (("sweep.n_cav_min", ncav_grid[0]), ("sweep.n_cav_max", ncav_grid[-1])):
+        _check_ncav_power(cfg, key, n_cav, sweep.readout)
     scan = noise.optimize_ncav(sweep.mode_at("sweep.l_s_ncav_um", l_s0), sweep.readout,
                                sweep.t_k, beam, ncav_grid, bandwidth_hz=bandwidth)
 
-    out = _out_dir(args)
-    _atomic_write(
-        out / "pulse_ls_sweep.csv",
-        lambda p: noise.write_budget_sweep(p, "l_s_um", grid, budgets),
-    )
-    _atomic_write(
-        out / "pulse_ncav_sweep.csv",
-        lambda p: noise.write_budget_sweep(p, "n_cav", scan.n_cav, scan.budgets),
-    )
+    with _outputs(args.out, ["pulse_ls_sweep.csv", "pulse_ncav_sweep.csv"]) as temps:
+        noise.write_budget_sweep(temps["pulse_ls_sweep.csv"], "l_s_um", grid, budgets)
+        noise.write_budget_sweep(temps["pulse_ncav_sweep.csv"], "n_cav", scan.n_cav,
+                                 scan.budgets)
     i = int(np.argmin(budgets.n_min))
     print(f"n_min over l_s: minimum {budgets.n_min[i]:.4g} photons/pulse "
           f"at l_s = {grid[i]:g} um")
     print(f"n_min over n_cav (l_s = {l_s0:g} um): minimum {scan.best_n_min:.4g} "
           f"photons/pulse at n_cav = {scan.best_n_cav:.4g}")
-    print(f"wrote {out / 'pulse_ls_sweep.csv'} and {out / 'pulse_ncav_sweep.csv'}")
+    print(f"wrote {args.out / 'pulse_ls_sweep.csv'} and {args.out / 'pulse_ncav_sweep.csv'}")
     return 0
 
 
@@ -545,11 +553,8 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     Once every check has passed, one worker forked from this process builds
     the target mode and writes intensity_target.csv and phase_target.csv,
     while this process scores the grating, takes the azimuthal spectrum and
-    writes the two *_swg.csv rasters.  All four go to temp files in --out;
-    only after both halves succeed are they renamed, in BEAM_SIM_RASTERS
-    order, and the summary printed.  Output bytes and order are those of a
-    serial run.  On failure the temp files, and any --out directories this
-    run created, are removed, and the worker has ended before this returns.
+    writes the two *_swg.csv rasters.  The pool exits, joining the worker,
+    before _outputs renames the set or removes it.
     """
     n, pitch = cfg["grid.n"], cfg["grid.pitch_m"]
     lam, w0, z_eval = cfg["beam.lambda_sig_m"], cfg["beam.w0_m"], cfg["swg.z_eval_m"]
@@ -572,38 +577,25 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    out = Path(args.out)
-    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
-    temps = {name: _temp_path(out / name) for name in BEAM_SIM_RASTERS}
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            targets = pool.submit(_write_target_rasters, n, pitch, lam, target,
-                                  temps["intensity_target.csv"], temps["phase_target.csv"])
-            if design is None:
-                metrics = beams.conversion_metrics(beams.make_gaussian(n, pitch, lam, w0),
-                                                   beams.vortex_mask(n, pitch, target.l),
-                                                   target, z_eval=z_eval)
-            else:
-                metrics = beams.grating_metrics(design, lam, n, pitch, w0, z_eval)
-            # the spectrum's upsampled grids are freed before the rasters are built
-            l_values = list(range(target.l - 3, target.l + 4))
-            fractions = beams.azimuthal_spectrum(metrics.output, l_values)
-            beams.save_raster(np.abs(metrics.output.amps) ** 2, temps["intensity_swg.csv"])
-            beams.save_raster(np.angle(metrics.output.amps), temps["phase_swg.csv"])
-            try:
-                targets.result()
-            except BrokenProcessPool as exc:  # it ended without a result: killed or exited
-                raise OSError(f"target raster worker: {exc}") from None
-        for name, tmp in temps.items():
-            os.replace(tmp, out / name)
-    except BaseException:
-        for tmp in temps.values():
-            tmp.unlink(missing_ok=True)
-        for d in created:
-            with contextlib.suppress(OSError):  # not empty: another run writes there
-                d.rmdir()
-        raise
+    with (_outputs(args.out, BEAM_SIM_RASTERS) as temps,
+          ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool):
+        targets = pool.submit(_write_target_rasters, n, pitch, lam, target,
+                              temps["intensity_target.csv"], temps["phase_target.csv"])
+        if design is None:
+            metrics = beams.conversion_metrics(beams.make_gaussian(n, pitch, lam, w0),
+                                               beams.vortex_mask(n, pitch, target.l),
+                                               target, z_eval=z_eval)
+        else:
+            metrics = beams.grating_metrics(design, lam, n, pitch, w0, z_eval)
+        # the spectrum's upsampled grids are freed before the rasters are built
+        l_values = list(range(target.l - 3, target.l + 4))
+        fractions = beams.azimuthal_spectrum(metrics.output, l_values)
+        beams.save_raster(np.abs(metrics.output.amps) ** 2, temps["intensity_swg.csv"])
+        beams.save_raster(np.angle(metrics.output.amps), temps["phase_swg.csv"])
+        try:
+            targets.result()
+        except BrokenProcessPool as exc:  # it ended without a result: killed or exited
+            raise OSError(f"target raster worker: {exc}") from None
 
     print(f"fidelity_opt = {metrics.fidelity:.4f} (w0_opt = {metrics.w0_opt * 1e6:.3f} um)")
     print(f"fidelity_fixed_waist = {metrics.fidelity_fixed_waist:.4f}")
@@ -612,20 +604,20 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     print("l,power_fraction")
     for l, frac in zip(l_values, fractions):
         print(f"{l},{frac:.6f}")
-    print(f"wrote rasters in {out}")
+    print(f"wrote rasters in {args.out}")
     return 0
 
 
 def cmd_swg_gen(args, cfg: dict) -> int:
     design = _design(cfg, _signal_in_lookup(cfg))
     layout = swg.generate_layout(design)
-    out = _out_dir(args)
-    _atomic_write(out / "layout.csv", lambda p: swg.export_layout(layout, p))
+    with _outputs(args.out, ["layout.csv"]) as temps:
+        swg.export_layout(layout, temps["layout.csv"])
     print(f"sites: {len(layout)} (area estimate {swg.expected_site_count(design):.0f})")
     print("diameter_nm,count")
     for d, count in zip(*np.unique(layout.diameter, return_counts=True)):
         print(f"{d:.0f},{count}")
-    print(f"wrote {out / 'layout.csv'}")
+    print(f"wrote {args.out / 'layout.csv'}")
     return 0
 
 
@@ -638,24 +630,21 @@ def cmd_fit_gm(args, cfg: dict) -> int:
 
     groups = device.load_crossings(data_path)
 
-    out = _out_dir(args)
-    lines = ["w_h_um,g_m_hz,residual"]
-    print("w_h_um,g_m_hz,residual")
-    for w_h, rows in groups.items():
-        try:
-            if len(rows) < 3:
-                raise mechanics.FitError(f"only {len(rows)} points (need >= 3)", math.nan)
-            result = _fit_group(rows, cfg["fit.f2_hz"])
-            line = f"{w_h!r},{result.g_m / TWO_PI!r},{result.residual_norm!r}"
-        except mechanics.FitError as exc:
-            line = f"{w_h!r},nan,error:{exc}"
-        lines.append(line)
-        print(line)
-    _atomic_write(
-        out / "gm_fit.csv",
-        lambda p: Path(p).write_text("\n".join(lines) + "\n", encoding="utf-8"),
-    )
-    print(f"wrote {out / 'gm_fit.csv'}")
+    with _outputs(args.out, ["gm_fit.csv"]) as temps:  # a bad --out fails before any row
+        lines = ["w_h_um,g_m_hz,residual"]
+        print("w_h_um,g_m_hz,residual")
+        for w_h, rows in groups.items():
+            try:
+                if len(rows) < 3:
+                    raise mechanics.FitError(f"only {len(rows)} points (need >= 3)", math.nan)
+                result = _fit_group(rows, cfg["fit.f2_hz"])
+                line = f"{w_h!r},{result.g_m / TWO_PI!r},{result.residual_norm!r}"
+            except mechanics.FitError as exc:
+                line = f"{w_h!r},nan,error:{exc}"
+            lines.append(line)
+            print(line)
+        temps["gm_fit.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {args.out / 'gm_fit.csv'}")
     return 0
 
 
@@ -696,7 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI-style run configuration")
         p.add_argument("--preset", default=None, choices=sorted(PRESETS),
                        help="named parameter preset")
-        p.add_argument("--out", default="out", help="output directory (default: ./out)")
+        p.add_argument("--out", type=Path, default="out",
+                       help="output directory (default: ./out)")
         if name == "fit-gm":
             p.add_argument("data", help="crossing data CSV "
                            "(w_h_um,l_s_um,f_minus_hz,f_plus_hz), or 'bundled'")

@@ -80,20 +80,6 @@ class ResponseCurve:
             raise ValueError("frequency grid must be strictly increasing")
 
 
-def susceptibility(omega, omega_i: float, gamma_i: float):
-    """chi(omega) = (omega_i^2 - omega^2 - i gamma_i omega)^{-1}, in s^2.
-
-    Accepts scalar or array omega.  For gamma_i = 0 an evaluation exactly at
-    omega_i is a pole and raises PoleError.
-    """
-    if not omega_i > 0.0:
-        raise ValueError("omega_i must be > 0")
-    den = _quad(omega, omega_i, gamma_i)
-    if np.any(den == 0.0):
-        raise PoleError(f"undamped susceptibility pole at omega = {omega_i} rad/s")
-    return 1.0 / den
-
-
 def _quad(omega, omega_i, gamma_i):
     """Inverse susceptibility omega_i^2 - omega^2 - i gamma_i omega."""
     omega = np.asarray(omega, dtype=float)

@@ -179,13 +179,6 @@ class NoiseBudget:
         return NoiseBudget(*(None if v is None else v[i] for v in values))
 
 
-def torque_from_power(p_w: float, lambda_sig: float, delta_l: float, eta_conv: float = 1.0) -> float:
-    """Torque tau = eta_conv * delta_l * P / omega exerted by power P (W)."""
-    if p_w < 0.0 or delta_l < 0.0 or eta_conv < 0.0:
-        raise ValueError("arguments must be >= 0")
-    return eta_conv * delta_l * p_w / (TWO_PI * C / lambda_sig)
-
-
 def power_from_torque(tau, lambda_sig: float, delta_l: float, eta_conv: float = 1.0):
     """Incident power producing torque tau (a float or an array); infinite
     when delta_l*eta_conv = 0."""

@@ -1,4 +1,6 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles used by the test suite, and the closed forms that
+only tests call: the single-oscillator susceptibility, the staircase vortex
+mask and the power-to-torque map.
 
 These deliberately avoid the library's fast code paths: the coupled-mode
 response is integrated in the time domain with a fixed-step fourth-order
@@ -89,6 +91,38 @@ def rk4_steady_state(model, f_d: float, omega_d: float,
         x1, v1, x2, v2 = x1n, v1n, x2n, v2n
         t += dt2
     return acc1 / (4 * m), acc2 / (4 * m)
+
+
+def susceptibility(omega, omega_i: float, gamma_i: float):
+    """chi(omega) = (omega_i^2 - omega^2 - i gamma_i omega)^{-1}, in s^2.
+
+    Accepts scalar or array omega.  For gamma_i = 0 an evaluation exactly at
+    omega_i is a pole and raises mechanics.PoleError.
+    """
+    from oamsense import mechanics
+
+    if not omega_i > 0.0:
+        raise ValueError("omega_i must be > 0")
+    omega = np.asarray(omega, dtype=float)
+    den = omega_i**2 - omega**2 - 1j * gamma_i * omega
+    if np.any(den == 0.0):
+        raise mechanics.PoleError(f"undamped susceptibility pole at omega = {omega_i} rad/s")
+    return 1.0 / den
+
+
+def staircase_vortex_mask(n: int, pitch: float, delta_l: int, levels: int = 11) -> np.ndarray:
+    """Spiral phase mask exp(i delta_l phi) about the grid centre, quantized
+    to `levels` uniformly spaced phase steps.
+
+    The leading azimuthal order of a `levels`-step staircase carries a power
+    fraction sinc^2(pi / levels) of an input without azimuthal structure.
+    """
+    x = (np.arange(n) - n // 2) * pitch
+    xx, yy = np.meshgrid(x, x, indexing="xy")
+    phi = np.mod(delta_l * np.arctan2(yy, xx), 2.0 * math.pi)
+    step = 2.0 * math.pi / levels
+    quantized = np.round(phi / step) % levels * step
+    return np.exp(1j * quantized)
 
 
 def radial_fidelity(f_radial, l_f: int, g_radial, l_g: int,
@@ -345,6 +379,17 @@ def interpolate_per_call(dataset, branch, l_s_um, q_m_override=None):
     if q_m_override is not None:
         point["q_m"] = q_m_override
     return mode_record(**point)
+
+
+def torque_from_power(p_w: float, lambda_sig: float, delta_l: float,
+                      eta_conv: float = 1.0) -> float:
+    """Torque tau = eta_conv * delta_l * P / omega exerted by power P (W),
+    the inverse of noise.power_from_torque."""
+    from oamsense.constants import C
+
+    if p_w < 0.0 or delta_l < 0.0 or eta_conv < 0.0:
+        raise ValueError("arguments must be >= 0")
+    return eta_conv * delta_l * p_w / (2.0 * math.pi * C / lambda_sig)
 
 
 def budget_per_point(mode, readout, t_kelvin, beam, bandwidth_hz=1.0):

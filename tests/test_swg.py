@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oamsense import beams, swg
-from oracles import export_layout_per_row, load_layout
+from oracles import export_layout_per_row, load_layout, staircase_vortex_mask
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,7 +188,7 @@ class TestMask:
         # agreement with the ideal 11-level staircase within 2 percent
         stair = beams.apply_mask(
             beams.apply_mask(field_in, np.abs(mask)),  # same aperture/amplitude
-            beams.staircase_vortex_mask(512, 80e-9, 1, 11),
+            staircase_vortex_mask(512, 80e-9, 1, 11),
         )
         frac_stair = beams.azimuthal_spectrum(stair, [1])[0]
         assert frac_layout == pytest.approx(frac_stair, rel=0.02)
