@@ -56,10 +56,49 @@ def column(path, name):
      "4320fbc7d10de90ee373d6bac991cf2ccb6c6680747d41cf484f7cd765a56aee"),
     (["mech-response", "--preset", "paper-fig2b"], "response.csv",
      "89d6f319799f9d0cd776ac7fca234c20a0862541a163667aaf6a3aaee1c69eee"),
-], ids=["noise-sweep-fig5", "pulse-budget-ls", "pulse-budget-ncav", "mech-response"])
+    # as written line by line, before gm_fit.csv went through table.write_table
+    (["fit-gm", "bundled"], "gm_fit.csv",
+     "bb9e6900b607772e615bc3cd9c395b1580123006f143d35f0fbb705bec371573"),
+], ids=["noise-sweep-fig5", "pulse-budget-ls", "pulse-budget-ncav", "mech-response", "fit-gm"])
 def test_output_bytes_unchanged(tmp_path, argv, name, digest):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def write_partial_crossings(path):
+    """A crossing file of two groups: w_h = 7 um, nine points synthesized
+    from the two-mode model with g_m = 1 MHz, and w_h = 9 um, starved at two."""
+    from oamsense import mechanics
+    lines = ["w_h_um,l_s_um,f_minus_hz,f_plus_hz"]
+    for ls in np.arange(8.0, 12.5, 0.5):
+        f1 = 5.96e6 - 0.575e6 * (ls - 10.0)
+        m = mechanics.CoupledOscillator(m1=1.0, m2=1.0, omega1=TWO_PI * f1,
+                                        omega2=TWO_PI * 5.96e6, g_m=TWO_PI * 1e6)
+        lo, hi = mechanics.hybrid_frequencies(m)
+        lines.append(f"7.0,{ls},{lo / TWO_PI!r},{hi / TWO_PI!r}")
+    lines.append("9.0,9.0,5.0e6,6.0e6")
+    lines.append("9.0,10.0,5.1e6,6.1e6")
+    path.write_text("\n".join(lines) + "\n")
+
+
+# sha256 of stdout, run in a fresh directory with --out out (stdout names
+# it), as printed when each summary row was formatted by hand
+@pytest.mark.parametrize("argv, digest", [
+    (["noise-sweep", "--preset", "paper-fig5"],
+     "f11c9cc555f677ccc4214eb09b629505f45b6b3c66ba1024eef10c58316d56e3"),
+    (["mech-response", "--preset", "paper-fig2b"],
+     "e82d95bc221a821dcb7dc8dd029a062caf2a85a294b9c2980dab8f3dd22da554"),
+    (["fit-gm", "bundled"],
+     "75bc3c707f3b11651ed106a7c367cb47d283c6d47a5b97e5ad286a00981a89a6"),
+    # one row of each kind: a fit, and an error: cell for the starved group
+    (["fit-gm", "cross.csv"],
+     "264b37334a76acf12f4b42f8be32494b24e0f28cd3dbe24c555fff82ff26a3b3"),
+], ids=["noise-sweep-fig5", "mech-response", "fit-gm", "fit-gm-starved-group"])
+def test_stdout_bytes_unchanged(tmp_path, monkeypatch, capsys, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    write_partial_crossings(tmp_path / "cross.csv")
+    assert cli.main(argv + ["--out", "out"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestMechResponse:
@@ -604,22 +643,13 @@ class TestFitGm:
             w_h, g_hz = float(row[0]), float(row[1])
             assert g_hz == pytest.approx(expected[w_h], rel=1e-5)
 
-    def test_partial_failure_keeps_going(self, tmp_path):
+    def test_partial_failure_keeps_going(self, tmp_path, capsys):
         data = tmp_path / "cross.csv"
-        lines = ["w_h_um,l_s_um,f_minus_hz,f_plus_hz"]
-        # full group synthesized from the two-mode model
-        from oamsense import mechanics
-        for ls in np.arange(8.0, 12.5, 0.5):
-            f1 = 5.96e6 - 0.575e6 * (ls - 10.0)
-            m = mechanics.CoupledOscillator(m1=1.0, m2=1.0, omega1=TWO_PI * f1,
-                                            omega2=TWO_PI * 5.96e6, g_m=TWO_PI * 1e6)
-            lo, hi = mechanics.hybrid_frequencies(m)
-            lines.append(f"7.0,{ls},{lo / TWO_PI!r},{hi / TWO_PI!r}")
-        # starved group: only two points
-        lines.append("9.0,9.0,5.0e6,6.0e6")
-        lines.append("9.0,10.0,5.1e6,6.1e6")
-        data.write_text("\n".join(lines) + "\n")
+        write_partial_crossings(data)
         assert cli.main(["fit-gm", str(data), "--out", str(tmp_path)]) == 0
+        # stdout prints the file's lines, then where it wrote them
+        lines = (tmp_path / "gm_fit.csv").read_text().splitlines()
+        assert capsys.readouterr().out.splitlines()[:-1] == lines
         header, rows = read_csv(tmp_path / "gm_fit.csv")
         assert len(rows) == 2
         good = next(r for r in rows if r[0] == "7.0")
