@@ -41,7 +41,7 @@ print()
 scan = noise.optimize_ncav(mode, base, 0.01, beam, np.logspace(-5, -1, 41))
 print("intracavity photon-number sweep at l_s = 10 um:")
 print(f"  optimum n_cav = {scan.best_n_cav:.3e} -> n_min = {scan.best_n_min:.0f}")
-edge_lo, edge_hi = scan.n_min[0], scan.n_min[-1]
+edge_lo, edge_hi = scan.budgets.n_min[0], scan.budgets.n_min[-1]
 print(f"  sweep edges: n_min = {edge_lo:.0f} at n_cav = {scan.n_cav[0]:.0e} "
       f"(detector/shot limited), {edge_hi:.0f} at n_cav = {scan.n_cav[-1]:.0e} "
       f"(back-action limited)")

@@ -16,9 +16,10 @@ swg.aperture_d_m, swg.lattice_a_m or swg.design_lambda_m is set.  The
 exception: with the bundled lookup, swg-gen's layout is the same at every
 beam.lambda_sig_m.
 
-Every output is a comma-separated table, each float cell repr(float(v)),
-written by table.write_table (gm_fit.csv, whose error rows carry text, is
-written line by line here).  A fixed config yields byte-identical outputs.
+Every output is a comma-separated table written by table.write_table, and
+every CSV row printed to stdout comes from table.rows: a cell is
+repr(float(v)), or text where its column says so (a blank CW n_min, a
+fit-gm error).  A fixed config yields byte-identical outputs and stdout.
 Every subcommand commits its output set the same way, through _outputs: it
 writes each file to a temp file in --out, and only once the whole set is
 written renames them, in a fixed order.  A failed run exits 2 leaving no
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import beams, device, mechanics, noise, swg
+from . import beams, device, mechanics, noise, swg, table
 
 TWO_PI = 2.0 * math.pi
 
@@ -203,7 +204,7 @@ KEYS: dict[str, Key] = {
     "sweep.l_s_ncav_um": Key(_FLOAT, 10.0, ("pulse-budget",)),
     "sweep.n_cav_min": Key(_POSITIVE, 1e-5, ("pulse-budget",)),
     "sweep.n_cav_max": Key(_POSITIVE, 1e-1, ("pulse-budget",)),
-    "sweep.n_cav_points": Key(_number(integer=True, ge=1), 41, ("pulse-budget",)),
+    "sweep.n_cav_points": Key(_number(integer=True, ge=2), 41, ("pulse-budget",)),
     "readout.lambda0_m": Key(_POSITIVE, 1.428e-6, _BUDGET),
     "readout.q_o": Key(_POSITIVE, 1e6, _BUDGET),
     "readout.dip_depth": Key(_FRACTION, 1.0, _BUDGET),
@@ -411,18 +412,15 @@ def cmd_mech_response(args, cfg: dict) -> int:
     with _outputs(args.out, ["response.csv"]) as temps:
         mechanics.save_response_curve(curve, temps["response.csv"])
 
+    label, x = "x2", curve.x2
     if g_m == 0.0:
         print("warning: g_m = 0, nanobeam response x2 is identically zero", file=sys.stderr)
-        peaks = mechanics.peak_indices(np.abs(curve.x1))
-        label = "x1"
-    else:
-        peaks = mechanics.peak_indices(np.abs(curve.x2))
-        label = "x2"
+        label, x = "x1", curve.x1
+    amp = np.hypot(x.real, x.imag)  # the bits of save_response_curve's column
+    peaks = mechanics.peak_indices(amp)
     print(f"# response peaks of |{label}| at l_s = {l_s} um (Q_m = {q_m})")
-    print("peak_f_hz,peak_abs_m")
-    for i in peaks:
-        amp = abs(curve.x2[i]) if label == "x2" else abs(curve.x1[i])
-        print(f"{float(curve.omega[i]) / TWO_PI!r},{float(amp)!r}")
+    print("peak_f_hz,peak_abs_m", *table.rows((curve.omega[peaks] / TWO_PI, amp[peaks])),
+          sep="\n")
     print(f"wrote {args.out / 'response.csv'}")
     return 0
 
@@ -464,10 +462,10 @@ def cmd_noise_sweep(args, cfg: dict) -> int:
     sweep = _ls_sweep(cfg, 4.0, _beam(cfg, noise.CwModulation()))
     with _outputs(args.out, ["noise_sweep.csv"]) as temps:
         noise.write_budget_sweep(temps["noise_sweep.csv"], "l_s_um", sweep.grid, sweep.budgets)
+    header, columns, text = noise.budget_table("l_s_um", sweep.grid, sweep.budgets)
     i = int(np.argmin(sweep.budgets.tau_min))
     print("# minimum of tau_min over the sweep")
-    print(noise.BUDGET_SWEEP_HEADER)
-    print(noise.budget_row(sweep.grid[i], sweep.budgets.at(i)))
+    print(header, next(table.rows([c[i:i + 1] for c in columns], text[i:i + 1])), sep="\n")
     print(f"wrote {args.out / 'noise_sweep.csv'}")
     return 0
 
@@ -482,6 +480,8 @@ def cmd_pulse_budget(args, cfg: dict) -> int:
                             math.log10(cfg["sweep.n_cav_max"]), cfg["sweep.n_cav_points"])
     for key, n_cav in (("sweep.n_cav_min", ncav_grid[0]), ("sweep.n_cav_max", ncav_grid[-1])):
         _check_ncav_power(cfg, key, n_cav, sweep.readout)
+    if not cfg["sweep.n_cav_min"] < cfg["sweep.n_cav_max"]:
+        raise ConfigError("sweep.n_cav_min must be < sweep.n_cav_max")
     scan = noise.optimize_ncav(sweep.mode_at("sweep.l_s_ncav_um", l_s0), sweep.readout,
                                sweep.t_k, beam, ncav_grid, bandwidth_hz=bandwidth)
 
@@ -629,21 +629,22 @@ def cmd_fit_gm(args, cfg: dict) -> int:
         raise ConfigError(f"fit-gm data file not found: {data_path}")
 
     groups = device.load_crossings(data_path)
-
-    with _outputs(args.out, ["gm_fit.csv"]) as temps:  # a bad --out fails before any row
-        lines = ["w_h_um,g_m_hz,residual"]
-        print("w_h_um,g_m_hz,residual")
-        for w_h, rows in groups.items():
-            try:
-                if len(rows) < 3:
-                    raise mechanics.FitError(f"only {len(rows)} points (need >= 3)", math.nan)
-                result = _fit_group(rows, cfg["fit.f2_hz"])
-                line = f"{w_h!r},{result.g_m / TWO_PI!r},{result.residual_norm!r}"
-            except mechanics.FitError as exc:
-                line = f"{w_h!r},nan,error:{exc}"
-            lines.append(line)
-            print(line)
-        temps["gm_fit.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fits = np.full((len(groups), 3), math.nan)  # per group: w_h, g_m, residual
+    text = np.full(fits.shape, None, dtype=object)  # or an error: residual
+    for k, (w_h, rows) in enumerate(groups.items()):
+        fits[k, 0] = w_h
+        try:
+            if len(rows) < 3:
+                raise mechanics.FitError(f"only {len(rows)} points (need >= 3)", math.nan)
+            result = _fit_group(rows, cfg["fit.f2_hz"])
+            fits[k, 1:] = result.g_m / TWO_PI, result.residual_norm
+        except mechanics.FitError as exc:
+            text[k, 2] = f"error:{exc}"
+    header = "w_h_um,g_m_hz,residual"
+    with _outputs(args.out, ["gm_fit.csv"]) as temps:
+        table.write_table(temps["gm_fit.csv"], header, fits.T, text)
+    # only once the file is in place: a bad --out prints no row
+    print(header, *table.rows(fits.T, text), sep="\n")
     print(f"wrote {args.out / 'gm_fit.csv'}")
     return 0
 

@@ -173,11 +173,6 @@ class NoiseBudget:
     p_min: float | np.ndarray
     n_min: float | np.ndarray | None = None
 
-    def at(self, i: int) -> NoiseBudget:
-        """Point i of a grid's budget, as a one-point budget."""
-        values = (getattr(self, f.name) for f in fields(self))
-        return NoiseBudget(*(None if v is None else v[i] for v in values))
-
 
 def power_from_torque(tau, lambda_sig: float, delta_l: float, eta_conv: float = 1.0):
     """Incident power producing torque tau (a float or an array); infinite
@@ -322,7 +317,6 @@ class NcavScan:
     """Result of a photon-number sweep of the readout."""
 
     n_cav: np.ndarray
-    n_min: np.ndarray
     budgets: NoiseBudget  # one array per field, one value per n_cav
     best_n_cav: float
     best_n_min: float
@@ -353,38 +347,30 @@ def optimize_ncav(
               for n in grid]
     budgets = NoiseBudget(*(np.array([getattr(b, f.name) for b in points])
                             for f in fields(NoiseBudget)))
-    n_min = budgets.n_min
-    i = int(np.argmin(n_min))
+    i = int(np.argmin(budgets.n_min))
     return NcavScan(
-        n_cav=grid, n_min=n_min, budgets=budgets,
-        best_n_cav=float(grid[i]), best_n_min=float(n_min[i]), best_index=i,
+        n_cav=grid, budgets=budgets,
+        best_n_cav=float(grid[i]), best_n_min=float(budgets.n_min[i]), best_index=i,
     )
 
 
-#: Columns of a budget row after its sweep-axis value (see budget_row).
+#: Columns of a budget sweep after its axis value.
 BUDGET_COLUMNS = ("tau_th", "tau_sn", "tau_dn", "tau_ba", "tau_min", "p_min_w", "n_min")
-BUDGET_SWEEP_HEADER = ",".join(("l_s_um",) + BUDGET_COLUMNS)
 
 
-def budget_row(x, b: NoiseBudget) -> str:
-    """CSV row of one budget: axis value x, then BUDGET_COLUMNS (n_min blank if CW)."""
-    cells = (x, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min, b.n_min)
-    # float() first: the repr of a NumPy scalar is not a plain number
-    return ",".join("" if v is None else repr(float(v)) for v in cells)
+def budget_table(axis_name: str, axis_values, budgets: NoiseBudget):
+    """Header, columns and text cells (see table.rows) of a budget sweep, as
+    budget returns for a grid: one row per axis value, n_min blank if CW."""
+    b = budgets
+    cw = b.n_min is None
+    columns = [axis_values, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min,
+               np.zeros(len(axis_values)) if cw else b.n_min]
+    text = np.full((len(axis_values), len(columns)), None, dtype=object)
+    text[:, -1] = "" if cw else None
+    return ",".join((axis_name,) + BUDGET_COLUMNS), columns, text
 
 
 def write_budget_sweep(path, axis_name: str, axis_values, budgets: NoiseBudget) -> None:
-    """Write one row per sweep point, as budget_row formats it, under a header
-    keyed by a sweep axis.
-
-    `budgets` holds one array per field with one value per axis value, as
-    budget returns for a grid.  The canonical support-length sweep uses
-    axis_name 'l_s_um'; photon-number sweeps use 'n_cav'.
-    """
-    b = budgets
-    cw = b.n_min is None  # no photon number: its cells are left blank
-    columns = [axis_values, b.tau_th, b.tau_sn, b.tau_dn, b.tau_ba, b.tau_min, b.p_min,
-               np.zeros(len(axis_values)) if cw else b.n_min]
-    blank = np.zeros((len(axis_values), len(columns)), dtype=bool)
-    blank[:, -1] = cw
-    table.write_table(path, ",".join((axis_name,) + BUDGET_COLUMNS), columns, blank)
+    """Write budget_table(axis_name, axis_values, budgets) as CSV: axis_name is
+    'l_s_um' for the support-length sweep and 'n_cav' for photon-number sweeps."""
+    table.write_table(path, *budget_table(axis_name, axis_values, budgets))

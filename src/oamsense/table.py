@@ -1,4 +1,5 @@
-"""Comma-separated tables of float cells: the one writer of every CSV output.
+"""Comma-separated tables of float cells: the one formatter of every CSV
+output, and of the CSV rows that noise-sweep, mech-response and fit-gm print.
 
 Contract: each cell is written as repr(float(v)) of its value, byte for
 byte, so a file is identical to one written by a per-cell repr loop.  Each
@@ -13,6 +14,8 @@ one repr per bit pattern would.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -35,18 +38,26 @@ def format_cells(values) -> np.ndarray:
     return cells
 
 
-def write_table(path, header: str | None, columns, blank=None) -> None:
-    """Write equal-length columns as CSV rows, under `header` unless it is None.
+def rows(columns, text=None) -> Iterator[str]:
+    """Each row of equal-length columns as a CSV line without its newline.
 
     `columns` is a sequence of 1-D arrays, such as the transpose of a 2-D
-    table, which is read as a view without a copy.  `blank`, if given, is a
-    boolean mask of the table's (rows, columns) shape marking the cells left
-    empty.
+    table, which is read as a view without a copy.  `text`, if given, is an
+    object array of the table's (rows, columns) shape: an entry that is not
+    None is written as it is, in place of its float cell.  Every cell is
+    formatted at the call; each line is joined when it is asked for.
     """
     cells = format_cells(np.transpose(columns))
-    if blank is not None:
-        cells[blank] = ""
+    if text is not None:
+        given = np.not_equal(text, None)
+        cells[given] = text[given]
+    return (",".join(row) for row in cells.tolist())
+
+
+def write_table(path, header: str | None, columns, text=None) -> None:
+    """Write rows(columns, text) to path, under `header` unless it is None."""
+    lines = rows(columns, text)
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in cells.tolist())
+        fh.writelines(line + "\n" for line in lines)

@@ -708,6 +708,7 @@ class TestConfigHandling:
         ("pulse-budget", "paper-fig8", "sweep", "n_cav_min", "0"),
         ("pulse-budget", "paper-fig8", "sweep", "n_cav_max", "-1"),
         ("pulse-budget", "paper-fig8", "sweep", "n_cav_points", "0"),
+        ("pulse-budget", "paper-fig8", "sweep", "n_cav_points", "1"),
         ("beam-sim", None, "swg", "ideal_vortex", "maybe"),
         ("pulse-budget", "paper-fig8", "beam", "bandwidth_hz", "0"),
         ("pulse-budget", "paper-fig8", "beam", "bandwidth_hz", "-1"),
@@ -821,6 +822,18 @@ class TestConfigHandling:
                          "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "mechanics.f_min_hz = " in err and "must be < mechanics.f_max_hz = " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values", [
+        "n_cav_min = 1e-1\nn_cav_max = 1e-5\n", "n_cav_min = 1e-3\nn_cav_max = 1e-3\n",
+        "n_cav_min = 0.2\n",
+    ])
+    def test_ncav_range_names_both_keys(self, tmp_path, capsys, values):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\n" + values)
+        assert cli.main(["pulse-budget", "--preset", "paper-fig8", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: sweep.n_cav_min must be < sweep.n_cav_max\n"
         assert not (tmp_path / "out").exists()
 
     def test_benchmark_traced_names_resolve(self):
@@ -1176,7 +1189,7 @@ class TestOutputFiles:
          "pulse_ncav_sweep.csv"),
         (["beam-sim", "--config", "beam.cfg"], "beams", "save_raster", "phase_swg.csv"),
         (["swg-gen"], "swg", "export_layout", "layout.csv"),
-        (["fit-gm", "bundled"], "Path", "write_text", "gm_fit.csv"),
+        (["fit-gm", "bundled"], "table", "write_table", "gm_fit.csv"),
     ], ids=["mech-response", "noise-sweep", "pulse-budget-second-file", "beam-sim", "swg-gen",
             "fit-gm"])
     def test_failed_write_leaves_nothing(self, tmp_path, capsys, monkeypatch, argv, owner,
@@ -1191,7 +1204,7 @@ class TestOutputFiles:
             out.mkdir()
             (out / "keep.txt").write_text("not this run's")
         before = sorted(tmp_path.rglob("*"))
-        target = Path if owner == "Path" else getattr(cli, owner)
+        target = getattr(cli, owner)
         original = getattr(target, writer)
 
         def half_write(*args, **kwargs):

@@ -20,10 +20,16 @@ def test_format_cells_is_repr_of_every_bit_pattern(bits):
     assert text.ravel().tolist() == [repr(float(v)) for v in values.ravel()]
 
 
-def test_write_table_blank_cells_and_empty_table(tmp_path):
+def test_write_table_text_cells_and_empty_table(tmp_path):
+    # a text cell replaces its float, blank or not; None keeps the float's repr
     path = tmp_path / "t.csv"
-    blank = np.array([[False, True], [False, False]])
-    table.write_table(path, "a,b", ([-0.0, np.nan], [np.nan, 2.5]), blank=blank)
-    assert path.read_text() == "a,b\n-0.0,\nnan,2.5\n"
+    text = np.array([[None, ""], [None, None], ["error:no fit", None]], dtype=object)
+    columns = ([-0.0, np.nan, 1.0], [np.nan, 2.5, -np.nan])
+    table.write_table(path, "a,b", columns, text)
+    assert path.read_text() == "a,b\n-0.0,\nnan,2.5\nerror:no fit,nan\n"
+    assert list(table.rows(columns, text)) == path.read_text().splitlines()[1:]
+    assert list(table.rows(columns)) == ["-0.0,nan", "nan,2.5", "1.0,nan"]
+    table.write_table(path, None, (np.empty(0), np.empty(0)), np.empty((0, 2), dtype=object))
+    assert path.read_text() == ""
     table.write_table(path, "a,b", (np.empty(0), np.empty(0)))
     assert path.read_text() == "a,b\n"
