@@ -59,10 +59,41 @@ def column(path, name):
     # as written line by line, before gm_fit.csv went through table.write_table
     (["fit-gm", "bundled"], "gm_fit.csv",
      "bb9e6900b607772e615bc3cd9c395b1580123006f143d35f0fbb705bec371573"),
-], ids=["noise-sweep-fig5", "pulse-budget-ls", "pulse-budget-ncav", "mech-response", "fit-gm"])
-def test_output_bytes_unchanged(tmp_path, argv, name, digest):
-    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    # beam-sim's rasters on a small grid, as written by the handler that
+    # committed and printed its own output set
+    (["beam-sim", "--config", "grating.cfg"], "intensity_swg.csv",
+     "92358a44cb1f12b94ada3856888ee6d6a34e97c0bf649b67451cc152ed5438fb"),
+    (["beam-sim", "--config", "grating.cfg"], "phase_swg.csv",
+     "d8745219fa883cab45f068e44afd3d76682f7b550805724d74fc1487e0c49b22"),
+    (["beam-sim", "--config", "grating.cfg"], "intensity_target.csv",
+     "3784a5bfb5c3177b31de6fa7e3a74241ae1bcfc08068de24ae481c7649072e4f"),
+    (["beam-sim", "--config", "grating.cfg"], "phase_target.csv",
+     "e09a559bc465af33cfd03c9cc7006aa06636e3ccd36e8496704a1c6d13f305e8"),
+    (["beam-sim", "--config", "vortex.cfg"], "intensity_swg.csv",
+     "7fe11aab6870049634b04949f470435ee89f22d4b778b443ba927327e68789f4"),
+    (["beam-sim", "--config", "vortex.cfg"], "phase_swg.csv",
+     "3727c95827fbde4248963e189d318b96e9b3c62d23c64ddad581087e5471fe44"),
+    (["beam-sim", "--config", "vortex.cfg"], "intensity_target.csv",
+     "3784a5bfb5c3177b31de6fa7e3a74241ae1bcfc08068de24ae481c7649072e4f"),
+    (["beam-sim", "--config", "vortex.cfg"], "phase_target.csv",
+     "e09a559bc465af33cfd03c9cc7006aa06636e3ccd36e8496704a1c6d13f305e8"),
+], ids=["noise-sweep-fig5", "pulse-budget-ls", "pulse-budget-ncav", "mech-response", "fit-gm",
+        "beam-sim-intensity-swg", "beam-sim-phase-swg", "beam-sim-intensity-target",
+        "beam-sim-phase-target", "vortex-intensity-swg", "vortex-phase-swg",
+        "vortex-intensity-target", "vortex-phase-target"])
+def test_output_bytes_unchanged(tmp_path, monkeypatch, argv, name, digest):
+    monkeypatch.chdir(tmp_path)
+    write_beam_configs(tmp_path)
+    assert cli.main(argv + ["--out", "out"]) == 0
+    assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+def write_beam_configs(path):
+    """grating.cfg and vortex.cfg: beam-sim on a 64-point grid, on the pillar
+    grating and on the ideal vortex."""
+    grid = "[grid]\nn = 64\npitch_m = 80e-9\n[beam]\nw0_m = 1.5e-6\n"
+    (path / "grating.cfg").write_text(grid)
+    (path / "vortex.cfg").write_text(grid + "[swg]\nideal_vortex = true\n")
 
 
 def write_partial_crossings(path):
@@ -93,10 +124,21 @@ def write_partial_crossings(path):
     # one row of each kind: a fit, and an error: cell for the starved group
     (["fit-gm", "cross.csv"],
      "264b37334a76acf12f4b42f8be32494b24e0f28cd3dbe24c555fff82ff26a3b3"),
-], ids=["noise-sweep-fig5", "mech-response", "fit-gm", "fit-gm-starved-group"])
+    # the "wrote ... and ..." and "wrote rasters in ..." forms
+    (["pulse-budget", "--preset", "paper-fig8"],
+     "e927071561e8a7f6b405693b5287c83ffa33e5e2d768d1b7496baeccacef1fec"),
+    (["swg-gen"],
+     "2953074c8c2486182f2068a2be2990054b9613576f875f9f3824b18eddbc4212"),
+    (["beam-sim", "--config", "grating.cfg"],
+     "83bb0377eef60633d7d5d01b3846efff4ad267d381e6df0f9778c50ebbe2679b"),
+    (["beam-sim", "--config", "vortex.cfg"],
+     "e72434c94a91ebb5faaacc43e5831a560c184099a585b2fd40ef38ab426a583e"),
+], ids=["noise-sweep-fig5", "mech-response", "fit-gm", "fit-gm-starved-group",
+        "pulse-budget-fig8", "swg-gen", "beam-sim", "beam-sim-vortex"])
 def test_stdout_bytes_unchanged(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
     write_partial_crossings(tmp_path / "cross.csv")
+    write_beam_configs(tmp_path)
     assert cli.main(argv + ["--out", "out"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
