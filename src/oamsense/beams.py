@@ -324,6 +324,7 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
 
 _SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_PROBE_REARMS = 2  # times a winning step of at most 2 * tol re-arms _brent_min's probe
 
 
 def _brent_min(fun, lo: float, hi: float) -> tuple[float, float]:
@@ -344,8 +345,12 @@ def _brent_min(fun, lo: float, hi: float) -> tuple[float, float]:
     the other, which closes the bracket if x is the minimum.  Parabolas
     fitted to values at the float64 floor then fall just outside the near
     end, and golden steps would take a dozen more evaluations to bring the
-    far end in.  The steps stay at least tol = sqrt(eps) * |x| inside
-    (lo, hi); an end of [lo, hi] that the bracket never left is then
+    far end in.  At that floor the probe itself can win by rounding noise
+    and leave the far end where it was, so a step of at most 2 * tol that
+    becomes the new best re-arms it, at most _PROBE_REARMS times per call:
+    the probe fires once per arming, and the cap keeps a run of winning
+    probes from crawling tol by tol.  The steps stay at least
+    tol = sqrt(eps) * |x| inside (lo, hi); an end of [lo, hi] that the bracket never left is then
     evaluated itself, since a minimum beyond it lies there, so that such a
     search ends on the edge exactly.  The steps depend only on the values
     of fun, so a repeat call returns the same floats.
@@ -354,7 +359,7 @@ def _brent_min(fun, lo: float, hi: float) -> tuple[float, float]:
     x = w = v = a + _GOLDEN * (b - a)  # best, second best and previous w
     fx = fw = fv = fun(x)
     d = e = 0.0  # the last step and the one before it
-    probed = False
+    armed, rearms = True, _PROBE_REARMS
     while True:
         m = 0.5 * (a + b)
         tol = _SQRT_EPS * abs(x)
@@ -375,8 +380,8 @@ def _brent_min(fun, lo: float, hi: float) -> tuple[float, float]:
                 d = p / q
                 if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
                     d = tol if x <= m else -tol  # no evaluation next to an end
-        if golden and not probed and min(x - a, b - x) <= 2.0 * tol:
-            probed = True  # once, so a run of such steps cannot crawl
+        if golden and armed and min(x - a, b - x) <= 2.0 * tol:
+            armed = False  # once per arming, so a run of such steps cannot crawl
             d = e = tol if x <= m else -tol
         elif golden:
             e = a - x if x >= m else b - x
@@ -385,6 +390,8 @@ def _brent_min(fun, lo: float, hi: float) -> tuple[float, float]:
         u = x - step if d < 0.0 else x + step
         fu = fun(u)
         if fu <= fx:
+            if not armed and rearms and abs(u - x) <= 2.0 * tol:
+                armed, rearms = True, rearms - 1
             if u >= x:
                 a = x
             else:

@@ -20,10 +20,16 @@ Every output is a comma-separated table written by table.write_table, and
 every CSV row printed to stdout comes from table.rows: a cell is
 repr(float(v)), or text where its column says so (a blank CW n_min, a
 fit-gm error).  A fixed config yields byte-identical outputs and stdout.
-Every subcommand commits its output set the same way, through _outputs: it
-writes each file to a temp file in --out, and only once the whole set is
-written renames them, in a fixed order.  A failed run exits 2 leaving no
-output, no temp file and no --out directory that it created.
+
+Every subcommand runs in one shape, in main.  COMMANDS names its handler and
+output files.  Inside _outputs, which creates --out and gives a temp path in
+it per file, the handler checks, computes, fills its temp files and returns
+its stdout lines; it never prints to stdout.  main then renames the set into
+--out, in a fixed order, and prints those lines and a "wrote" line.  A failed
+run exits 2 with one error line, no stdout, and no output, temp file or --out
+directory that it created.  Config errors come before --out is made; a
+handler's own checks (domain, sampling, lattice, data file) come after, so
+when both are bad, the error names --out.
 
 beam-sim runs in two halves on two cores: one worker forked after the config
 checks builds the target mode and writes intensity_target.csv and
@@ -252,9 +258,10 @@ def resolve_config(command: str, preset: str | None, config_path: str | None) ->
             raise ConfigError(f"config file not found: {path}")
         parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is a plain section
         try:
-            parser.read(path)
+            with open(path, encoding="utf-8") as file:
+                parser.read_file(file)
             items = [(f"{s}.{k}", v) for s in parser.sections() for k, v in parser.items(s)]
-        except configparser.Error as exc:
+        except (configparser.Error, OSError, UnicodeDecodeError) as exc:  # OSError: a directory
             raise ConfigError(f"{path}: {exc}") from None
         for name, value in items:
             if name not in scope:
@@ -359,7 +366,8 @@ def _ls_grid(cfg: dict, dataset: device.DeviceDataset, branch: str) -> np.ndarra
 @contextlib.contextmanager
 def _outputs(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
     """Commit one run's output set: yield {name: temp path in out}, then
-    rename every temp file to out / name, in the order of names.
+    rename every temp file to out / name, in the order of names.  Its one
+    caller is main, around the subcommand's handler.
 
     Each temp name is unique to this call and sits in out itself, so
     concurrent runs into one directory do not collide and each rename is
@@ -383,7 +391,7 @@ def _outputs(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
         raise
 
 
-def cmd_mech_response(args, cfg: dict) -> int:
+def cmd_mech_response(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     dataset = _load_cfg_dataset(cfg)
     l_s = cfg["mechanics.l_s_um"]
     q_m = cfg["mechanics.q_m"]
@@ -408,21 +416,15 @@ def cmd_mech_response(args, cfg: dict) -> int:
                           f"mechanics.f_max_hz = {f_max!r}")
     omega = TWO_PI * np.linspace(f_min, f_max, cfg["mechanics.n_points"])
     curve = mechanics.response_curve(model, cfg["mechanics.f_d_n"], omega)
-
-    with _outputs(args.out, ["response.csv"]) as temps:
-        mechanics.save_response_curve(curve, temps["response.csv"])
-
+    mechanics.save_response_curve(curve, temps["response.csv"])
     label, x = "x2", curve.x2
     if g_m == 0.0:
         print("warning: g_m = 0, nanobeam response x2 is identically zero", file=sys.stderr)
         label, x = "x1", curve.x1
     amp = np.hypot(x.real, x.imag)  # the bits of save_response_curve's column
     peaks = mechanics.peak_indices(amp)
-    print(f"# response peaks of |{label}| at l_s = {l_s} um (Q_m = {q_m})")
-    print("peak_f_hz,peak_abs_m", *table.rows((curve.omega[peaks] / TWO_PI, amp[peaks])),
-          sep="\n")
-    print(f"wrote {args.out / 'response.csv'}")
-    return 0
+    return [f"# response peaks of |{label}| at l_s = {l_s} um (Q_m = {q_m})",
+            "peak_f_hz,peak_abs_m", *table.rows((curve.omega[peaks] / TWO_PI, amp[peaks]))]
 
 
 class _LsSweep(NamedTuple):
@@ -458,19 +460,16 @@ def _ls_sweep(cfg: dict, t_k_default: float, beam: noise.SignalBeam,
     return _LsSweep(mode_at, readout, t_k, grid, budgets)
 
 
-def cmd_noise_sweep(args, cfg: dict) -> int:
+def cmd_noise_sweep(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     sweep = _ls_sweep(cfg, 4.0, _beam(cfg, noise.CwModulation()))
-    with _outputs(args.out, ["noise_sweep.csv"]) as temps:
-        noise.write_budget_sweep(temps["noise_sweep.csv"], "l_s_um", sweep.grid, sweep.budgets)
+    noise.write_budget_sweep(temps["noise_sweep.csv"], "l_s_um", sweep.grid, sweep.budgets)
     header, columns, text = noise.budget_table("l_s_um", sweep.grid, sweep.budgets)
     i = int(np.argmin(sweep.budgets.tau_min))
-    print("# minimum of tau_min over the sweep")
-    print(header, next(table.rows([c[i:i + 1] for c in columns], text[i:i + 1])), sep="\n")
-    print(f"wrote {args.out / 'noise_sweep.csv'}")
-    return 0
+    return ["# minimum of tau_min over the sweep", header,
+            next(table.rows([c[i:i + 1] for c in columns], text[i:i + 1]))]
 
 
-def cmd_pulse_budget(args, cfg: dict) -> int:
+def cmd_pulse_budget(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     f_rep, bandwidth = cfg["beam.f_rep_hz"], cfg["beam.bandwidth_hz"]
     beam = _beam(cfg, noise.PulseTrain(None if f_rep == "auto" else f_rep))
     sweep = _ls_sweep(cfg, 0.01, beam, bandwidth)
@@ -484,18 +483,13 @@ def cmd_pulse_budget(args, cfg: dict) -> int:
         raise ConfigError("sweep.n_cav_min must be < sweep.n_cav_max")
     scan = noise.optimize_ncav(sweep.mode_at("sweep.l_s_ncav_um", l_s0), sweep.readout,
                                sweep.t_k, beam, ncav_grid, bandwidth_hz=bandwidth)
-
-    with _outputs(args.out, ["pulse_ls_sweep.csv", "pulse_ncav_sweep.csv"]) as temps:
-        noise.write_budget_sweep(temps["pulse_ls_sweep.csv"], "l_s_um", grid, budgets)
-        noise.write_budget_sweep(temps["pulse_ncav_sweep.csv"], "n_cav", scan.n_cav,
-                                 scan.budgets)
+    noise.write_budget_sweep(temps["pulse_ls_sweep.csv"], "l_s_um", grid, budgets)
+    noise.write_budget_sweep(temps["pulse_ncav_sweep.csv"], "n_cav", scan.n_cav, scan.budgets)
     i = int(np.argmin(budgets.n_min))
-    print(f"n_min over l_s: minimum {budgets.n_min[i]:.4g} photons/pulse "
-          f"at l_s = {grid[i]:g} um")
-    print(f"n_min over n_cav (l_s = {l_s0:g} um): minimum {scan.best_n_min:.4g} "
-          f"photons/pulse at n_cav = {scan.best_n_cav:.4g}")
-    print(f"wrote {args.out / 'pulse_ls_sweep.csv'} and {args.out / 'pulse_ncav_sweep.csv'}")
-    return 0
+    return [f"n_min over l_s: minimum {budgets.n_min[i]:.4g} photons/pulse "
+            f"at l_s = {grid[i]:g} um",
+            f"n_min over n_cav (l_s = {l_s0:g} um): minimum {scan.best_n_min:.4g} "
+            f"photons/pulse at n_cav = {scan.best_n_cav:.4g}"]
 
 
 def _signal_in_lookup(cfg: dict) -> float:
@@ -517,10 +511,6 @@ def _design(cfg: dict, design_lambda: float) -> swg.SWGDesign:
         phase_sign=cfg["swg.phase_sign"],
     )
 
-
-#: beam-sim's rasters, in the order they are renamed into --out.
-BEAM_SIM_RASTERS = ("intensity_swg.csv", "phase_swg.csv",
-                    "intensity_target.csv", "phase_target.csv")
 
 #: A pitch within this relative distance of lattice/4 counts as at the limit:
 #: the grating measures its lattice from pillar positions, which can read a
@@ -547,14 +537,15 @@ def _write_target_rasters(n: int, pitch: float, lam: float, target: beams.LGInde
     beams.save_raster(np.angle(reference.amps), phase_path)
 
 
-def cmd_beam_sim(args, cfg: dict) -> int:
-    """Score the grating (or the ideal vortex) and write BEAM_SIM_RASTERS.
+def cmd_beam_sim(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
+    """Score the grating (or the ideal vortex) and write its four rasters.
 
     Once every check has passed, one worker forked from this process builds
     the target mode and writes intensity_target.csv and phase_target.csv,
     while this process scores the grating, takes the azimuthal spectrum and
     writes the two *_swg.csv rasters.  The pool exits, joining the worker,
-    before _outputs renames the set or removes it.
+    before this handler returns or raises, so inside main's _outputs block:
+    before the set is renamed or removed.
     """
     n, pitch = cfg["grid.n"], cfg["grid.pitch_m"]
     lam, w0, z_eval = cfg["beam.lambda_sig_m"], cfg["beam.w0_m"], cfg["swg.z_eval_m"]
@@ -577,8 +568,7 @@ def cmd_beam_sim(args, cfg: dict) -> int:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with (_outputs(args.out, BEAM_SIM_RASTERS) as temps,
-          ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool):
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
         targets = pool.submit(_write_target_rasters, n, pitch, lam, target,
                               temps["intensity_target.csv"], temps["phase_target.csv"])
         if design is None:
@@ -596,32 +586,23 @@ def cmd_beam_sim(args, cfg: dict) -> int:
             targets.result()
         except BrokenProcessPool as exc:  # it ended without a result: killed or exited
             raise OSError(f"target raster worker: {exc}") from None
-
-    print(f"fidelity_opt = {metrics.fidelity:.4f} (w0_opt = {metrics.w0_opt * 1e6:.3f} um)")
-    print(f"fidelity_fixed_waist = {metrics.fidelity_fixed_waist:.4f}")
-    print(f"t_swg = {metrics.t_swg:.4f}")
-    print(f"eta = {metrics.eta:.4f}")
-    print("l,power_fraction")
-    for l, frac in zip(l_values, fractions):
-        print(f"{l},{frac:.6f}")
-    print(f"wrote rasters in {args.out}")
-    return 0
+    return [f"fidelity_opt = {metrics.fidelity:.4f} (w0_opt = {metrics.w0_opt * 1e6:.3f} um)",
+            f"fidelity_fixed_waist = {metrics.fidelity_fixed_waist:.4f}",
+            f"t_swg = {metrics.t_swg:.4f}", f"eta = {metrics.eta:.4f}", "l,power_fraction",
+            *(f"{l},{frac:.6f}" for l, frac in zip(l_values, fractions))]
 
 
-def cmd_swg_gen(args, cfg: dict) -> int:
+def cmd_swg_gen(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     design = _design(cfg, _signal_in_lookup(cfg))
     layout = swg.generate_layout(design)
-    with _outputs(args.out, ["layout.csv"]) as temps:
-        swg.export_layout(layout, temps["layout.csv"])
-    print(f"sites: {len(layout)} (area estimate {swg.expected_site_count(design):.0f})")
-    print("diameter_nm,count")
-    for d, count in zip(*np.unique(layout.diameter, return_counts=True)):
-        print(f"{d:.0f},{count}")
-    print(f"wrote {args.out / 'layout.csv'}")
-    return 0
+    swg.export_layout(layout, temps["layout.csv"])
+    diameters, counts = np.unique(layout.diameter, return_counts=True)
+    return [f"sites: {len(layout)} (area estimate {swg.expected_site_count(design):.0f})",
+            "diameter_nm,count",
+            *(f"{d:.0f},{count}" for d, count in zip(diameters, counts))]
 
 
-def cmd_fit_gm(args, cfg: dict) -> int:
+def cmd_fit_gm(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     data_path = args.data
     if data_path == "bundled":
         data_path = device.sample_anticrossing_path()
@@ -641,12 +622,8 @@ def cmd_fit_gm(args, cfg: dict) -> int:
         except mechanics.FitError as exc:
             text[k, 2] = f"error:{exc}"
     header = "w_h_um,g_m_hz,residual"
-    with _outputs(args.out, ["gm_fit.csv"]) as temps:
-        table.write_table(temps["gm_fit.csv"], header, fits.T, text)
-    # only once the file is in place: a bad --out prints no row
-    print(header, *table.rows(fits.T, text), sep="\n")
-    print(f"wrote {args.out / 'gm_fit.csv'}")
-    return 0
+    table.write_table(temps["gm_fit.csv"], header, fits.T, text)
+    return [header, *table.rows(fits.T, text)]
 
 
 def _fit_group(rows: np.ndarray, f2_hz: float) -> mechanics.FitGmResult:
@@ -667,22 +644,37 @@ def _fit_group(rows: np.ndarray, f2_hz: float) -> mechanics.FitGmResult:
     )
 
 
+class Command(NamedTuple):
+    """A subcommand: its handler, help text and output files in rename order."""
+
+    run: Callable[[argparse.Namespace, dict, dict[str, Path]], list[str]]
+    help: str
+    outputs: tuple[str, ...]
+
+
+COMMANDS: dict[str, Command] = {
+    "mech-response": Command(cmd_mech_response, "driven two-mode response curve",
+                             ("response.csv",)),
+    "noise-sweep": Command(cmd_noise_sweep, "noise-equivalent torque budget vs support length",
+                           ("noise_sweep.csv",)),
+    "pulse-budget": Command(cmd_pulse_budget, "minimum photons per pulse vs l_s and n_cav",
+                            ("pulse_ls_sweep.csv", "pulse_ncav_sweep.csv")),
+    "beam-sim": Command(cmd_beam_sim, "grating-converted beam, fidelity and spectra",
+                        ("intensity_swg.csv", "phase_swg.csv",
+                         "intensity_target.csv", "phase_target.csv")),
+    "swg-gen": Command(cmd_swg_gen, "pillar layout generation and export", ("layout.csv",)),
+    "fit-gm": Command(cmd_fit_gm, "extract mode coupling from crossing data", ("gm_fit.csv",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oam-sense",
         description="Torsional optomechanical OAM sensor: design sweeps and noise budgets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "mech-response": (cmd_mech_response, "driven two-mode response curve"),
-        "noise-sweep": (cmd_noise_sweep, "noise-equivalent torque budget vs support length"),
-        "pulse-budget": (cmd_pulse_budget, "minimum photons per pulse vs l_s and n_cav"),
-        "beam-sim": (cmd_beam_sim, "grating-converted beam, fidelity and spectra"),
-        "swg-gen": (cmd_swg_gen, "pillar layout generation and export"),
-        "fit-gm": (cmd_fit_gm, "extract mode coupling from crossing data"),
-    }
-    for name, (func, help_text) in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", default=None, help="INI-style run configuration")
         p.add_argument("--preset", default=None, choices=sorted(PRESETS),
                        help="named parameter preset")
@@ -691,17 +683,23 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fit-gm":
             p.add_argument("data", help="crossing data CSV "
                            "(w_h_um,l_s_um,f_minus_hz,f_plus_hz), or 'bundled'")
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args, resolve_config(args.command, args.preset, args.config))
+        cfg = resolve_config(args.command, args.preset, args.config)
+        with _outputs(args.out, command.outputs) as temps:
+            lines = command.run(args, cfg, temps)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    paths = [str(args.out / name) for name in command.outputs]
+    wrote = " and ".join(paths) if len(paths) <= 2 else f"rasters in {args.out}"  # beam-sim
+    print(*lines, f"wrote {wrote}", sep="\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -527,6 +527,8 @@ class TestWaistSearch:
     @given(n=st.sampled_from([128, 256]), l=st.integers(-10, 10),
            src_frac=st.floats(0.15, 4.0), seed=st.integers(0, 2**32 - 1))
     @example(n=256, l=0, src_frac=2.625, seed=7)  # one-sided: 29 evaluations without the probe
+    # the probe wins by rounding noise: 30 evaluations unless a win re-arms it
+    @example(n=256, l=0, src_frac=2.432207685653046, seed=1596)
     def test_lg_source_scores_match_golden_section(self, n, l, src_frac, seed):
         # the source waist may lie beyond either end of [0.3, 3] x w0, where
         # the search ends on the bracket edge

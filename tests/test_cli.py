@@ -1,3 +1,4 @@
+import ast
 import configparser
 import hashlib
 import importlib.util
@@ -518,7 +519,7 @@ class TestBeamSim:
                              ("phase_target.csv", np.angle(reference.amps))):
             beams.save_raster(matrix, tmp_path / name)
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
-        assert sorted(p.name for p in out.iterdir()) == sorted(cli.BEAM_SIM_RASTERS)
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli.COMMANDS["beam-sim"].outputs)
 
     @pytest.mark.parametrize("text, message", [
         # a waist under 4 pitches, on the grating and on the ideal vortex
@@ -736,6 +737,23 @@ class TestConfigHandling:
                          "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)])
         assert code == 2
         assert "config file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_config_file_names_it(self, tmp_path, capsys, kind):
+        # neither falls back to the defaults: a file that cannot be opened
+        # or decoded as UTF-8 is an error that names it
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe[beam]\nlambda_sig_m = 8.4e-7\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["swg-gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command, preset, section, key, value", [
         ("noise-sweep", "paper-fig5", "environment", "t_k", "nan"),
@@ -1203,6 +1221,66 @@ class TestOutputFiles:
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["mech-response", "--preset", "paper-fig2b"], "[mechanics]\ng_m_hz = 1e7\n",
+         "config key mechanics.g_m_hz"),
+        (["noise-sweep", "--preset", "paper-fig5"], "[sweep]\nl_s_min_um = 2\n",
+         "config key sweep.l_s_min_um"),
+        (["pulse-budget", "--preset", "paper-fig8"], "[sweep]\nl_s_ncav_um = 50\n",
+         "config key sweep.l_s_ncav_um"),
+        (["beam-sim"], "[grid]\npitch_m = 8e-8\n[beam]\nw0_m = 3e-7\n", "config key beam.w0_m"),
+        (["swg-gen"], "[beam]\nlambda_sig_m = 1.5e-6\n", "config key beam.lambda_sig_m"),
+        (["fit-gm", "missing.csv"], "", "fit-gm data file not found"),
+    ], ids=["mech-response", "noise-sweep", "pulse-budget", "beam-sim", "swg-gen", "fit-gm"])
+    def test_failed_handler_check_leaves_nothing(self, tmp_path, capsys, argv, text, message):
+        # a check that only the handler makes fails after main has created
+        # a new nested --out: the run exits 2 and removes it again
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = [str(tmp_path / a) if a == "missing.csv" else a for a in argv]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv + ["--config", str(cfg), "--out",
+                                str(tmp_path / "new" / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert multiprocessing.active_children() == []
+
+    def test_out_is_checked_before_the_handler(self, tmp_path, capsys):
+        # --out is created before a handler's own checks run, so when both
+        # are bad, the error names --out
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[beam]\nlambda_sig_m = 1.5e-6\n")
+        assert cli.main(["swg-gen", "--config", str(cfg), "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert str(blocker) in err and "lambda_sig_m" not in err
+
+    def test_one_run_shape(self):
+        # main alone commits the output set and prints to stdout: no handler
+        # enters _outputs or prints without file=sys.stderr, and every
+        # handler in COMMANDS is a cmd_* function of cli
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+
+        def calls(func, name):
+            return [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == name]
+
+        assert [f.name for f in functions if calls(f, "_outputs")] == ["main"]
+        assert len(calls(tree, "_outputs")) == 1
+        to_stdout = [f"{f.name}:{call.lineno}" for f in functions if f.name.startswith("cmd_")
+                     for call in calls(f, "print")
+                     if not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                                for k in call.keywords)]
+        assert to_stdout == []
+        for command in cli.COMMANDS.values():
+            assert command.run.__name__.startswith("cmd_")
+            assert getattr(cli, command.run.__name__) is command.run
 
     def test_atomic_write_temp_names(self, tmp_path):
         # cli._outputs: temp names are unique per call and sit in the target
