@@ -697,7 +697,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     paths = [str(args.out / name) for name in command.outputs]
-    wrote = " and ".join(paths) if len(paths) <= 2 else f"rasters in {args.out}"  # beam-sim
+    # 1-2 outputs are named; 3+ (today only beam-sim's rasters) by their directory
+    wrote = " and ".join(paths) if len(paths) <= 2 else f"rasters in {args.out}"
     print(*lines, f"wrote {wrote}", sep="\n")
     return 0
 
