@@ -31,6 +31,16 @@ layout, gathers the mask, masks (and propagates) the input at that
 wavelength and runs the waist search.  beam-sim, fidelity_vs_wavelength and
 demo 04 all go through it.  That is why beams imports swg at module level;
 swg imports only table, so there is no cycle.
+
+azimuthal_spectrum band-limit upsamples a field by 2 (up to n = 2048) and
+samples it on polar rings.  The upsampled field is never held whole: the
+first inverse-transform pass keeps only the n rows that hold the spectrum,
+in a compact n x 2n array, and the second pass finishes a block of columns
+at a time.  Each ring sample is interpolated in numpy from the block that
+holds it, with the arithmetic of scipy's order-1 map_coordinates, so every
+power fraction is the one whole-array resampling gives, bit for bit.  At
+n = 1024 a spectrum's traced peak is 59 MiB, 3.7 times the field's 16 MiB,
+where a whole 2n x 2n grid alone is 64 MiB.
 """
 
 from __future__ import annotations
@@ -236,83 +246,136 @@ def fidelity(field: ScalarField, reference: ScalarField) -> float:
     return min(float(np.abs(overlap) ** 2), 1.0)
 
 
-_BLOCK = 64  # rows, columns or radii per block of the spectrum's passes
+_BLOCK = 64  # columns of the upsampled field, or radii of the rings, per block
+_SAMPLE_CHUNK = 16384  # ring samples interpolated at a time
+_UPSAMPLED_UP_TO = 2048  # largest n whose spectrum is taken on the grid upsampled by 2
 
 
-def _fourier_upsample(amps: np.ndarray, factor: int) -> np.ndarray:
-    """Band-limited upsampling by spectral zero padding.
+def _upsampled_rows(amps: np.ndarray, factor: int) -> np.ndarray:
+    """First pass of band-limited upsampling by spectral zero padding.
 
-    The spectrum is padded in FFT order, zeros going between its positive and
-    negative frequencies, so no shifted copy of the padded array is made.
-    The inverse transform runs one axis at a time, as ifft2 does, in blocks
-    written into the one full-size array, so that array and the n x n
-    spectrum are the only large ones alive.  Along axis 1 only the n rows
-    that hold the spectrum are padded and transformed, a block of rows at a
-    time, since the inverse transform of a zero row is zero; each block is
-    stored with its column halves swapped.  Along axis 0 each block of
-    columns is transformed and stored with its row halves swapped.  Together
-    the swaps are the fftshift, and each 1-D transform is the one a
-    whole-array pass makes, so the result is the same bit for bit.
+    The spectrum is padded in FFT order, zeros going between its positive
+    and negative frequencies, and the inverse transform runs one axis at a
+    time, as ifft2 does.  Along axis 1 only the n rows that hold the
+    spectrum are padded and transformed, a block of rows at a time, since
+    the inverse transform of a zero row is zero; each row is stored with
+    its column halves swapped.  The result is the compact n x (n * factor)
+    array of those rows, and the n x n spectrum is freed on return.  With
+    factor 1 the field itself is returned.
     """
+    if factor == 1:
+        return amps
     n = amps.shape[0]
     size = n * factor
-    half = size // 2
     index = np.arange(n)
     index[n // 2:] += size - n
-    spectrum = np.fft.fft2(np.fft.ifftshift(amps))
-    up = np.zeros((size, size), dtype=np.complex128)
-    rows = min(_BLOCK, n // 2)  # a block never straddles the two spectrum halves
-    for r in range(0, n, rows):
-        padded = np.zeros((rows, size), dtype=np.complex128)
-        padded[:, index] = spectrum[r:r + rows]
-        up[index[r]:index[r] + rows] = np.fft.fftshift(np.fft.ifft(padded, axis=1), axes=1)
-    del spectrum, padded
-    for c in range(0, size, _BLOCK):
-        block = slice(c, c + _BLOCK)
-        t = np.fft.ifft(up[:, block], axis=0)
-        t *= factor * factor
-        up[:half, block], up[half:, block] = t[half:], t[:half]
-    return up
+    spectrum = np.fft.ifftshift(amps)
+    np.fft.fft2(spectrum, out=spectrum)  # in place: no second n x n array
+    rows = np.empty((n, size), dtype=np.complex128)
+    step = min(_BLOCK, n // 2)
+    padded = np.zeros((step, size), dtype=np.complex128)
+    for r in range(0, n, step):
+        padded[:, index] = spectrum[r:r + step]
+        rows[r:r + step] = np.fft.fftshift(np.fft.ifft(padded, axis=1), axes=1)
+    return rows
+
+
+def _column_block(rows: np.ndarray, factor: int, c: int) -> np.ndarray:
+    """Columns c .. c + _BLOCK of the upsampled field, the last of them an
+    overlap column shared with the next block (absent at the right edge).
+
+    The block's columns of _upsampled_rows are put back on the n * factor
+    rows they hold in the padded array, zeros between, transformed along
+    axis 0, scaled and stored with their row halves swapped.  Together the
+    swaps are the fftshift, and each 1-D transform is the one a whole-array
+    pass makes, so the blocks put side by side are the upsampled field bit
+    for bit.  With factor 1 a block is a view of the field's own columns.
+    """
+    if factor == 1:
+        return rows[:, c:c + _BLOCK + 1]
+    n, size = rows.shape
+    index = np.arange(n)
+    index[n // 2:] += size - n
+    width = min(_BLOCK + 1, size - c)
+    padded = np.zeros((size, width), dtype=np.complex128)
+    padded[index] = rows[:, c:c + width]
+    t = np.fft.ifft(padded, axis=0, out=padded)
+    t *= factor * factor
+    return np.concatenate([t[size // 2:], t[:size // 2]])
 
 
 def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
     """Power fraction carried by each azimuthal order exp(i l phi).
 
-    The field is band-limit upsampled and resampled onto polar rings about
-    the grid centre; an FFT along the angle projects out the harmonics, and
-    ring powers are summed radially.  Fractions are relative to the field's
-    total power, so they sum to <= 1 over any set of orders.  The rings are
-    sampled a block of radii at a time, and only the harmonics asked for
-    are kept.
-    """
-    from scipy.ndimage import map_coordinates
+    The field is band-limit upsampled (by 2 up to n = 2048) and resampled
+    onto polar rings about the grid centre; an FFT along the angle projects
+    out the harmonics, and ring powers are summed radially.  Fractions are
+    relative to the field's total power, so they sum to <= 1 over any set
+    of orders, which must be integers.
 
-    l_values = np.asarray(list(l_values), dtype=int)
+    The upsampled field is never held whole (see the module docstring).
+    Each ring sample is taken from the column block that holds its column
+    floor(col), with the arithmetic of scipy's map_coordinates at order 1:
+    weights w0 = 1 - t and w1 = 1 - w0 on each axis, the four corners
+    summed from 0.0 in row-major order as (value * row weight) * column
+    weight, and the parts joined as re + 1j * im.  The blocks of samples
+    are found from one int16 array holding each sample's block.  The rings
+    are transformed a block of radii at a time, and only the harmonics
+    asked for are kept.
+    """
+    l_values = list(l_values)
+    for l in l_values:  # a float or a bool would be truncated to an order
+        if isinstance(l, (bool, np.bool_)) or not isinstance(l, (int, np.integer)):
+            raise ValueError(f"azimuthal order {l!r} is not an integer")
+    l_values = np.asarray(l_values, dtype=int)
     total = field.total_power()
     if total == 0.0:
         raise ValueError("zero-power field")
     n_theta = 1024
     if np.any(np.abs(l_values) >= n_theta // 2):
         raise ValueError(f"|l| must be < {n_theta // 2}")
-    up = 2 if field.n <= 2048 else 1
-    amps = _fourier_upsample(field.amps, up) if up > 1 else field.amps
+    up = 2 if field.n <= _UPSAMPLED_UP_TO else 1
+    rows = _upsampled_rows(field.amps, up)
     n = field.n * up
     pitch = field.pitch / up
     n_r = n // 2 - 1
     radii = (np.arange(n_r) + 0.5) * pitch
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    # the column block of each ring sample, in ring-major order
+    owner = np.empty((n_r, n_theta), dtype=np.int16)
+    for r in range(0, n_r, _BLOCK):
+        cols = radii[r:r + _BLOCK, None] * cos_t[None, :] / pitch + n // 2
+        owner[r:r + _BLOCK] = np.floor(cols) // _BLOCK
+    owner = owner.ravel()
+    polar = np.empty(n_r * n_theta, dtype=np.complex128)
+    for c in range(0, n, _BLOCK):
+        block = _column_block(rows, up, c)
+        samples = np.flatnonzero(owner == c // _BLOCK)
+        for s in range(0, len(samples), _SAMPLE_CHUNK):
+            k = samples[s:s + _SAMPLE_CHUNK]
+            ring, angle = np.divmod(k, n_theta)
+            rr = radii[ring]
+            y = rr * sin_t[angle] / pitch + n // 2
+            x = rr * cos_t[angle] / pitch + n // 2
+            y0, x0 = np.floor(y), np.floor(x)
+            wy0 = 1.0 - (y - y0)
+            wx0 = 1.0 - (x - x0)
+            i, j = y0.astype(np.intp), x0.astype(np.intp) - c
+            re = np.zeros(len(k))
+            im = np.zeros(len(k))
+            for di, wy in ((0, wy0), (1, 1.0 - wy0)):
+                for dj, wx in ((0, wx0), (1, 1.0 - wx0)):
+                    v = block[i + di, j + dj]
+                    re += v.real * wy * wx
+                    im += v.imag * wy * wx
+            polar[k] = re + 1j * im
+    del rows, block, owner
+    polar = polar.reshape(n_r, n_theta)
     harmonics = l_values % n_theta
     a_l = np.empty((len(l_values), n_r), dtype=np.complex128)  # a_l(r), one row per order
     for r in range(0, n_r, _BLOCK):
-        rr = radii[r:r + _BLOCK, None]
-        cols = rr * np.cos(theta)[None, :] / pitch + n // 2
-        rows = rr * np.sin(theta)[None, :] / pitch + n // 2
-        coords = np.stack([rows.ravel(), cols.ravel()])
-        polar = (
-            map_coordinates(amps.real, coords, order=1, mode="nearest")
-            + 1j * map_coordinates(amps.imag, coords, order=1, mode="nearest")
-        ).reshape(len(rr), n_theta)
-        coeffs = np.fft.fft(polar, axis=1) / n_theta
+        coeffs = np.fft.fft(polar[r:r + _BLOCK], axis=1) / n_theta
         a_l[:, r:r + _BLOCK] = coeffs[:, harmonics].T
     # power in order l: 2 pi * integral |a_l(r)|^2 r dr
     ring_weight = 2.0 * math.pi * radii * pitch

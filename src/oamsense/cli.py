@@ -577,7 +577,8 @@ def cmd_beam_sim(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
                                                target, z_eval=z_eval)
         else:
             metrics = beams.grating_metrics(design, lam, n, pitch, w0, z_eval)
-        # the spectrum's upsampled grids are freed before the rasters are built
+        # the spectrum's compact upsampled rows (32 MiB at n = 1024) are freed
+        # before the rasters are built
         l_values = list(range(target.l - 3, target.l + 4))
         fractions = beams.azimuthal_spectrum(metrics.output, l_values)
         beams.save_raster(np.abs(metrics.output.amps) ** 2, temps["intensity_swg.csv"])

@@ -307,16 +307,18 @@ def fourier_upsample_all_rows(amps, factor):
     return np.fft.fftshift(up)
 
 
-def azimuthal_spectrum_whole(field, l_values):
+def azimuthal_spectrum_whole(field, l_values, up=None):
     """beams.azimuthal_spectrum with every step done on whole arrays: the
     all-row upsampling, every polar sample of every ring in one
-    map_coordinates call per part, and the FFT of every ring kept."""
+    map_coordinates call per part, and the FFT of every ring kept.  `up`
+    overrides the upsampling factor (2 up to n = 2048, else 1)."""
     from scipy.ndimage import map_coordinates
 
     l_values = np.asarray(list(l_values), dtype=int)
     total = field.total_power()
     n_theta = 1024
-    up = 2 if field.n <= 2048 else 1
+    if up is None:
+        up = 2 if field.n <= 2048 else 1
     amps = fourier_upsample_all_rows(field.amps, up) if up > 1 else field.amps
     n = field.n * up
     pitch = field.pitch / up

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,26 +309,96 @@ class TestAzimuthalSpectrum:
         fracs = beams.azimuthal_spectrum(out, range(-5, 6))
         assert fracs.sum() <= 1.0 + 1e-9
 
-    def test_upsample_matches_centred_padding(self, monkeypatch):
+    @staticmethod
+    def _assert_blocks_equal(amps, factor, block, whole):
+        """beams._column_block at every block start, with the block width
+        patched to `block`, against the whole upsampled field."""
+        with mock.patch.object(beams, "_BLOCK", block):
+            rows = beams._upsampled_rows(amps, factor)
+            blocks = [(c, beams._column_block(rows, factor, c))
+                      for c in range(0, amps.shape[0] * factor, block)]
+        # side by side without their overlap columns, the blocks are the field
+        joined = np.concatenate([b[:, :block] for _, b in blocks], axis=1)
+        assert np.array_equal(joined.view(np.uint64), whole.view(np.uint64))
+        for c, b in blocks:  # and each overlap column is the next block's first
+            assert np.array_equal(b.view(np.uint64), whole[:, c:c + block + 1].view(np.uint64))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([32, 64, 128]), st.sampled_from([2, 4]),
+           st.sampled_from([4, 16, 64]), st.integers(0, 2**32 - 1))
+    def test_upsample_matches_centred_padding(self, n, factor, block, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        self._assert_blocks_equal(amps, factor, block, fourier_upsample_centred(amps, factor))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([32, 64, 128]), st.sampled_from([2, 3, 4]),
+           st.sampled_from([4, 16, 64]), st.integers(0, 2**32 - 1), st.floats(1e-6, 1e6))
+    def test_upsample_matches_all_row_transform(self, n, factor, block, seed, scale):
+        rng = np.random.default_rng(seed)
+        amps = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        self._assert_blocks_equal(amps, factor, block, fourier_upsample_all_rows(amps, factor))
+
+    def test_factor_one_blocks_are_the_field(self):
+        amps = np.arange(64 * 64, dtype=np.complex128).reshape(64, 64)
+        self._assert_blocks_equal(amps, 1, 16, amps)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([64, 128, 256]), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 0.5), st.lists(st.integers(-511, 511), min_size=1, max_size=6))
+    def test_disc_field_matches_whole_arrays(self, n, seed, radius, ls):
+        # exactly zero outside a disc, as a grating's footprint leaves a field
+        rng = np.random.default_rng(seed)
+        x = np.arange(n) - n // 2
+        disc = x[None, :] ** 2 + x[:, None] ** 2 <= (radius * n) ** 2
+        amps = np.where(disc, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.0)
+        field = beams.ScalarField(n=n, pitch=100e-9, lam=LAM, amps=amps)
+        assert np.array_equal(beams.azimuthal_spectrum(field, ls).view(np.uint64),
+                              azimuthal_spectrum_whole(field, ls).view(np.uint64))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([32, 64, 128]), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(-511, 511), min_size=1, max_size=6))
+    def test_factor_one_matches_whole_arrays(self, n, seed, ls):
+        # the path of n > 2048, where the rings are sampled on the field's own grid
+        rng = np.random.default_rng(seed)
+        field = beams.ScalarField(n=n, pitch=100e-9, lam=LAM,
+                                  amps=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        with mock.patch.object(beams, "_UPSAMPLED_UP_TO", 0):
+            fracs = beams.azimuthal_spectrum(field, ls)
+        assert np.array_equal(fracs.view(np.uint64),
+                              azimuthal_spectrum_whole(field, ls, up=1).view(np.uint64))
+
+    def test_grating_field_matches_whole_arrays(self):
         layout = swg.generate_layout(swg.SWGDesign())
         out = beams.apply_mask(beams.make_gaussian(256, 80e-9, LAM, W0),
                                swg.layout_to_mask(layout, 256, 80e-9))
-        up = beams._fourier_upsample(out.amps, 2)
-        assert np.array_equal(up, fourier_upsample_centred(out.amps, 2))
         ls = range(-2, 5)
-        fracs = beams.azimuthal_spectrum(out, ls)
-        monkeypatch.setattr(beams, "_fourier_upsample", fourier_upsample_centred)
-        assert np.array_equal(fracs, beams.azimuthal_spectrum(out, ls))
+        assert np.array_equal(beams.azimuthal_spectrum(out, ls).view(np.uint64),
+                              azimuthal_spectrum_whole(out, ls).view(np.uint64))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([32, 64, 128]), st.sampled_from([1, 2, 3]),
-           st.integers(0, 2**32 - 1), st.floats(1e-6, 1e6))
-    def test_upsample_matches_all_row_transform(self, n, factor, seed, scale):
-        rng = np.random.default_rng(seed)
-        amps = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        up = beams._fourier_upsample(amps, factor)
-        assert np.array_equal(up.view(np.uint64),
-                              fourier_upsample_all_rows(amps, factor).view(np.uint64))
+    @pytest.mark.parametrize("order", [1.5, True, np.float64(1.0), np.bool_(True), "1"])
+    def test_non_integer_order_rejected(self, gauss, order):
+        with pytest.raises(ValueError, match=re.escape(f"order {order!r} is not an integer")):
+            beams.azimuthal_spectrum(gauss, [0, order])
+
+    def test_integer_orders_of_any_kind(self, gauss):
+        out = beams.apply_mask(gauss, beams.vortex_mask(N, PITCH, 1))
+        fracs = beams.azimuthal_spectrum(out, range(-1, 3))
+        for ls in ([-1, 0, 1, 2], np.arange(-1, 3), [np.int8(-1), 0, np.uint16(1), np.int64(2)]):
+            assert np.array_equal(beams.azimuthal_spectrum(out, ls), fracs)
+
+    def test_traced_peak_below_four_fields(self):
+        # the compact first pass and the column blocks, never the 2n x 2n grid
+        field = beams.apply_mask(beams.make_gaussian(1024, 50e-9, LAM, W0),
+                                 beams.vortex_mask(1024, 50e-9, 1))
+        tracemalloc.start()
+        try:
+            beams.azimuthal_spectrum(field, [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * field.amps.nbytes
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([64, 128, 256]), st.integers(0, 2**32 - 1),

@@ -1,7 +1,8 @@
 """Package import hygiene: every dependency between oamsense modules is a
 module-level import, so the import graph can be read off the module tops,
-scoring a field imports no scipy.optimize, and every public function or
-class of the package has a caller outside the tests."""
+scoring a field imports no scipy.optimize and taking its azimuthal spectrum
+no scipy.ndimage, and every public function or class of the package has a
+caller outside the tests."""
 
 import ast
 import os
@@ -83,6 +84,23 @@ def test_waist_search_does_not_import_scipy_optimize():
         "beams.conversion_metrics(gauss, beams.vortex_mask(64, 100e-9, 1),\n"
         "                         beams.LGIndex(0, 1, 1.5e-6))\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+    )
+    src = str(Path(oamsense.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_spectrum_does_not_import_scipy_ndimage():
+    # the rings are sampled by a numpy bilinear gather, not map_coordinates
+    code = (
+        "import sys\n"
+        "from oamsense import beams\n"
+        "gauss = beams.make_gaussian(64, 100e-9, 840e-9, 1.5e-6)\n"
+        "m = beams.conversion_metrics(gauss, beams.vortex_mask(64, 100e-9, 1),\n"
+        "                             beams.LGIndex(0, 1, 1.5e-6))\n"
+        "beams.azimuthal_spectrum(m.output, range(-2, 5))\n"
+        "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage imported'\n"
     )
     src = str(Path(oamsense.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
