@@ -39,7 +39,7 @@ in a compact n x 2n array, and the second pass finishes a block of columns
 at a time.  Each ring sample is interpolated in numpy from the block that
 holds it, with the arithmetic of scipy's order-1 map_coordinates, so every
 power fraction is the one whole-array resampling gives, bit for bit.  At
-n = 1024 a spectrum's traced peak is 59 MiB, 3.7 times the field's 16 MiB,
+n = 1024 a spectrum's traced peak is 61 MiB, 3.8 times the field's 16 MiB,
 where a whole 2n x 2n grid alone is 64 MiB.
 """
 
@@ -269,8 +269,7 @@ def _upsampled_rows(amps: np.ndarray, factor: int) -> np.ndarray:
     size = n * factor
     index = np.arange(n)
     index[n // 2:] += size - n
-    spectrum = np.fft.ifftshift(amps)
-    np.fft.fft2(spectrum, out=spectrum)  # in place: no second n x n array
+    spectrum = np.fft.fft2(np.fft.ifftshift(amps))
     rows = np.empty((n, size), dtype=np.complex128)
     step = min(_BLOCK, n // 2)
     padded = np.zeros((step, size), dtype=np.complex128)
@@ -299,7 +298,7 @@ def _column_block(rows: np.ndarray, factor: int, c: int) -> np.ndarray:
     width = min(_BLOCK + 1, size - c)
     padded = np.zeros((size, width), dtype=np.complex128)
     padded[index] = rows[:, c:c + width]
-    t = np.fft.ifft(padded, axis=0, out=padded)
+    t = np.fft.ifft(padded, axis=0)
     t *= factor * factor
     return np.concatenate([t[size // 2:], t[:size // 2]])
 
@@ -321,7 +320,9 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
     weight, and the parts joined as re + 1j * im.  The blocks of samples
     are found from one int16 array holding each sample's block.  The rings
     are transformed a block of radii at a time, and only the harmonics
-    asked for are kept.
+    asked for are kept.  map_coordinates run on each block gives the same
+    bits, but at n = 1024 it raises a fresh process's peak RSS by 34 MiB
+    against the gather's 9 MiB, and beam-sim's by 12 MB.
     """
     l_values = list(l_values)
     for l in l_values:  # a float or a bool would be truncated to an order
