@@ -13,13 +13,20 @@ is built, so concurrent readers need no synchronization; an interpolated
 grid is an array of them, evaluated in one vectorised pass over a branch's
 knot columns, and one point is a single record.
 
-File format (UTF-8, comma separated, ``#`` starts a comment line)::
+File format of both tables: UTF-8, comma separated, blank lines skipped,
+``#`` starting a comment line; the header row, then one row per point.  The
+mode dataset (load_dataset) has the header HEADER, the tuned-crossing table
+(load_crossings) CROSSING_HEADER::
 
     l_s_um,w_h_um,l_h_um,branch,omega_m_hz,m_eff_kg,r_eff_m,q_m,g_om_hz_per_m
+    w_h_um,l_s_um,f_minus_hz,f_plus_hz
 
-``omega_m_hz`` and ``g_om_hz_per_m`` are ordinary frequencies; the loader
-multiplies them by 2*pi to obtain the angular quantities stored on records.
-Leading comment lines are kept as the dataset's provenance note.
+Every cell but ``branch`` is a finite number; the ``*_hz`` columns are
+ordinary frequencies, which the loaders multiply by 2*pi.  Comment lines
+before the header are the dataset's provenance note.  A fault raises
+DatasetError as ``"{path}, line N: ..."``, naming the column of a bad cell,
+or as ``"{path}: ..."`` for a file that is unreadable as UTF-8 or has no
+header row or no data rows.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ TWO_PI = 2.0 * math.pi
 BRANCHES = ("twist-like", "bounce-like", "hybrid-lower", "hybrid-upper")
 
 HEADER = "l_s_um,w_h_um,l_h_um,branch,omega_m_hz,m_eff_kg,r_eff_m,q_m,g_om_hz_per_m"
+CROSSING_HEADER = "w_h_um,l_s_um,f_minus_hz,f_plus_hz"
 
 #: One mechanical branch at one geometry point; the fields follow the file's
 #: columns.  l_s_um, w_h_um and l_h_um are the support length, hanger width
@@ -67,7 +75,11 @@ def _row_fault(row: tuple) -> str | None:
                         ("q_m", q_m)):
         if not value > 0.0:
             return f"record field {name} must be > 0"
-    return "record field g_om must be >= 0" if g_om < 0.0 else None
+    if not g_om >= 0.0:
+        return "record field g_om must be >= 0"
+    if math.inf in row:  # the one non-finite value the checks above let through
+        return f"field {MODE_DTYPE.names[row.index(math.inf)]} must be finite"
+    return None
 
 
 class DeviceDataset:
@@ -120,106 +132,91 @@ class DeviceDataset:
         return ls[0].item(), ls[-1].item()
 
 
-def _parse_row(fields: list[str], line_no: int) -> tuple:
-    """The row's fields in MODE_DTYPE order, checked as DeviceDataset checks them."""
-    if len(fields) != 9:
-        raise DatasetError(f"line {line_no}: expected 9 columns, got {len(fields)}")
+def _read_table(path, header: str,
+                text: tuple[str, ...] = ()) -> tuple[str, list[tuple[int, list]]]:
+    """Read a table file: its provenance note and (line number, cells) per data row.
+
+    The note joins the comment lines before the header, without their ``#``.
+    Each row has one cell per column of `header`: a str for the `text`
+    columns, a finite float for every other.  Raises DatasetError for every
+    fault of the file, as the module docstring states.
+    """
+    columns = header.split(",")
     try:
-        l_s, w_h, l_h = map(float, fields[:3])
-        branch = fields[3].strip()
-        omega_hz, m_eff, r_eff, q_m, g_om_hz = map(float, fields[4:])
-    except ValueError as exc:
-        raise DatasetError(f"line {line_no}: {exc}") from exc
-    row = (l_s, w_h, l_h, branch, TWO_PI * omega_hz, m_eff, r_eff, q_m, TWO_PI * g_om_hz)
-    fault = _row_fault(row)
-    if fault is not None:
-        raise DatasetError(f"line {line_no}: {fault}")
-    return row
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # OSError: missing, or a directory
+        raise DatasetError(f"{path}: {exc}") from None
+    notes: list[str] = []
+    header_seen = False
+    rows: list[tuple[int, list]] = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith("#") and not header_seen:
+            notes.append(line.lstrip("#").strip())
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}, line {line_no}"
+        if not header_seen:
+            if line != header:
+                raise DatasetError(f"{where}: bad header; expected {header!r}")
+            header_seen = True
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise DatasetError(f"{where}: expected {len(columns)} columns, found {len(cells)}")
+        for k, (name, cell) in enumerate(zip(columns, cells)):
+            if name in text:
+                cells[k] = cell.strip()
+                continue
+            try:
+                cells[k] = float(cell)
+            except ValueError:
+                cells[k] = math.nan  # not a number: the same fault as nan or inf
+            if not math.isfinite(cells[k]):
+                raise DatasetError(f"{where}: {name} = {cell.strip()!r} is not a finite number")
+        rows.append((line_no, cells))
+    if not header_seen:
+        raise DatasetError(f"{path}: empty file (no header row)")
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    return "\n".join(notes), rows
 
 
 def load_dataset(path) -> DeviceDataset:
-    """Load and validate a dataset file.
+    """Load and validate a dataset file; its rows may come in any order.
 
-    Raises DatasetError with the offending line number for malformed rows
-    and non-positive values.  A repeated (branch, l_s) row is an error naming
-    the file and the lines of both rows.  Rows may come in any order.
+    Beyond the format, a row that breaks a DeviceDataset invariant, or
+    repeats the (branch, l_s) of an earlier row, raises DatasetError naming
+    the file and its line (and the earlier row's).
     """
-    provenance_lines: list[str] = []
-    header_seen = False
+    provenance, rows = _read_table(path, HEADER, text=("branch",))
     records: list[tuple] = []
     first_line: dict[tuple[str, float], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if not header_seen:
-                    provenance_lines.append(line.lstrip("#").strip())
-                continue
-            if not header_seen:
-                if line != HEADER:
-                    raise DatasetError(
-                        f"line {line_no}: bad header; expected {HEADER!r}"
-                    )
-                header_seen = True
-                continue
-            row = _parse_row(line.split(","), line_no)
-            l_s, branch = row[0], row[3]
-            if (branch, l_s) in first_line:
-                raise DatasetError(
-                    f"{path}, line {line_no}: repeats the {branch} row at "
-                    f"l_s = {l_s} um of line {first_line[branch, l_s]}"
-                )
-            first_line[branch, l_s] = line_no
-            records.append(row)
-    if not header_seen:
-        raise DatasetError(f"{path}: empty file (no header row)")
-    if not records:
-        raise DatasetError(f"{path}: no data rows")
-    return DeviceDataset(records, provenance="\n".join(provenance_lines))
-
-
-CROSSING_HEADER = "w_h_um,l_s_um,f_minus_hz,f_plus_hz"
+    for line_no, (l_s, w_h, l_h, branch, omega_hz, m_eff, r_eff, q_m, g_om_hz) in rows:
+        row = (l_s, w_h, l_h, branch, TWO_PI * omega_hz, m_eff, r_eff, q_m, TWO_PI * g_om_hz)
+        fault = _row_fault(row)
+        if fault is None and (branch, l_s) in first_line:
+            fault = (f"repeats the {branch} row at l_s = {l_s} um "
+                     f"of line {first_line[branch, l_s]}")
+        if fault is not None:
+            raise DatasetError(f"{path}, line {line_no}: {fault}")
+        first_line[branch, l_s] = line_no
+        records.append(row)
+    return DeviceDataset(records, provenance=provenance)
 
 
 def load_crossings(path) -> dict[float, np.ndarray]:
-    """Load a tuned mode-crossing table for coupling fits.
+    """Load a tuned mode-crossing table (header CROSSING_HEADER) for coupling fits.
 
-    File format: ``#`` comment lines, the header CROSSING_HEADER, then one
-    row per point with the two hybrid-branch frequencies in ordinary Hz.
+    Each row holds the two hybrid-branch frequencies in ordinary Hz.
     Returns the rows grouped by w_h (um), in increasing w_h: for each, an
     array of (l_s_um, omega_minus, omega_plus) rows in file order, with the
-    frequencies in rad/s.  A bad header or row raises DatasetError naming
-    the file and line; a file without a header or without data rows raises
-    it naming the file.
+    frequencies in rad/s.
     """
     groups: dict[float, list[tuple[float, float, float]]] = {}
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != CROSSING_HEADER:
-                    raise DatasetError(
-                        f"{path}, line {line_no}: bad header; expected {CROSSING_HEADER!r}"
-                    )
-                header_seen = True
-                continue
-            cells = line.split(",")
-            try:
-                if len(cells) != 4:
-                    raise ValueError(f"expected 4 columns, found {len(cells)}")
-                w_h, l_s, f_lo, f_hi = (float(v) for v in cells)
-            except ValueError as exc:
-                raise DatasetError(f"{path}, line {line_no}: {exc}") from exc
-            groups.setdefault(w_h, []).append((l_s, TWO_PI * f_lo, TWO_PI * f_hi))
-    if not header_seen:
-        raise DatasetError(f"{path}: empty file (no header row)")
-    if not groups:
-        raise DatasetError(f"{path}: no data rows")
+    for _, (w_h, l_s, f_lo, f_hi) in _read_table(path, CROSSING_HEADER)[1]:
+        groups.setdefault(w_h, []).append((l_s, TWO_PI * f_lo, TWO_PI * f_hi))
     return {w_h: np.asarray(groups[w_h]) for w_h in sorted(groups)}
 
 

@@ -1,5 +1,7 @@
 """Comma-separated tables of float cells: the one formatter of every CSV
-output, and of the CSV rows that noise-sweep, mech-response and fit-gm print.
+output, of the CSV rows that noise-sweep, mech-response and fit-gm print, and
+of the data rows of the two bundled tables that tools/generate_sample_data.py
+writes.
 
 Contract: each cell is written as repr(float(v)) of its value, byte for
 byte, so a file is identical to one written by a per-cell repr loop.  Each

@@ -318,6 +318,30 @@ class TestNoiseSweep:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("column, cell", [
+        ("m_eff_kg", "inf"), ("g_om_hz_per_m", "nan"), ("l_s_um", "inf"),
+    ])
+    def test_non_finite_dataset_cell_names_file_line_and_column(self, tmp_path, capsys,
+                                                                column, cell):
+        # once these loaded, and noise-sweep wrote inf and nan cells with exit 0
+        lines = device.sample_dataset_path().read_text(encoding="utf-8").splitlines()
+        header = lines.index(device.HEADER)
+        cells = lines[header + 1].split(",")
+        cells[device.HEADER.split(",").index(column)] = cell
+        lines[header + 1] = ",".join(cells)
+        data = tmp_path / "non_finite.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[device]\ndataset = {data}\n")
+        code = cli.main(["noise-sweep", "--preset", "paper-fig5", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {data}, line {header + 2}: "
+                                f"{column} = {cell!r} is not a finite number\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestPulseBudget:
     def test_fig8_preset(self, tmp_path):
@@ -709,6 +733,18 @@ class TestFitGm:
         assert f"{data}, line 4" in err
         assert "expected 4 columns, found 3" in err
 
+    def test_nan_cell_names_file_line_and_column(self, tmp_path, capsys):
+        # once this reached the fit and failed naming neither file nor line
+        data = tmp_path / "cross.csv"
+        data.write_text("w_h_um,l_s_um,f_minus_hz,f_plus_hz\n"
+                        "7.0,9.0,5.0e6,6.0e6\n7.0,9.5,nan,6.1e6\n")
+        out = tmp_path / "out"
+        assert cli.main(["fit-gm", str(data), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {data}, line 3: f_minus_hz = 'nan' is not a finite number\n"
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["fit-gm", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path)]) == 2
@@ -753,6 +789,28 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    @pytest.mark.parametrize("command", ["noise-sweep", "fit-gm"])
+    def test_unreadable_data_file_names_it(self, tmp_path, capsys, command, kind):
+        # device.dataset and fit-gm's data file, as --config above
+        path = tmp_path / "data.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" + device.HEADER.encode() + b"\n")
+        if command == "fit-gm":
+            argv = ["fit-gm", str(path)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"[device]\ndataset = {path}\n")
+            argv = ["noise-sweep", "--preset", "paper-fig5", "--config", str(cfg)]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command, preset, section, key, value", [

@@ -1,7 +1,9 @@
+import ast
 import functools
 import importlib.util
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -301,3 +303,149 @@ def test_geometry_invariants():
                       omega_m=0.0, m_eff=0.0, r_eff=1e-4, q_m=1e6, g_om=-1.0)
     with pytest.raises(device.DatasetError, match="^geometry field l_s_um must be > 0$"):
         device.DeviceDataset(records=[row])
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("m_eff", math.inf, "field m_eff must be finite"),
+    ("l_s_um", math.inf, "field l_s_um must be finite"),
+    ("g_om", math.inf, "field g_om must be finite"),
+    ("g_om", math.nan, "record field g_om must be >= 0"),
+    ("omega_m", math.nan, "record field omega_m must be > 0"),
+    ("w_h_um", -math.inf, "geometry field w_h_um must be > 0"),
+])
+def test_direct_construction_rejects_non_finite(small_file, name, value, message):
+    rows = device.load_dataset(small_file).records.copy()
+    rows[name][2] = value
+    with pytest.raises(device.DatasetError, match=f"^{re.escape(message)}$"):
+        device.DeviceDataset(rows)
+
+
+def _replace_cell(text: str, line_no: int, column: str, cell: str) -> str:
+    """text with the cell of `column` (named by the first line) on line `line_no` replaced."""
+    lines = text.splitlines()
+    cells = lines[line_no - 1].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[line_no - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+CROSSING_ROWS = device.CROSSING_HEADER + "\n7.0,9.0,5.0e6,6.0e6\n7.0,9.5,5.1e6,6.1e6\n"
+
+
+@pytest.mark.parametrize("table, load", [
+    (GOOD_ROWS, device.load_dataset), (CROSSING_ROWS, device.load_crossings),
+], ids=["dataset", "crossings"])
+@pytest.mark.parametrize("column, cell", [
+    ("l_s_um", "inf"), ("l_s_um", "nan"), ("w_h_um", "-inf"), ("w_h_um", ""),
+    ("l_s_um", "1e400"), ("w_h_um", "twist-like"),
+])
+def test_non_finite_cell_names_file_line_and_column(tmp_path, table, load, column, cell):
+    path = tmp_path / "table.csv"
+    path.write_text(_replace_cell(table, 3, column, cell))
+    message = f"{path}, line 3: {column} = {cell!r} is not a finite number"
+    with pytest.raises(device.DatasetError, match=f"^{re.escape(message)}$"):
+        load(path)
+
+
+def test_frequency_that_overflows_is_not_finite(tmp_path):
+    # 1e308 Hz is a finite cell, but 2*pi times it is inf
+    path = tmp_path / "dev.csv"
+    path.write_text(_replace_cell(GOOD_ROWS, 2, "omega_m_hz", "1e308"))
+    message = f"{path}, line 2: field omega_m must be finite"
+    with pytest.raises(device.DatasetError, match=f"^{re.escape(message)}$"):
+        device.load_dataset(path)
+
+
+@pytest.mark.parametrize("load", [device.load_dataset, device.load_crossings])
+@pytest.mark.parametrize("kind", ["directory", "undecodable", "missing"])
+def test_unreadable_table_names_it(tmp_path, load, kind):
+    path = tmp_path / "table.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"\xff\xfe" + device.HEADER.encode())
+    with pytest.raises(device.DatasetError, match=f"^{re.escape(str(path))}: "):
+        load(path)
+
+
+_TABLES = {
+    device.load_dataset: (device.HEADER, "branch"),
+    device.load_crossings: (device.CROSSING_HEADER, None),
+}
+
+
+@st.composite
+def _table_file(draw, load):
+    """(file text, whether every piece of it is valid) for one loader's table."""
+    header, text_column = _TABLES[load]
+    columns = header.split(",")
+    valid = True
+    lines = []
+    filler = st.sampled_from(["", "   ", "# a note", "#"])
+    lines += draw(st.lists(filler, max_size=2))
+    heading = draw(st.sampled_from(["good", "missing", "short", "foreign"]))
+    if heading != "missing":
+        lines.append({"good": header, "short": header.rsplit(",", 1)[0],
+                      "foreign": header.upper()}[heading])
+    valid &= heading == "good"
+    n_rows = draw(st.integers(0, 4))
+    valid &= n_rows > 0
+    for k in range(n_rows):
+        # distinct l_s per row keeps every valid dataset row unrepeated
+        cells = [{"l_s_um": f"{k + 1.0}", "branch": "twist-like"}.get(name, "7.0")
+                 for name in columns]
+        fault = draw(st.sampled_from(["none", "none", "cell", "width"]))
+        if fault == "cell":
+            which = draw(st.sampled_from(columns))
+            bad = ["", "nan", "inf", "-inf", "1e400", "abc"]
+            cells[columns.index(which)] = draw(st.sampled_from(
+                bad if which != text_column else ["", "nan", "7.0"]))
+        elif fault == "width":
+            width = draw(st.integers(1, len(columns) + 2).filter(lambda n: n != len(columns)))
+            cells = (cells * 2)[:width]
+        valid &= fault == "none"
+        lines.append(",".join(cells))
+        lines += draw(st.lists(filler, max_size=1))
+    return "\n".join(lines) + "\n", valid
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_table_loads_finite_or_raises_naming_the_file(data):
+    # a file either loads, with every float field finite, or raises
+    # DatasetError whose message starts with its path; no other exception
+    load = data.draw(st.sampled_from(list(_TABLES)))
+    text, valid = data.draw(_table_file(load))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            loaded = load(path)
+        except device.DatasetError as exc:
+            assert not valid
+            assert str(exc).startswith(f"{path}, line ") or str(exc).startswith(f"{path}: ")
+            return
+    assert valid
+    if load is device.load_dataset:
+        values = [loaded.records[name] for name in device.MODE_DTYPE.names if name != "branch"]
+    else:
+        values = list(loaded.values())
+    assert all(np.isfinite(v).all() for v in values)
+
+
+def _calls(tree, names):
+    """The calls in `tree` of a function or method named in `names`."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & names]
+
+
+def test_one_reader_and_one_formatter():
+    # device reads a file only in its reader, and the data tool formats no
+    # cell itself: its cells come from table
+    tree = ast.parse(Path(device.__file__).read_text(encoding="utf-8"))
+    reads = {"open", "read_text", "read_bytes"}
+    readers = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and _calls(f, reads)]
+    assert readers == ["_read_table"]
+    assert len(_calls(tree, reads)) == 1
+    tool = Path(__file__).resolve().parents[1] / "tools" / "generate_sample_data.py"
+    assert _calls(ast.parse(tool.read_text(encoding="utf-8")), {"repr"}) == []

@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 import pathlib
 import sys
+from collections.abc import Iterator
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from oamsense import device, mechanics, noise
+from oamsense import device, mechanics, noise, table
 
 TWO_PI = 2.0 * math.pi
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "oamsense" / "data"
@@ -80,34 +81,35 @@ def calibrate() -> tuple[float, float]:
     return m_eff, r_eff
 
 
-def device_rows(m_star: float, r_star: float) -> list[str]:
+def device_rows(m_star: float, r_star: float) -> Iterator[str]:
     # The linear term in the twist lever arm cancels the frequency tilt of
     # tau_th ~ sqrt(omega) at the crossing, pinning the budget minimum there.
     tilt = 0.5 * (-F_SLOPE) / F_CROSS  # per um
-    rows = []
+    rows = []  # branch is a text cell: table.rows writes it over the nan
     for ls in np.arange(8.0, 18.0 + 0.5, 1.0):
         d = ls - LS_CROSS
         f_twist = F_CROSS + F_SLOPE * d
         m_twist = m_star * (1.0 + 0.02 * d * d)
         r_twist = r_star * (1.0 + tilt * d + 0.08 * d * d)
         g_twist = (1.0 + 15.0 * math.exp(-2.0 * d * d)) * 1e18
-        rows.append((ls, "twist-like", f_twist, m_twist, r_twist, g_twist))
+        rows.append((ls, 7.0, 1.0, math.nan, f_twist, m_twist, r_twist, Q_M_FILE, g_twist))
 
         r_bounce = r_star * (1.0 + 2.0 * d * d)
         g_bounce = G_BOUNCE_HZ_PER_M - (G_BOUNCE_HZ_PER_M - G_CROSS_HZ_PER_M) * math.exp(
             -2.0 * d * d
         )
-        rows.append((ls, "bounce-like", F_CROSS, M_BOUNCE, r_bounce, g_bounce))
-    lines = []
-    for ls, branch, f_hz, m_eff, r_eff, g_hz in rows:
-        lines.append(
-            ",".join(
-                [repr(float(ls)), "7.0", "1.0", branch, repr(float(f_hz)),
-                 repr(float(m_eff)), repr(float(r_eff)), repr(Q_M_FILE),
-                 repr(float(g_hz))]
-            )
-        )
-    return lines
+        rows.append((ls, 7.0, 1.0, math.nan, F_CROSS, M_BOUNCE, r_bounce, Q_M_FILE, g_bounce))
+    text = np.full((len(rows), len(rows[0])), None, dtype=object)
+    text[:, 3] = ["twist-like", "bounce-like"] * (len(rows) // 2)
+    return table.rows(np.transpose(rows), text)
+
+
+def _write(name: str, notes: list[str], header: str, lines) -> pathlib.Path:
+    """Write the `#` notes, the header and the data lines to DATA_DIR / name."""
+    path = DATA_DIR / name
+    path.write_text("\n".join([*(f"# {note}" for note in notes), header, *lines]) + "\n",
+                    encoding="utf-8")
+    return path
 
 
 def write_device_table(m_star: float, r_star: float) -> pathlib.Path:
@@ -124,12 +126,7 @@ def write_device_table(m_star: float, r_star: float) -> pathlib.Path:
         "Film: 370 nm SiN with a 100 nm slot (1 GPa initial stress upstream).",
         "Generated by tools/generate_sample_data.py; do not edit by hand.",
     ]
-    path = DATA_DIR / "sample_device.csv"
-    lines = [f"# {line}" for line in provenance]
-    lines.append(device.HEADER)
-    lines.extend(device_rows(m_star, r_star))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write("sample_device.csv", provenance, device.HEADER, device_rows(m_star, r_star))
 
 
 def write_anticrossing_table() -> pathlib.Path:
@@ -138,13 +135,13 @@ def write_anticrossing_table() -> pathlib.Path:
     The coupling decreases with hanger width; the values are illustrative.
     """
     groups = [(5.0, 1.8e6), (7.0, 1.2e6), (9.0, 0.8e6)]
-    lines = [
-        "# Synthetic tuned-crossing table: hybrid branch frequencies vs support",
-        "# length for three hanger widths.  Coupling g_m/2pi decreases with",
-        "# hanger width (1.8, 1.2, 0.8 MHz); generated from the two-mode model",
-        "# by tools/generate_sample_data.py.  Illustrative, not solver output.",
-        "w_h_um,l_s_um,f_minus_hz,f_plus_hz",
+    notes = [
+        "Synthetic tuned-crossing table: hybrid branch frequencies vs support",
+        "length for three hanger widths.  Coupling g_m/2pi decreases with",
+        "hanger width (1.8, 1.2, 0.8 MHz); generated from the two-mode model",
+        "by tools/generate_sample_data.py.  Illustrative, not solver output.",
     ]
+    rows = []
     for w_h, g_hz in groups:
         for ls in np.arange(8.0, 12.0 + 0.25, 0.5):
             f1 = F_CROSS + F_SLOPE * (ls - LS_CROSS)
@@ -154,12 +151,9 @@ def write_anticrossing_table() -> pathlib.Path:
                 g_m=TWO_PI * g_hz,
             )
             lo, hi = mechanics.hybrid_frequencies(model)
-            lines.append(
-                ",".join([repr(w_h), repr(float(ls)), repr(lo / TWO_PI), repr(hi / TWO_PI)])
-            )
-    path = DATA_DIR / "sample_anticrossing.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+            rows.append((w_h, ls, lo / TWO_PI, hi / TWO_PI))
+    return _write("sample_anticrossing.csv", notes, device.CROSSING_HEADER,
+                  table.rows(np.transpose(rows)))
 
 
 def main() -> None:
