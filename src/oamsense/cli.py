@@ -35,7 +35,10 @@ beam-sim runs in two halves on two cores: one worker forked after the config
 checks builds the target mode and writes intensity_target.csv and
 phase_target.csv, while this process scores the grating, takes the azimuthal
 spectrum and writes intensity_swg.csv and phase_swg.csv.  The worker has
-ended before the set is renamed or removed.
+ended before the set is renamed or removed.  Before the fork, beam-sim fixes
+glibc's mmap and trim thresholds for the process (_map_large_blocks), so its
+n x n arrays are unmapped when freed and its peak memory does not depend on
+what the process ran before.
 """
 
 from __future__ import annotations
@@ -528,6 +531,43 @@ def _check_resolves_lattice(cfg: dict, pitch: float, lattice: float) -> None:
                           f"lattice: it must be below {source} / 4 = {limit!r}")
 
 
+#: glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+#: block size from which malloc maps each block on its own once beam-sim runs.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MAPPED_FROM = 4 << 20
+
+
+def _map_large_blocks() -> None:
+    """Fix glibc's mmap threshold at _MAPPED_FROM, and its trim threshold at
+    twice that, for the rest of the process.
+
+    By default glibc raises the threshold to the size of each mapped block
+    freed (up to 32 MiB), so after the first n x n field is freed, beam-sim's
+    8 and 16 MiB arrays at n = 1024 are carved from the heap.  The holes they
+    leave stay resident, and where they fall depends on the small objects
+    allocated in between: in one process running beam-sim at n = 1024 again
+    and again, the peak memory read 171 MB in most such loops and 185-203 MB
+    in some.  With a fixed threshold a large array that no free heap block
+    fits is mapped on its own and unmapped when freed, and the peak is that
+    of the live arrays.  The trim threshold is fixed at twice as much, the
+    pair glibc's own rule keeps: left at its 128 KiB default, the heap would
+    be cut back and faulted in again around each 2 MiB column block of the
+    spectrum.  Elsewhere than glibc this does nothing; if glibc refuses a
+    value, its own setting stays.
+    """
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}) \
+            or not os.confstr("CS_GNU_LIBC_VERSION"):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MAPPED_FROM)
+    mallopt(_M_MMAP_THRESHOLD, _MAPPED_FROM)
+
+
 def _write_target_rasters(n: int, pitch: float, lam: float, target: beams.LGIndex,
                           intensity_path: Path, phase_path: Path) -> None:
     """beam-sim's worker half: |LG|^2 and arg LG of the target mode, written
@@ -568,6 +608,7 @@ def cmd_beam_sim(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    _map_large_blocks()  # before the fork, so the worker maps its blocks too
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
         targets = pool.submit(_write_target_rasters, n, pitch, lam, target,
                               temps["intensity_target.csv"], temps["phase_target.csv"])

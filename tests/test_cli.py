@@ -668,6 +668,44 @@ class TestBeamSim:
         assert multiprocessing.active_children() == []
         assert list(out.iterdir()) == []
 
+    def test_large_arrays_are_mapped_after_beam_sim(self, tmp_path):
+        # once beam-sim has run, an 8 MiB array allocated after a 16 MiB one
+        # was freed is mapped on its own, not carved from the heap: glibc's
+        # mmap threshold no longer follows the largest block freed.  A fresh
+        # interpreter, since malloc serves any request from a free heap block
+        # that fits, and this one's heap may hold such blocks
+        if not (hasattr(os, "confstr_names") and "CS_GNU_LIBC_VERSION" in os.confstr_names
+                and os.confstr("CS_GNU_LIBC_VERSION")):
+            pytest.skip("the mmap threshold is glibc's")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 64\npitch_m = 80e-9\n[beam]\nw0_m = 1.5e-6\n")
+        script = (
+            "import ctypes, sys\n"
+            "import numpy as np\n"
+            "from oamsense import cli\n"
+            "class MallInfo2(ctypes.Structure):\n"
+            "    _fields_ = [(name, ctypes.c_size_t) for name in ('arena', 'ordblks', 'smblks',\n"
+            "        'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+            "libc = ctypes.CDLL(None)\n"
+            "if not hasattr(libc, 'mallinfo2'):\n"
+            "    sys.exit('skip: mallinfo2 needs glibc 2.33')\n"
+            "libc.mallinfo2.restype = MallInfo2\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "big = np.ones(1 << 20, dtype=np.complex128)  # 16 MiB\n"
+            "del big\n"
+            "mapped = libc.mallinfo2().hblkhd\n"
+            "field = np.ones(1 << 20)  # 8 MiB\n"
+            "print(code, libc.mallinfo2().hblkhd - mapped >= field.nbytes)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "beam-sim", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        if proc.stderr.startswith("skip:"):
+            pytest.skip(proc.stderr.strip())
+        assert proc.stdout.splitlines()[-1] == "0 True", proc.stderr
+
 
 class TestSwgGen:
     def test_defaults(self, tmp_path, capsys):
