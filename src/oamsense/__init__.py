@@ -1,7 +1,8 @@
 """Design and noise-budget simulator for a torsional optomechanical detector
 of optical orbital angular momentum.
 
-Submodules:
+Submodules, each imported on first access (oamsense.beams or
+`from oamsense import beams`):
 
 * device    - tabulated mechanical-mode datasets (load / validate / interpolate)
 * mechanics - two-coupled-oscillator dynamics, response curves, coupling fits
@@ -11,8 +12,6 @@ Submodules:
 * table     - the CSV table writer behind every numeric output file
 * cli       - the `oam-sense` command line front end
 """
-
-from . import beams, constants, device, mechanics, noise, swg, table
 
 __version__ = "0.1.0"
 
@@ -30,11 +29,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # cli is imported on first access, not with the package, so that
-    # `python -m oamsense.cli` finds no copy of it in sys.modules before
+    # Each submodule is imported on first access, not with the package, so
+    # that `import oamsense` costs only what a caller goes on to use, and
+    # `python -m oamsense.cli` finds no copy of cli in sys.modules before
     # running it as __main__.
-    if name == "cli":
+    if name in __all__:
         from importlib import import_module
 
-        return import_module(".cli", __name__)
+        return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

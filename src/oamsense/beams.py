@@ -22,15 +22,20 @@ peak of the smooth F(w0) inside its bracket to sqrt(eps) in 11-20
 evaluations, and one beyond an end on that end in about 40.
 
 A pillar grating is scored by one pipeline, a wavelength scan of which
-grating_metrics is the one-wavelength case: swg lays out the design, re-tunes
-it to each wavelength and rasterizes it to a mask, and a Gaussian input is
-converted against LG_{0, delta_l * phase_sign}.  A scan builds what does not
-depend on the wavelength once: the layout, the pixel -> pillar index, the
-Gaussian's amplitudes and the radial bins.  Per wavelength it re-tunes the
-layout, gathers the mask, masks (and propagates) the input at that
-wavelength and runs the waist search.  beam-sim, fidelity_vs_wavelength and
-demo 04 all go through it.  That is why beams imports swg at module level;
-swg imports only table, so there is no cycle.
+grating_metrics is the one-wavelength case: swg lays out the design and
+re-tunes it to each wavelength, and a Gaussian input is converted against
+LG_{0, delta_l * phase_sign}.  The grating lights only its footprint (12%
+of the pixels at n = 1024 and 50 nm), and the scan works there alone.  It
+builds what does not depend on the wavelength once: the layout, the
+pixel -> pillar index, the Gaussian's samples on the footprint and the
+radial bins.  Per wavelength it re-tunes the layout, takes each footprint
+pixel's pillar transmission, multiplies the input by it and runs the waist
+search on the footprint; an n x n field is built only to propagate it
+(z_eval != 0) or for a caller that keeps it.  conversion_metrics scores a
+mask that may light any pixel through the same scorer, on every pixel.
+beam-sim, fidelity_vs_wavelength and demo 04 all go through the scan.
+That is why beams imports swg at module level; swg imports only table, so
+there is no cycle.
 
 azimuthal_spectrum band-limit upsamples a field by 2 (up to n = 2048) and
 samples it on polar rings.  The upsampled field is never held whole: the
@@ -480,32 +485,51 @@ def _brent_min(fun, lo: float, hi: float) -> tuple[float, float]:
     return x, fx
 
 
-def _waist_fidelity(n: int, pitch: float, p: int, l: int):
-    """fidelity(field, make_lg(..., LGIndex(p, l, w0))) as a function of w0,
-    split at the field: bind(field) returns fid(w0).
+def _on_grid(values: np.ndarray, support, n: int) -> np.ndarray:
+    """The n x n array holding values at the support pixels, zeros elsewhere."""
+    if isinstance(support, slice):  # every pixel: the values are the grid already
+        return values.reshape(n, n)
+    grid = np.zeros(n * n, dtype=values.dtype)
+    grid[support] = values
+    return grid.reshape(n, n)
 
+
+def _waist_fidelity(n: int, pitch: float, p: int, l: int, support=slice(None)):
+    """fidelity(field, make_lg(..., LGIndex(p, l, w0))) as a function of w0,
+    split at the field: bind(amps, power) returns fid(w0).
+
+    A field that is zero outside a support is given by amps, its samples at
+    the support pixels (flat row-major indices in increasing order, or
+    slice(None) for every pixel), and power, its sum(|a|^2) over the grid.
     The field is projected onto exp(i l phi) and binned by the integer key
     i^2 + j^2 of its pixel offsets once; each waist then costs one sum over
-    the distinct keys: the overlap sum(radial * proj) and the reference power
-    sum(count * radial^2).  The pixel keys, the count and squared radius of
-    each key present and the exp(-i l phi) projection depend only on the
-    grid and l; they are built here once, and bind projects and bins each
-    field.
+    the distinct keys: the overlap sum(radial * proj) and the reference
+    power sum(count * radial^2).  The pixel keys and the exp(-i l phi)
+    projection depend only on the grid and l; they are built here once, on
+    the support pixels alone, and bind projects and bins each field.  The
+    count and squared radius of each key present come from the whole grid,
+    since the reference mode's power is a whole-grid sum.  Binning on the
+    support gives every bin the bits binning the whole grid does: a pixel
+    outside adds +-0 to its bin's running sum, which changes no sum.
     """
     offsets = np.arange(n) - n // 2
-    keys = (offsets[:, None] ** 2 + offsets[None, :] ** 2).ravel()
-    phase = np.exp(-1j * l * np.arctan2(offsets[:, None], offsets[None, :])) if l != 0 else None
-    counts = np.bincount(keys)
+    counts = np.bincount((offsets[:, None] ** 2 + offsets[None, :] ** 2).ravel())
+    size = counts.size
     present = np.flatnonzero(counts)
     counts = counts[present].astype(np.float64)  # cast once, not in each dot
     r2 = present * pitch**2
+    pixels = np.arange(n * n)[support]
+    rows, cols = offsets[pixels // n], offsets[pixels % n]
+    del pixels
+    phase = np.exp(-1j * l * np.arctan2(rows, cols)) if l != 0 else None
+    keys = rows**2 + cols**2
+    del rows, cols
 
-    def bind(field: ScalarField):
-        weighted = (field.amps * phase).ravel() if l != 0 else field.amps.ravel()
-        proj = (np.bincount(keys, weights=weighted.real)[present]
-                + 1j * np.bincount(keys, weights=weighted.imag)[present])
+    def bind(amps: np.ndarray, power: float):
+        weighted = amps * phase if l != 0 else amps
+        proj = (np.bincount(keys, weights=weighted.real, minlength=size)[present]
+                + 1j * np.bincount(keys, weights=weighted.imag, minlength=size)[present])
         del weighted
-        power = float(np.sum(np.abs(field.amps) ** 2))
 
         def fid(w0: float) -> float:
             _check_sampling(w0, pitch)
@@ -529,7 +553,8 @@ class ConversionMetrics:
     the conversion efficiency eta = fidelity * t_swg.
 
     output is the scored field (masked, then propagated by z_eval), kept for
-    callers that export or analyse it; it takes no part in equality or repr.
+    callers that export or analyse it, and None where a caller keeps only
+    the scores; it takes no part in equality or repr.
     """
 
     fidelity: float
@@ -540,25 +565,43 @@ class ConversionMetrics:
     output: ScalarField | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
-def _scorer(field_in: ScalarField, target: LGIndex, z_eval: float):
-    """conversion_metrics split at the mask: score(mask, lam) scores one mask.
+def _scorer(field_in: ScalarField, target: LGIndex, z_eval: float, support=slice(None)):
+    """conversion_metrics split at the mask: score(amps, lam, keep) scores
+    one masked input.
 
-    The input power and the radial bins of the waist search are built once.
-    score applies the mask to the input's amplitudes at wavelength lam, the
-    one propagate reads, and maximizes the fidelity over the waist with
-    _brent_min, which returns the fidelity at its optimum along with it.
+    support holds the flat, row-major indices of the pixels the mask can
+    light, in increasing order, or slice(None) for every pixel; amps is the
+    masked input at those pixels.  The input power and the radial bins of
+    the waist search are built once, on the support at z_eval = 0 and on
+    every pixel otherwise, since propagation spreads the field over the
+    grid.  score sums the power of amps over the whole n x n grid, zeros
+    outside the support, so that np.sum's pairwise order, and so t_swg, is
+    that of the whole field.  The field itself is put on the grid only to
+    propagate it (at wavelength lam) or, with keep, to return it as output;
+    then the waist search maximizes the fidelity with _brent_min, which
+    returns the fidelity at its optimum along with it.
     """
+    n, pitch = field_in.n, field_in.pitch
     p_in = field_in.total_power()
-    by_waist = _waist_fidelity(field_in.n, field_in.pitch, target.p, target.l)
-    lo = max(0.3 * target.w0, 4.0 * field_in.pitch)
+    scored = support if z_eval == 0.0 else slice(None)
+    by_waist = _waist_fidelity(n, pitch, target.p, target.l, scored)
+    lo = max(0.3 * target.w0, 4.0 * pitch)
 
-    def score(mask: np.ndarray, lam: float) -> ConversionMetrics:
-        out = apply_mask(dataclasses.replace(field_in, lam=lam), mask)
-        del mask  # a scan's mask is freed here, before the binning of the waist search
-        t_swg = out.total_power() / p_in
+    def score(amps: np.ndarray, lam: float, keep: bool) -> ConversionMetrics:
+        if not np.all(np.isfinite(amps.view(np.float64))):
+            raise ValueError("amps must be finite")
+        power = float(np.sum(_on_grid(np.abs(amps) ** 2, support, n)))
+        t_swg = power * pitch**2 / p_in
+        out = None
+        if keep or z_eval != 0.0:
+            out = ScalarField(n=n, pitch=pitch, lam=lam, amps=_on_grid(amps, support, n))
         if z_eval != 0.0:
             out = propagate(out, z_eval)
-        fid = by_waist(out)
+            amps = out.amps.ravel()
+            power = float(np.sum(np.abs(out.amps) ** 2))
+            if not keep:
+                out = None
+        fid = by_waist(amps, power)
         f_fixed = fid(target.w0)
         w_opt, f_neg = _brent_min(lambda w: -fid(w), lo, 3.0 * target.w0)
         f_opt = -f_neg
@@ -593,38 +636,51 @@ def conversion_metrics(
     The fidelity equals fidelity(out, make_lg(...)) but is computed by radial
     projection: the output field is binned once by pixel radius after
     removing exp(i l phi), so each waist of the search costs a 1-D sum over
-    the distinct radii of the grid, not an n x n reference mode.
+    the distinct radii of the grid, not an n x n reference mode.  The mask
+    may light any pixel, so the scorer's support is every pixel.
     """
-    return _scorer(field_in, target, z_eval)(mask, field_in.lam)
+    masked = apply_mask(field_in, mask).amps.ravel()
+    return _scorer(field_in, target, z_eval)(masked, field_in.lam, keep=True)
 
 
 def _grating_scan(design: swg.SWGDesign, lams: list[float], n: int, pitch: float, w0: float,
-                  z_eval: float):
+                  z_eval: float, keep: bool):
     """Yield grating_metrics at each wavelength of lams, doing the
-    wavelength-independent work once (see fidelity_vs_wavelength)."""
+    wavelength-independent work once (see fidelity_vs_wavelength); with
+    keep, each scored field is kept as output.
+
+    The scorer's support is the footprint of swg.pillar_index, the pixels
+    the grating lights.  At z_eval = 0 a wavelength builds no n x n complex
+    array unless keep asks for the field.
+    """
     layout = swg.generate_layout(design)
-    index = swg.pillar_index(layout, n, pitch)
+    inside, nearest = swg.pillar_index(layout, n, pitch)
+    support = np.flatnonzero(inside)
     target = LGIndex(p=0, l=design.delta_l * design.phase_sign, w0=w0)
-    score = _scorer(make_gaussian(n, pitch, lams[0], w0), target, z_eval)
+    gauss = make_gaussian(n, pitch, lams[0], w0)
+    inputs = gauss.amps.ravel()[support]
+    score = _scorer(gauss, target, z_eval, support)
+    del gauss  # only its samples on the footprint are kept
     for lam in lams:
-        # no name here holds a wavelength's mask, so it is freed once scored
-        yield score(swg.gather_mask(swg.retune_layout(design, layout, lam), index), lam)
+        transmission = swg.pillar_transmission(swg.retune_layout(design, layout, lam))
+        yield score(inputs * transmission[nearest], lam, keep)
 
 
 def grating_metrics(design: swg.SWGDesign, lam: float, n: int, pitch: float, w0: float,
                     z_eval: float = 0.0) -> ConversionMetrics:
     """Conversion metrics of a pillar-grating design at one wavelength.
 
-    The design's layout is generated, its phases re-tuned to lam through the
-    dispersion table and rasterized to a mask on an n x n grid; a unit-power
-    Gaussian of waist w0 goes through it and is scored against
-    LG_{0, delta_l * phase_sign} at the same waist.  The scored field is
-    kept in output.  This is the one-wavelength case of the scan of
+    The design's layout is generated and its phases re-tuned to lam through
+    the dispersion table; a unit-power Gaussian of waist w0 goes through
+    the grating and is scored against LG_{0, delta_l * phase_sign} at the
+    same waist.  This is the one-wavelength case of the scan of
     fidelity_vs_wavelength: the layout, the pixel -> pillar index, the
-    Gaussian and the radial bins are built once, then the retune, the mask
-    gather and the waist search run for lam.
+    Gaussian's samples on the grating's footprint and the radial bins are
+    built once, then the retune, each footprint pixel's transmission and
+    the waist search run for lam.  The scored field is scattered onto the
+    n x n grid and kept in output.
     """
-    return next(_grating_scan(design, [lam], n, pitch, w0, z_eval))
+    return next(_grating_scan(design, [lam], n, pitch, w0, z_eval, keep=True))
 
 
 def fidelity_vs_wavelength(
@@ -638,19 +694,16 @@ def fidelity_vs_wavelength(
     """grating_metrics at each of a positive, increasing run of wavelengths.
 
     What does not depend on the wavelength is done once per scan: the
-    layout, the pixel -> pillar index, the Gaussian input and the radial
-    bins of the waist search.  Each wavelength costs a retune, a gather of
-    the mask, the masked (and propagated) field and its waist search.  Only
-    the scores are kept (output is None), so a scan holds one field at a
-    time.
+    layout, the pixel -> pillar index, the Gaussian input on the grating's
+    footprint and the radial bins of the waist search.  Each wavelength
+    costs a retune, the transmission of each footprint pixel, the masked
+    field on the footprint and its waist search; at z_eval = 0 no n x n
+    complex array is built.  Only the scores are kept (output is None).
     """
     lams = list(lambdas)
     if any(l <= 0.0 for l in lams) or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("wavelengths must be positive and increasing")
-    scan = _grating_scan(design, lams, n, pitch, w0, z_eval)
-    # next(scan), not a loop variable, so a wavelength's scored field is
-    # dropped before the next one is built
-    return [(lam, dataclasses.replace(next(scan), output=None)) for lam in lams]
+    return list(zip(lams, _grating_scan(design, lams, n, pitch, w0, z_eval, keep=False)))
 
 
 def save_raster(matrix: np.ndarray, path) -> None:

@@ -568,13 +568,24 @@ def _map_large_blocks() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MAPPED_FROM)
 
 
+def _save_rasters(field: beams.ScalarField, intensity_path: Path, phase_path: Path) -> None:
+    """Write |a|^2 and arg a of a field as two rasters.
+
+    |a| is squared in place: one n x n float array, where np.abs(a) ** 2
+    makes two.  Both compute |a| * |a|, so the bits are the same.
+    """
+    intensity = np.abs(field.amps)
+    intensity *= intensity
+    beams.save_raster(intensity, intensity_path)
+    del intensity
+    beams.save_raster(np.angle(field.amps), phase_path)
+
+
 def _write_target_rasters(n: int, pitch: float, lam: float, target: beams.LGIndex,
                           intensity_path: Path, phase_path: Path) -> None:
     """beam-sim's worker half: |LG|^2 and arg LG of the target mode, written
     to two temp files that the parent renames."""
-    reference = beams.make_lg(n, pitch, lam, target)
-    beams.save_raster(np.abs(reference.amps) ** 2, intensity_path)
-    beams.save_raster(np.angle(reference.amps), phase_path)
+    _save_rasters(beams.make_lg(n, pitch, lam, target), intensity_path, phase_path)
 
 
 def cmd_beam_sim(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
@@ -622,8 +633,7 @@ def cmd_beam_sim(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
         # before the rasters are built
         l_values = list(range(target.l - 3, target.l + 4))
         fractions = beams.azimuthal_spectrum(metrics.output, l_values)
-        beams.save_raster(np.abs(metrics.output.amps) ** 2, temps["intensity_swg.csv"])
-        beams.save_raster(np.angle(metrics.output.amps), temps["phase_swg.csv"])
+        _save_rasters(metrics.output, temps["intensity_swg.csv"], temps["phase_swg.csv"])
         try:
             targets.result()
         except BrokenProcessPool as exc:  # it ended without a result: killed or exited

@@ -144,6 +144,13 @@ class FitGmResult:
     residual_norm: float  # rad/s
 
 
+#: Largest branch frequency (rad/s) fit_gm takes.  Its model squares the
+#: frequencies and squares half their difference again, so their fourth
+#: powers must stay finite; half the fourth root of the largest float64
+#: leaves the fit room to move.
+FIT_FREQUENCY_LIMIT = 0.5 * float(np.finfo(np.float64).max) ** 0.25
+
+
 def fit_gm(
     anticrossing,
     omega1_model: tuple[float, float],
@@ -157,13 +164,19 @@ def fit_gm(
     the tuned branch, omega1(l_s) = intercept + slope * l_s_um; omega2 is the
     fixed branch.  A least-squares fit of the hybrid eigenfrequencies over
     (g_m, intercept, slope) is returned; with fit_omega2 the fixed branch
-    frequency is optimized as well.
+    frequency is optimized as well.  Branch frequencies above
+    FIT_FREQUENCY_LIMIT would overflow when squared in the fit; they raise
+    FitError before any is squared.
     """
     from scipy.optimize import least_squares
 
     data = np.asarray(anticrossing, dtype=float)
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 3:
         raise ValueError("need >= 3 rows of (l_s_um, omega_minus, omega_plus)")
+    top = float(np.max(np.abs(data[:, 1:])))
+    if top > FIT_FREQUENCY_LIMIT:
+        raise FitError(f"frequencies up to {top:.4g} rad/s overflow when squared "
+                       f"(limit {FIT_FREQUENCY_LIMIT:.4g} rad/s)", math.nan)
     ls = data[:, 0]
     w_minus = data[:, 1]
     w_plus = data[:, 2]

@@ -13,11 +13,13 @@ the fields x, y (m), diameter (nm), phase (rad) and amplitude.  Columns read
 as layout.diameter and single pillars as layout[k].diameter; every layout
 function works on whole columns.
 
-A layout is rasterized in two steps.  pillar_index finds each grid pixel's
-nearest pillar from the positions alone; gather_mask fills a mask from the
-layout's phases and amplitudes through that index.  Re-tuning to another
-wavelength changes only the phases and amplitudes, so a wavelength scan
-builds the index once.
+A layout is rasterized in two steps.  pillar_index finds the footprint of
+the pattern and each of its pixels' nearest pillar from the positions
+alone; gather_mask fills a mask with each pillar's pillar_transmission
+through that index.  Re-tuning to another wavelength changes only the
+phases and amplitudes, so a wavelength scan builds the index once.  The
+beam engine's scan needs no mask at all: it takes the transmission of each
+footprint pixel through the index and works on the footprint alone.
 
 Layout generation is pure and deterministic: one lattice vector points along
 +x, a pillar sits at the origin, and sites are emitted in (y, x) raster
@@ -256,9 +258,13 @@ def gather_mask(layout: np.recarray, index: tuple[np.ndarray, np.ndarray]) -> np
     """
     inside, nearest = index
     mask = np.zeros(inside.shape, dtype=np.complex128)
-    values = layout.amplitude * np.exp(1j * layout.phase)
-    mask[inside] = values[nearest]
+    mask[inside] = pillar_transmission(layout)[nearest]
     return mask
+
+
+def pillar_transmission(layout: np.recarray) -> np.ndarray:
+    """Complex transmission amplitude * exp(i phase) of each pillar."""
+    return layout.amplitude * np.exp(1j * layout.phase)
 
 
 def layout_to_mask(layout: np.recarray, n: int, pitch: float) -> np.ndarray:

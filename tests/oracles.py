@@ -11,6 +11,8 @@ spectral upsampling keep their straightforward forms: one repr per cell,
 and the zero-padded spectrum built and shifted as a centred array, or
 padded in FFT order with every row of the full-size array transformed; the
 azimuthal spectrum samples every ring at once and keeps every harmonic.
+A pillar grating is scored on the whole grid: its n x n mask, the masked
+field and the binning of every pixel at each wavelength.
 An LG radial profile is the full Laguerre * exp * sqrt(u)^|l| product at
 every p.  The budget sweep, response curve and pillar layout are written
 row by row, with scalar abs and np.angle per response point.  Dataset
@@ -24,6 +26,7 @@ pillar layout is read back with np.loadtxt.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -204,7 +207,8 @@ def lg_fidelity_by_waist(field, p: int, l: int):
     by the library's radial projection of one field."""
     from oamsense import beams
 
-    return beams._waist_fidelity(field.n, field.pitch, p, l)(field)
+    return beams._waist_fidelity(field.n, field.pitch, p, l)(
+        field.amps.ravel(), float(np.sum(np.abs(field.amps) ** 2)))
 
 
 def golden_section_waist(fid, target, pitch):
@@ -237,6 +241,73 @@ def grid_conversion_metrics(field_in, mask, target):
         return beams.fidelity(out, ref)
 
     return golden_section_waist(fid, target, field_in.pitch)
+
+
+def waist_fidelity_full_grid(n, pitch, p, l):
+    """beams._waist_fidelity over every pixel of the grid: bind(field) bins
+    the whole n x n field and takes its power from the whole grid."""
+    from oamsense import beams
+
+    offsets = np.arange(n) - n // 2
+    keys = (offsets[:, None] ** 2 + offsets[None, :] ** 2).ravel()
+    phase = np.exp(-1j * l * np.arctan2(offsets[:, None], offsets[None, :])) if l != 0 else None
+    counts = np.bincount(keys)
+    present = np.flatnonzero(counts)
+    counts = counts[present].astype(np.float64)
+    r2 = present * pitch**2
+
+    def bind(field):
+        weighted = (field.amps * phase).ravel() if l != 0 else field.amps.ravel()
+        proj = (np.bincount(keys, weights=weighted.real)[present]
+                + 1j * np.bincount(keys, weights=weighted.imag)[present])
+        power = float(np.sum(np.abs(field.amps) ** 2))
+
+        def fid(w0):
+            beams._check_sampling(w0, pitch)
+            if power == 0.0:
+                raise ValueError("zero-power field")
+            radial = beams._lg_radial(p, l, w0, r2)
+            ref_power = float(np.dot(counts, radial**2))
+            if not math.isfinite(ref_power):
+                raise ValueError(f"LG_({p},{l}) at w0 = {w0} is not finite on this grid")
+            return float(np.abs(np.dot(radial, proj)) ** 2) / (power * ref_power)
+
+        return fid
+
+    return bind
+
+
+def grating_scan_full_grid(design, lams, n, pitch, w0, z_eval=0.0):
+    """beams.fidelity_vs_wavelength with every wavelength scored on the
+    whole grid: the n x n mask gathered, the input masked (and propagated)
+    as an n x n field, every pixel binned, and the output kept.  Returns a
+    list of ConversionMetrics, one per wavelength."""
+    from oamsense import beams, swg
+
+    layout = swg.generate_layout(design)
+    index = swg.pillar_index(layout, n, pitch)
+    target = beams.LGIndex(p=0, l=design.delta_l * design.phase_sign, w0=w0)
+    field_in = beams.make_gaussian(n, pitch, lams[0], w0)
+    p_in = field_in.total_power()
+    by_waist = waist_fidelity_full_grid(n, pitch, target.p, target.l)
+    lo = max(0.3 * target.w0, 4.0 * pitch)
+    results = []
+    for lam in lams:
+        mask = swg.gather_mask(swg.retune_layout(design, layout, lam), index)
+        out = beams.apply_mask(dataclasses.replace(field_in, lam=lam), mask)
+        t_swg = out.total_power() / p_in
+        if z_eval != 0.0:
+            out = beams.propagate(out, z_eval)
+        fid = by_waist(out)
+        f_fixed = fid(target.w0)
+        w_opt, f_neg = beams._brent_min(lambda w: -fid(w), lo, 3.0 * target.w0)
+        f_opt = -f_neg
+        if f_fixed > f_opt:
+            f_opt, w_opt = f_fixed, target.w0
+        results.append(beams.ConversionMetrics(
+            fidelity=f_opt, fidelity_fixed_waist=f_fixed, w0_opt=w_opt, t_swg=t_swg,
+            eta=f_opt * t_swg, output=out))
+    return results
 
 
 def save_raster_per_cell(matrix, path) -> None:

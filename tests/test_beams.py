@@ -18,6 +18,7 @@ from oracles import (
     fourier_upsample_all_rows,
     fourier_upsample_centred,
     golden_section_waist,
+    grating_scan_full_grid,
     grid_conversion_metrics,
     lg_fidelity_by_waist,
     lg_radial,
@@ -691,6 +692,64 @@ class TestWavelengthScan:
         assert bits(scan) == bits(calls)
         assert all(m.output is None for _, m in scan)
         assert all(m.output.lam == lam for lam, m in calls)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from((64, 128, 256)),
+        pitch_frac=st.floats(0.1, 0.24),
+        delta_l=st.integers(1, 3),
+        phase_sign=st.sampled_from((-1, 1)),
+        lams=st.lists(st.floats(700e-9, 1000e-9), min_size=1, max_size=3, unique=True)
+        .map(sorted),
+        z_eval=st.sampled_from((0.0, 3e-6)),
+    )
+    def test_footprint_scan_matches_full_grid(self, n, pitch_frac, delta_l, phase_sign,
+                                              lams, z_eval):
+        # scored on the grating's footprint, every score and the kept field
+        # are the bits the whole n x n grid gives
+        design = swg.SWGDesign(delta_l=delta_l, phase_sign=phase_sign)
+        pitch = pitch_frac * design.lattice_a
+        design = dataclasses.replace(design, aperture_d=0.75 * n * pitch)
+        w0 = 0.15 * n * pitch
+        expected = grating_scan_full_grid(design, lams, n, pitch, w0, z_eval)
+        scan = beams.fidelity_vs_wavelength(design, lams, n=n, pitch=pitch, w0=w0,
+                                            z_eval=z_eval)
+        assert [lam for lam, _ in scan] == lams
+        assert [m for _, m in scan] == expected
+        single = beams.grating_metrics(design, lams[0], n, pitch, w0, z_eval)
+        assert single == expected[0]
+        assert single.output.lam == lams[0]
+        assert np.array_equal(single.output.amps.view(np.uint64),
+                              expected[0].output.amps.view(np.uint64))
+
+    def test_wavelength_builds_no_complex_field(self):
+        # past the first, each wavelength of a scan allocates less than one
+        # n x n complex field: it works on the footprint, and only the sum
+        # of |a|^2 takes a whole-grid float array
+        n = 512
+        scan = beams._grating_scan(swg.SWGDesign(), [800e-9, 880e-9], n, 80e-9, 5e-6, 0.0,
+                                   keep=False)
+        next(scan)
+        tracemalloc.start()
+        try:
+            m = next(scan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.output is None
+        assert peak < n * n * np.dtype(np.complex128).itemsize
+
+    def test_grating_traced_peak_below_four_fields(self):
+        # a whole-grid scan peaks at 5.5 fields: the n x n mask, the masked
+        # field and its binning at once
+        tracemalloc.start()
+        try:
+            m = beams.grating_metrics(swg.SWGDesign(), 840e-9, 1024, 50e-9, 5e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m.output.amps.nbytes
 
     def test_dispersionless_lookup_constant(self):
         flat_row_p = tuple(np.linspace(0.0, 2.0 * math.pi * 10.0 / 11.0, 11))

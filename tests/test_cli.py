@@ -493,23 +493,25 @@ class TestBeamSim:
         assert np.sum(i10 * r) / np.sum(i10) > np.sum(i1 * r) / np.sum(i1)
 
     def test_masks_and_propagates_once(self, tmp_path):
-        # the scored field of conversion_metrics is the one exported and analysed
+        # the scored field is the one exported and analysed: the grating's
+        # transmission is taken once, on its footprint, and the masked
+        # field propagated once
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[grid]\nn = 128\n[swg]\ndelta_l = 10\nz_eval_m = 5e-5\n")
         script = (
             "import collections, sys\n"
-            "from oamsense import beams, cli\n"
+            "from oamsense import beams, cli, swg\n"
             "calls = collections.Counter()\n"
-            "def counted(name):\n"
-            "    original = getattr(beams, name)\n"
+            "def counted(module, name):\n"
+            "    original = getattr(module, name)\n"
             "    def wrapper(*args, **kwargs):\n"
             "        calls[name] += 1\n"
             "        return original(*args, **kwargs)\n"
-            "    setattr(beams, name, wrapper)\n"
-            "counted('apply_mask')\n"
-            "counted('propagate')\n"
+            "    setattr(module, name, wrapper)\n"
+            "counted(swg, 'pillar_transmission')\n"
+            "counted(beams, 'propagate')\n"
             "code = cli.main(sys.argv[1:])\n"
-            "print(calls['apply_mask'], calls['propagate'], code)\n"
+            "print(calls['pillar_transmission'], calls['propagate'], code)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, "beam-sim", "--config", str(cfg),
@@ -761,6 +763,22 @@ class TestFitGm:
         bad = next(r for r in rows if r[0] == "9.0")
         assert float(good[1]) == pytest.approx(1e6, rel=1e-4)
         assert bad[1] == "nan" and "error" in bad[2]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_frequencies_are_a_group_error(self, tmp_path, capsys):
+        # once these squared to inf and failed with "Initial guess is outside
+        # of provided bounds", after two overflow RuntimeWarnings
+        data = tmp_path / "cross.csv"
+        data.write_text("w_h_um,l_s_um,f_minus_hz,f_plus_hz\n"
+                        "7.0,9.0,1e300,1e300\n7.0,10.0,1e300,1.1e300\n"
+                        "7.0,11.0,1e300,1.2e300\n")
+        assert cli.main(["fit-gm", str(data), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(tmp_path / "gm_fit.csv")
+        assert header == ["w_h_um", "g_m_hz", "residual"]
+        assert [row[:2] for row in rows] == [["7.0", "nan"]]
+        assert rows[0][2].startswith("error:frequencies up to 7.54e+300 rad/s "
+                                     "overflow when squared")
 
     def test_bad_row_names_file_and_line(self, tmp_path, capsys):
         data = tmp_path / "cross.csv"

@@ -1,7 +1,8 @@
 """Package import hygiene: every dependency between oamsense modules is a
 module-level import, so the import graph can be read off the module tops,
 scoring a field imports no scipy.optimize and taking its azimuthal spectrum
-no scipy.ndimage, and every public function or class of the package has a
+no scipy.ndimage, `import oamsense` imports each submodule only when it is
+first used, and every public function or class of the package has a
 caller outside the tests."""
 
 import ast
@@ -101,6 +102,26 @@ def test_spectrum_does_not_import_scipy_ndimage():
         "                             beams.LGIndex(0, 1, 1.5e-6))\n"
         "beams.azimuthal_spectrum(m.output, range(-2, 5))\n"
         "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage imported'\n"
+    )
+    src = str(Path(oamsense.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_package_imports_submodules_on_first_access():
+    # `import oamsense` loads no submodule; loading the bundled dataset
+    # loads device alone
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('oamsense.'))\n"
+        "import oamsense\n"
+        "assert loaded() == [], loaded()\n"
+        "oamsense.device.load_sample_dataset()\n"
+        "assert loaded() == ['oamsense.device'], loaded()\n"
+        "from oamsense import beams\n"
+        "assert beams is oamsense.beams and beams.swg is oamsense.swg\n"
     )
     src = str(Path(oamsense.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

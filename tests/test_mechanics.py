@@ -289,6 +289,15 @@ class TestFitGm:
         result = mechanics.fit_gm(np.asarray(rows), (intercept, slope), omega2)
         assert result.g_m == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e300])
+    def test_overflowing_frequencies_raise_fit_error(self, scale):
+        # fourth powers of these overflow; no RuntimeWarning comes first
+        rows = np.array([[9.0, scale, scale], [10.0, scale, 1.1 * scale],
+                         [11.0, scale, 1.2 * scale]])
+        with pytest.raises(mechanics.FitError, match="overflow when squared") as info:
+            mechanics.fit_gm(rows, (scale, 0.0), scale)
+        assert math.isnan(info.value.residual_norm)
+
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 3"):
             mechanics.fit_gm(np.zeros((2, 3)), (1.0, 0.0), 1.0)
