@@ -27,11 +27,22 @@ re-tunes it to each wavelength, and a Gaussian input is converted against
 LG_{0, delta_l * phase_sign}.  The grating lights only its footprint (12%
 of the pixels at n = 1024 and 50 nm), and the scan works there alone.  It
 builds what does not depend on the wavelength once: the layout, the
-pixel -> pillar index, the Gaussian's samples on the footprint and the
-radial bins.  Per wavelength it re-tunes the layout, takes each footprint
-pixel's pillar transmission, multiplies the input by it and runs the waist
-search on the footprint; an n x n field is built only to propagate it
-(z_eval != 0) or for a caller that keeps it.  conversion_metrics scores a
+pixel -> pillar index, the Gaussian's samples on the footprint, its power
+and the radial bins.  None of these holds a whole n x n complex array: the
+Gaussian is built a block of rows at a time and only its footprint samples
+are kept, with one n x n float array of |a|^2 whose np.sum is make_gaussian's
+normalization and then the unit field's power, in make_gaussian's pairwise
+order; the radial bins are counted a block of rows at a time.  Per
+wavelength it re-tunes the layout, takes each footprint pixel's pillar
+transmission, multiplies the input by it and runs the waist search on the
+footprint; an n x n field is built only to propagate it (z_eval != 0) or
+for a caller that keeps it.  Traced peaks: a two-wavelength scan at n = 512
+and 80 nm, 6.5 MiB (15.6 MiB when it built the whole Gaussian field);
+grating_metrics at n = 1024 and 50 nm, 34.6 MiB (61.1), 2.2 times the
+16 MiB field it keeps; make_gaussian at n = 1024, 26.5 MiB (58.0), since
+make_lg also builds its samples a block of rows at a time, straight into
+the field's array.  Every sample is the bit the whole-grid meshgrid
+arithmetic gives.  conversion_metrics scores a
 mask that may light any pixel through the same scorer, on every pixel.
 beam-sim, fidelity_vs_wavelength and demo 04 all go through the scan.
 That is why beams imports swg at module level; swg imports only table, so
@@ -58,6 +69,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import swg, table
+
+
+_BLOCK = 64  # grid rows, columns of the upsampled field, or radii of the rings, per block
 
 
 class BandLimitWarning(UserWarning):
@@ -90,10 +104,7 @@ class ScalarField:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 32 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("grid size n must be a power of two, >= 32")
-        if not (self.pitch > 0.0 and self.lam > 0.0):
-            raise ValueError("pitch and wavelength must be > 0")
+        _check_grid(self.n, self.pitch, self.lam)
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if amps.shape != (self.n, self.n):
             raise ValueError(f"amps must have shape ({self.n}, {self.n})")
@@ -103,20 +114,31 @@ class ScalarField:
         object.__setattr__(self, "amps", amps)
 
     def total_power(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2)) * self.pitch**2
+        return float(np.sum(_abs2(self.amps))) * self.pitch**2
 
     def axis(self) -> np.ndarray:
         """Transverse coordinates (m) of pixel centres along one side."""
-        return (np.arange(self.n) - self.n // 2) * self.pitch
+        return _axis(self.n, self.pitch)
 
     def with_amps(self, amps: np.ndarray) -> "ScalarField":
         return ScalarField(n=self.n, pitch=self.pitch, lam=self.lam, amps=amps)
 
 
-def _grids(n: int, pitch: float):
-    x = (np.arange(n) - n // 2) * pitch
-    xx, yy = np.meshgrid(x, x, indexing="xy")
-    return xx, yy
+def _check_grid(n: int, pitch: float, lam: float) -> None:
+    if n < 32 or (n & (n - 1)) != 0:
+        raise ValueError("grid size n must be a power of two, >= 32")
+    if not (pitch > 0.0 and lam > 0.0):
+        raise ValueError("pitch and wavelength must be > 0")
+
+
+def _abs2(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|amps|^2, squared in place: the bits of np.abs(amps) ** 2."""
+    out = np.abs(amps, out=out)
+    return np.square(out, out=out)
+
+
+def _axis(n: int, pitch: float) -> np.ndarray:
+    return (np.arange(n) - n // 2) * pitch
 
 
 def _normalized(field: ScalarField) -> ScalarField:
@@ -137,17 +159,49 @@ def _lg_radial(p: int, l: int, w0: float, r2: np.ndarray) -> np.ndarray:
     L_0^|l| is exactly 1, so a p = 0 mode evaluates no Laguerre polynomial:
     exp(-r^2/w0^2) times 1.0 is the same float64, and a product of two
     floats does not depend on their order, so every profile is bit for bit
-    the Laguerre * exp * sqrt(u)^|l| product.
+    the Laguerre * exp * sqrt(u)^|l| product.  The exponential is taken in
+    the profile's own buffer, and u = 2 r^2 / w0^2 only where p or l needs it.
     """
-    radial = np.exp(-r2 / w0**2)
-    u = 2.0 * r2 / w0**2
+    radial = np.negative(r2)
+    radial /= w0**2
+    np.exp(radial, out=radial)
+    if p == 0 and l == 0:
+        return radial
+    u = 2.0 * r2
+    u /= w0**2
     if p != 0:
         from scipy.special import eval_genlaguerre
 
-        radial = radial * eval_genlaguerre(p, abs(l), u)
+        radial *= eval_genlaguerre(p, abs(l), u)
     if l != 0:
-        radial = radial * np.sqrt(u) ** abs(l)
+        np.sqrt(u, out=u)
+        u **= abs(l)
+        radial *= u
     return radial
+
+
+def _lg_rows(n: int, pitch: float, idx: LGIndex):
+    """Yield (rows, amps): the unnormalized LG_{p,l} samples of make_lg on
+    one block of _BLOCK grid rows at a time, as a fresh complex array.
+
+    r^2 is x^2 along the row plus x^2 down the column, broadcast, and phi is
+    arctan2 of the two; each sample is the float64 the whole-grid meshgrid
+    form gives.  The phase is multiplied by the profile in place, as
+    phase *= radial: that is the operand order in which numpy evaluated the
+    whole-grid radial * exp(i l phi) in its temporary, and the other order
+    can give the opposite sign to a zero where a sample underflows.
+    """
+    x = _axis(n, pitch)
+    for r in range(0, n, _BLOCK):
+        rows = slice(r, r + _BLOCK)
+        radial = _lg_radial(idx.p, idx.l, idx.w0, x[None, :] ** 2 + x[rows, None] ** 2)
+        if idx.l == 0:
+            yield rows, radial.astype(np.complex128)
+            continue
+        amps = 1j * idx.l * np.arctan2(x[rows, None], x[None, :])
+        np.exp(amps, out=amps)
+        amps *= radial
+        yield rows, amps
 
 
 def make_gaussian(n: int, pitch: float, lam: float, w0: float) -> ScalarField:
@@ -161,22 +215,61 @@ def make_lg(n: int, pitch: float, lam: float, idx: LGIndex) -> ScalarField:
     Amplitude ~ (sqrt(2) r / w0)^|l| L_p^|l|(2 r^2 / w0^2) exp(-r^2/w0^2)
     exp(i l phi), normalized on the grid.  The waist must satisfy
     w0 >= 4 * pitch so the mode is adequately sampled.
+
+    The samples are built a block of rows at a time (_lg_rows) into the
+    field's one complex array, |a|^2 into one n x n float array whose
+    np.sum is the power, and the normalization divides in place.
     """
     _check_sampling(idx.w0, pitch)
-    xx, yy = _grids(n, pitch)
-    radial = _lg_radial(idx.p, idx.l, idx.w0, xx**2 + yy**2)
-    if idx.l != 0:
-        phi = np.arctan2(yy, xx)
-        amps = radial * np.exp(1j * idx.l * phi)
-    else:
-        amps = radial.astype(np.complex128)
-    return _normalized(ScalarField(n=n, pitch=pitch, lam=lam, amps=amps))
+    _check_grid(n, pitch, lam)
+    amps = np.empty((n, n), dtype=np.complex128)
+    power = np.empty((n, n))
+    for rows, block in _lg_rows(n, pitch, idx):
+        amps[rows] = block
+        _abs2(block, out=power[rows])
+    p = float(np.sum(power)) * pitch**2
+    del power
+    if p == 0.0:
+        raise ValueError("zero-power field")
+    amps /= math.sqrt(p)
+    return ScalarField(n=n, pitch=pitch, lam=lam, amps=amps)
+
+
+def _gaussian_on(n: int, pitch: float, lam: float, w0: float, support: np.ndarray):
+    """(inputs, p_in): make_gaussian(n, pitch, lam, w0).amps.ravel()[support]
+    and that field's total_power(), bit for bit, with no n x n complex array.
+
+    support holds flat row-major pixel indices in increasing order.  The
+    Gaussian is built a block of rows at a time, twice: once for the power
+    that normalizes it and the samples on the support, and once, divided by
+    the norm, for the power of the unit field.  Each power is np.sum over
+    one n x n float array of |a|^2, so its pairwise order is make_lg's.
+    """
+    _check_sampling(w0, pitch)
+    _check_grid(n, pitch, lam)
+    idx = LGIndex(p=0, l=0, w0=w0)
+    power = np.empty((n, n))
+    inputs = np.empty(len(support), dtype=np.complex128)
+    ends = np.searchsorted(support, np.arange(0, n + _BLOCK, _BLOCK) * n)
+    for k, (rows, block) in enumerate(_lg_rows(n, pitch, idx)):
+        _abs2(block, out=power[rows])
+        lit = slice(ends[k], ends[k + 1])
+        inputs[lit] = block.ravel()[support[lit] - rows.start * n]
+    p = float(np.sum(power)) * pitch**2
+    if p == 0.0:
+        raise ValueError("zero-power field")
+    norm = math.sqrt(p)
+    inputs /= norm
+    for rows, block in _lg_rows(n, pitch, idx):
+        block /= norm
+        _abs2(block, out=power[rows])
+    return inputs, float(np.sum(power)) * pitch**2
 
 
 def vortex_mask(n: int, pitch: float, delta_l: int) -> np.ndarray:
     """Unit-modulus spiral phase mask exp(i delta_l phi) about the grid centre."""
-    xx, yy = _grids(n, pitch)
-    return np.exp(1j * delta_l * np.arctan2(yy, xx))
+    x = _axis(n, pitch)
+    return np.exp(1j * delta_l * np.arctan2(x[:, None], x[None, :]))
 
 
 def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
@@ -251,7 +344,6 @@ def fidelity(field: ScalarField, reference: ScalarField) -> float:
     return min(float(np.abs(overlap) ** 2), 1.0)
 
 
-_BLOCK = 64  # columns of the upsampled field, or radii of the rings, per block
 _SAMPLE_CHUNK = 16384  # ring samples interpolated at a time
 _UPSAMPLED_UP_TO = 2048  # largest n whose spectrum is taken on the grid upsampled by 2
 
@@ -508,13 +600,17 @@ def _waist_fidelity(n: int, pitch: float, p: int, l: int, support=slice(None)):
     projection depend only on the grid and l; they are built here once, on
     the support pixels alone, and bind projects and bins each field.  The
     count and squared radius of each key present come from the whole grid,
-    since the reference mode's power is a whole-grid sum.  Binning on the
+    since the reference mode's power is a whole-grid sum; the keys are
+    counted a block of rows at a time by np.add.at into one array, which is
+    as fast as one bincount of the whole grid's keys.  Binning on the
     support gives every bin the bits binning the whole grid does: a pixel
     outside adds +-0 to its bin's running sum, which changes no sum.
     """
     offsets = np.arange(n) - n // 2
-    counts = np.bincount((offsets[:, None] ** 2 + offsets[None, :] ** 2).ravel())
-    size = counts.size
+    size = 2 * (n // 2) ** 2 + 1  # the largest key is that of the corner (-n/2, -n/2)
+    counts = np.zeros(size, dtype=np.intp)
+    for r in range(0, n, _BLOCK):
+        np.add.at(counts, (offsets[r:r + _BLOCK, None] ** 2 + offsets[None, :] ** 2).ravel(), 1)
     present = np.flatnonzero(counts)
     counts = counts[present].astype(np.float64)  # cast once, not in each dot
     r2 = present * pitch**2
@@ -565,24 +661,24 @@ class ConversionMetrics:
     output: ScalarField | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
-def _scorer(field_in: ScalarField, target: LGIndex, z_eval: float, support=slice(None)):
+def _scorer(n: int, pitch: float, p_in: float, target: LGIndex, z_eval: float,
+            support=slice(None)):
     """conversion_metrics split at the mask: score(amps, lam, keep) scores
     one masked input.
 
-    support holds the flat, row-major indices of the pixels the mask can
-    light, in increasing order, or slice(None) for every pixel; amps is the
-    masked input at those pixels.  The input power and the radial bins of
-    the waist search are built once, on the support at z_eval = 0 and on
-    every pixel otherwise, since propagation spreads the field over the
-    grid.  score sums the power of amps over the whole n x n grid, zeros
-    outside the support, so that np.sum's pairwise order, and so t_swg, is
-    that of the whole field.  The field itself is put on the grid only to
-    propagate it (at wavelength lam) or, with keep, to return it as output;
-    then the waist search maximizes the fidelity with _brent_min, which
-    returns the fidelity at its optimum along with it.
+    The input is an n x n field of pitch pitch and power p_in.  support
+    holds the flat, row-major indices of the pixels the mask can light, in
+    increasing order, or slice(None) for every pixel; amps is the masked
+    input at those pixels.  The radial bins of the waist search are built
+    once, on the support at z_eval = 0 and on every pixel otherwise, since
+    propagation spreads the field over the grid.  score sums the power of
+    amps over the whole n x n grid, zeros outside the support, so that
+    np.sum's pairwise order, and so t_swg, is that of the whole field.  The
+    field itself is put on the grid only to propagate it (at wavelength lam)
+    or, with keep, to return it as output; then the waist search maximizes
+    the fidelity with _brent_min, which returns the fidelity at its optimum
+    along with it.
     """
-    n, pitch = field_in.n, field_in.pitch
-    p_in = field_in.total_power()
     scored = support if z_eval == 0.0 else slice(None)
     by_waist = _waist_fidelity(n, pitch, target.p, target.l, scored)
     lo = max(0.3 * target.w0, 4.0 * pitch)
@@ -640,7 +736,8 @@ def conversion_metrics(
     may light any pixel, so the scorer's support is every pixel.
     """
     masked = apply_mask(field_in, mask).amps.ravel()
-    return _scorer(field_in, target, z_eval)(masked, field_in.lam, keep=True)
+    score = _scorer(field_in.n, field_in.pitch, field_in.total_power(), target, z_eval)
+    return score(masked, field_in.lam, keep=True)
 
 
 def _grating_scan(design: swg.SWGDesign, lams: list[float], n: int, pitch: float, w0: float,
@@ -650,17 +747,18 @@ def _grating_scan(design: swg.SWGDesign, lams: list[float], n: int, pitch: float
     keep, each scored field is kept as output.
 
     The scorer's support is the footprint of swg.pillar_index, the pixels
-    the grating lights.  At z_eval = 0 a wavelength builds no n x n complex
-    array unless keep asks for the field.
+    the grating lights.  The Gaussian input comes from _gaussian_on, its
+    samples on the footprint and its power, so the scan builds no n x n
+    complex array before its first wavelength; at z_eval = 0 a wavelength
+    builds none unless keep asks for the field.
     """
     layout = swg.generate_layout(design)
     inside, nearest = swg.pillar_index(layout, n, pitch)
     support = np.flatnonzero(inside)
+    del inside
     target = LGIndex(p=0, l=design.delta_l * design.phase_sign, w0=w0)
-    gauss = make_gaussian(n, pitch, lams[0], w0)
-    inputs = gauss.amps.ravel()[support]
-    score = _scorer(gauss, target, z_eval, support)
-    del gauss  # only its samples on the footprint are kept
+    inputs, p_in = _gaussian_on(n, pitch, lams[0], w0, support)
+    score = _scorer(n, pitch, p_in, target, z_eval, support)
     for lam in lams:
         transmission = swg.pillar_transmission(swg.retune_layout(design, layout, lam))
         yield score(inputs * transmission[nearest], lam, keep)

@@ -14,7 +14,9 @@ designs at beam.lambda_sig_m, and only beam-sim reads swg.design_lambda_m;
 beam-sim's ideal vortex builds no pillar grating, so it exits 2 if
 swg.aperture_d_m, swg.lattice_a_m or swg.design_lambda_m is set.  The
 exception: with the bundled lookup, swg-gen's layout is the same at every
-beam.lambda_sig_m.
+beam.lambda_sig_m.  A bound is physical where there is one: beam.delta_l
+must be > 0, since a beam that carries no OAM change exerts no torque and
+its budget's p_min_w would be inf on every row.
 
 Every output is a comma-separated table written by table.write_table, and
 every CSV row printed to stdout comes from table.rows: a cell is
@@ -224,7 +226,7 @@ KEYS: dict[str, Key] = {
     "environment.t_k": Key(_NONNEGATIVE, None, _BUDGET),  # per subcommand
     "environment.q_m": Key(_NONNEGATIVE, 0.0, _BUDGET),  # 0: the dataset's Q
     "beam.lambda_sig_m": Key(_POSITIVE, 8.4e-7, _BUDGET + _GRATING),
-    "beam.delta_l": Key(_NONNEGATIVE, 1.0, _BUDGET),
+    "beam.delta_l": Key(_POSITIVE, 1.0, _BUDGET),  # 0 exerts no torque: p_min_w would be inf
     "beam.eta_conv": Key(_FRACTION, 1.0, _BUDGET),
     "beam.contrast": Key(_FRACTION, 1.0, _BUDGET),
     "beam.f_rep_hz": Key(_auto_or_positive, "auto", ("pulse-budget",)),

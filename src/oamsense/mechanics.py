@@ -166,7 +166,9 @@ def fit_gm(
     (g_m, intercept, slope) is returned; with fit_omega2 the fixed branch
     frequency is optimized as well.  Branch frequencies above
     FIT_FREQUENCY_LIMIT would overflow when squared in the fit; they raise
-    FitError before any is squared.
+    FitError before any is squared.  A fit whose residual norm is at least
+    the fitted g_m (both in rad/s) has not resolved the coupling, and
+    raises FitError too.
     """
     from scipy.optimize import least_squares
 
@@ -211,8 +213,12 @@ def fit_gm(
     norm = float(np.linalg.norm(result.fun))
     if not result.success:
         raise FitError(f"coupling fit did not converge: {result.message}", norm)
+    g_m = float(result.x[0])
+    if norm >= g_m:
+        raise FitError(f"residual norm {norm:.4g} rad/s is not below the fitted coupling "
+                       f"{g_m:.4g} rad/s: the data do not resolve g_m", norm)
     return FitGmResult(
-        g_m=float(result.x[0]),
+        g_m=g_m,
         omega1_intercept=float(result.x[1]),
         omega1_slope=float(result.x[2]),
         omega2=float(result.x[3]) if fit_omega2 else float(omega2),

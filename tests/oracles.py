@@ -12,7 +12,8 @@ and the zero-padded spectrum built and shifted as a centred array, or
 padded in FFT order with every row of the full-size array transformed; the
 azimuthal spectrum samples every ring at once and keeps every harmonic.
 A pillar grating is scored on the whole grid: its n x n mask, the masked
-field and the binning of every pixel at each wavelength.
+field and the binning of every pixel at each wavelength.  LG modes, the
+vortex mask and the pillar index are built from whole meshgrid arrays.
 An LG radial profile is the full Laguerre * exp * sqrt(u)^|l| product at
 every p.  The budget sweep, response curve and pillar layout are written
 row by row, with scalar abs and np.angle per response point.  Dataset
@@ -169,6 +170,50 @@ def lg_radial_product(p: int, l: int, w0: float, r2):
     return radial
 
 
+def make_lg_meshgrid(n: int, pitch: float, lam: float, idx):
+    """beams.make_lg on whole n x n arrays: the meshgrid pair, r^2, the
+    radial profile of lg_radial_product, phi, the complex field, and its
+    division by the square root of np.sum(np.abs(a) ** 2) * pitch^2."""
+    from oamsense import beams
+
+    beams._check_sampling(idx.w0, pitch)
+    x = (np.arange(n) - n // 2) * pitch
+    xx, yy = np.meshgrid(x, x, indexing="xy")
+    radial = lg_radial_product(idx.p, idx.l, idx.w0, xx**2 + yy**2)
+    if idx.l != 0:
+        phi = np.arctan2(yy, xx)
+        amps = radial * np.exp(1j * idx.l * phi)
+    else:
+        amps = radial.astype(np.complex128)
+    p = float(np.sum(np.abs(amps) ** 2)) * pitch**2
+    return beams.ScalarField(n=n, pitch=pitch, lam=lam, amps=amps / math.sqrt(p))
+
+
+def vortex_mask_meshgrid(n: int, pitch: float, delta_l: int) -> np.ndarray:
+    """beams.vortex_mask from the meshgrid pair."""
+    x = (np.arange(n) - n // 2) * pitch
+    xx, yy = np.meshgrid(x, x, indexing="xy")
+    return np.exp(1j * delta_l * np.arctan2(yy, xx))
+
+
+def pillar_index_meshgrid(layout, n: int, pitch: float):
+    """swg.pillar_index with the footprint taken from the meshgrid pair and
+    the query points gathered from it by the boolean footprint."""
+    from scipy.spatial import cKDTree
+
+    pos = np.column_stack([layout.x, layout.y])
+    tree = cKDTree(pos)
+    dists, _ = tree.query(pos[len(pos) // 2], k=2)
+    lattice = float(dists[1])
+    x = (np.arange(n) - n // 2) * pitch
+    xx, yy = np.meshgrid(x, x, indexing="xy")
+    r_sites = np.sqrt(np.sum(pos**2, axis=1))
+    footprint = float(np.max(r_sites)) + lattice / 2.0
+    inside = (xx**2 + yy**2) <= footprint**2
+    _, nearest = tree.query(np.column_stack([xx[inside], yy[inside]]), k=1)
+    return inside, nearest
+
+
 def random_stable_model(rng, mechanics_module):
     """Random damped, stable two-mode model in order-unity units."""
     w1 = rng.uniform(1.0, 2.0)
@@ -279,15 +324,16 @@ def waist_fidelity_full_grid(n, pitch, p, l):
 
 def grating_scan_full_grid(design, lams, n, pitch, w0, z_eval=0.0):
     """beams.fidelity_vs_wavelength with every wavelength scored on the
-    whole grid: the n x n mask gathered, the input masked (and propagated)
-    as an n x n field, every pixel binned, and the output kept.  Returns a
-    list of ConversionMetrics, one per wavelength."""
+    whole grid: the Gaussian and the pillar index built from meshgrid
+    arrays, the n x n mask gathered, the input masked (and propagated) as an
+    n x n field, every pixel binned, and the output kept.  Returns a list of
+    ConversionMetrics, one per wavelength."""
     from oamsense import beams, swg
 
     layout = swg.generate_layout(design)
-    index = swg.pillar_index(layout, n, pitch)
+    index = pillar_index_meshgrid(layout, n, pitch)
     target = beams.LGIndex(p=0, l=design.delta_l * design.phase_sign, w0=w0)
-    field_in = beams.make_gaussian(n, pitch, lams[0], w0)
+    field_in = make_lg_meshgrid(n, pitch, lams[0], beams.LGIndex(p=0, l=0, w0=w0))
     p_in = field_in.total_power()
     by_waist = waist_fidelity_full_grid(n, pitch, target.p, target.l)
     lo = max(0.3 * target.w0, 4.0 * pitch)

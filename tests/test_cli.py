@@ -6,6 +6,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -203,6 +204,22 @@ class TestNoiseSweep:
                          "--config", str(cfg), "--out", str(tmp_path)]) == 0
         tau_th = column(tmp_path / "noise_sweep.csv", "tau_th")
         assert np.all(tau_th == 0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["noise-sweep", "--preset", "paper-fig5"],
+        ["pulse-budget", "--preset", "paper-fig8"],
+    ], ids=["noise-sweep", "pulse-budget"])
+    def test_zero_oam_change_is_refused(self, tmp_path, capsys, argv):
+        # once noise-sweep wrote 41 inf p_min_w cells with exit 0: a beam
+        # that carries no OAM change exerts no torque
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[beam]\ndelta_l = 0\n")
+        code = cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config key beam.delta_l = '0' must be > 0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         out_a = tmp_path / "a"
@@ -779,6 +796,21 @@ class TestFitGm:
         assert [row[:2] for row in rows] == [["7.0", "nan"]]
         assert rows[0][2].startswith("error:frequencies up to 7.54e+300 rad/s "
                                      "overflow when squared")
+
+    @pytest.mark.filterwarnings("error")
+    def test_unresolved_coupling_is_a_group_error(self, tmp_path, capsys):
+        # once written as g_m = 1.6e-11 Hz with a residual of 2.5e45
+        data = tmp_path / "cross.csv"
+        data.write_text("w_h_um,l_s_um,f_minus_hz,f_plus_hz\n"
+                        "7.0,9.0,1e60,1e60\n7.0,10.0,1e60,1.1e60\n"
+                        "7.0,11.0,1e60,1.2e60\n")
+        assert cli.main(["fit-gm", str(data), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(tmp_path / "gm_fit.csv")
+        assert header == ["w_h_um", "g_m_hz", "residual"]
+        assert [row[:2] for row in rows] == [["7.0", "nan"]]
+        assert re.fullmatch(r"error:residual norm \S+ rad/s is not below the fitted coupling "
+                            r"\S+ rad/s: the data do not resolve g_m", rows[0][2])
 
     def test_bad_row_names_file_and_line(self, tmp_path, capsys):
         data = tmp_path / "cross.csv"

@@ -298,6 +298,16 @@ class TestFitGm:
             mechanics.fit_gm(rows, (scale, 0.0), scale)
         assert math.isnan(info.value.residual_norm)
 
+    def test_residual_above_coupling_raises_fit_error(self):
+        # branches 1e60 Hz apart from any model the fit can reach: it ends
+        # at g_m = 1e-10 rad/s with a residual norm of 1.4e45 rad/s
+        rows = TWO_PI * np.array([[9.0 / TWO_PI, 1e60, 1e60], [10.0 / TWO_PI, 1e60, 1.1e60],
+                                  [11.0 / TWO_PI, 1e60, 1.2e60]])
+        with pytest.raises(mechanics.FitError, match="do not resolve g_m") as info:
+            mechanics.fit_gm(rows, (TWO_PI * 1e59, TWO_PI * 1e59), TWO_PI * 1e60,
+                             fit_omega2=True)
+        assert info.value.residual_norm > 1e40
+
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 3"):
             mechanics.fit_gm(np.zeros((2, 3)), (1.0, 0.0), 1.0)

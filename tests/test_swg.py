@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oamsense import beams, swg
-from oracles import export_layout_per_row, load_layout, staircase_vortex_mask
+from oracles import (
+    export_layout_per_row,
+    load_layout,
+    pillar_index_meshgrid,
+    staircase_vortex_mask,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,6 +168,23 @@ class TestMask:
             assert all(np.array_equal(a, b) for a, b in zip(index, retuned_index))
             mask = swg.layout_to_mask(retuned, 256, 80e-9)
             assert mask.tobytes() == swg.gather_mask(retuned, index).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([32, 64, 128, 256, 512]), pitch_frac=st.floats(0.05, 0.24),
+           aperture_lattices=st.floats(3.0, 80.0), delta_l=st.integers(0, 3))
+    def test_pillar_index_matches_meshgrid_oracle(self, n, pitch_frac, aperture_lattices,
+                                                  delta_l):
+        # footprints inside the grid and clipped by it
+        design = swg.SWGDesign(delta_l=delta_l)
+        design = swg.SWGDesign(aperture_d=aperture_lattices * design.lattice_a, delta_l=delta_l)
+        layout = swg.generate_layout(design)
+        pitch = pitch_frac * design.lattice_a
+        inside, nearest = swg.pillar_index(layout, n, pitch)
+        expected_inside, expected_nearest = pillar_index_meshgrid(layout, n, pitch)
+        assert inside.dtype == expected_inside.dtype
+        assert np.array_equal(inside, expected_inside)
+        assert nearest.dtype == expected_nearest.dtype
+        assert np.array_equal(nearest, expected_nearest)
 
     def test_pillar_index_checks_match_mask(self):
         layout = swg.generate_layout(swg.SWGDesign())
