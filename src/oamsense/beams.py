@@ -49,14 +49,20 @@ That is why beams imports swg at module level; swg imports only table, so
 there is no cycle.
 
 azimuthal_spectrum band-limit upsamples a field by 2 (up to n = 2048) and
-samples it on polar rings.  The upsampled field is never held whole: the
-first inverse-transform pass keeps only the n rows that hold the spectrum,
-in a compact n x 2n array, and the second pass finishes a block of columns
-at a time.  Each ring sample is interpolated in numpy from the block that
-holds it, with the arithmetic of scipy's order-1 map_coordinates, so every
-power fraction is the one whole-array resampling gives, bit for bit.  At
-n = 1024 a spectrum's traced peak is 61 MiB, 3.8 times the field's 16 MiB,
-where a whole 2n x 2n grid alone is 64 MiB.
+samples it on polar rings.  The upsampled field is never held whole, and
+the spectrum has no array of its own: it is built in place, a block at a
+time, in the first inverse-transform pass's 2n x n array, which keeps only
+the n rows that hold the spectrum, stored transposed so that each block of
+columns of the field is read from a contiguous block of its rows.  The
+second pass finishes a block of columns at a time.  Each ring sample is
+interpolated in numpy from the block that holds it, with the arithmetic of
+scipy's order-1 map_coordinates, so every power fraction is the one
+whole-array resampling gives, bit for bit.  The samples are stored in the
+part of the first pass's array that the blocks have already used, wherever
+they fit there (n >= 1024).  At n = 1024 a spectrum's traced peak is
+42.6 MiB, 2.7 times the field's 16 MiB (61.1 MiB when it held the
+spectrum, the n x 2n rows and an array of ring samples side by side), where
+a whole 2n x 2n grid alone is 64 MiB.
 """
 
 from __future__ import annotations
@@ -346,58 +352,76 @@ def fidelity(field: ScalarField, reference: ScalarField) -> float:
 
 _SAMPLE_CHUNK = 16384  # ring samples interpolated at a time
 _UPSAMPLED_UP_TO = 2048  # largest n whose spectrum is taken on the grid upsampled by 2
+_N_THETA = 1024  # samples per ring
 
 
-def _upsampled_rows(amps: np.ndarray, factor: int) -> np.ndarray:
-    """First pass of band-limited upsampling by spectral zero padding.
+def _upsampled_cols(amps: np.ndarray, factor: int) -> np.ndarray:
+    """First pass of band-limited upsampling by spectral zero padding, stored
+    transposed: cols[x, k] of shape (n * factor, n).
 
-    The spectrum is padded in FFT order, zeros going between its positive
-    and negative frequencies, and the inverse transform runs one axis at a
-    time, as ifft2 does.  Along axis 1 only the n rows that hold the
-    spectrum are padded and transformed, a block of rows at a time, since
-    the inverse transform of a zero row is zero; each row is stored with
-    its column halves swapped.  The result is the compact n x (n * factor)
-    array of those rows, and the n x n spectrum is freed on return.  With
-    factor 1 the field itself is returned.
+    fft2(ifftshift(amps)) is built in cols[:n], transposed, as np.fft.fft2
+    computes it: the 1-D transforms along axis 1 of the shifted field, a
+    block of rows at a time, then those along axis 0.  The spectrum is then
+    padded in FFT order, zeros going between its positive and negative
+    frequencies, and the inverse transform runs one axis at a time, as ifft2
+    does.  Along axis 1 only the n rows that hold the spectrum are padded and
+    transformed, a block of rows at a time, since the inverse transform of a
+    zero row is zero; row k of the result, its halves swapped, is stored as
+    column k of cols, over the spectrum rows the block has just read.  With
+    factor 1 the field itself is returned, transposed.
     """
     if factor == 1:
-        return amps
+        return amps.T
     n = amps.shape[0]
-    size = n * factor
+    size, h = n * factor, n // 2
+    step = min(_BLOCK, h)
+    cols = np.empty((size, n), dtype=np.complex128)
+    spectrum = cols[:n]  # spectrum[kx, ky]
+    shifted = np.empty((step, n), dtype=np.complex128)
+    for r in range(0, n, step):
+        src = amps[(r + h) % n:][:step]  # rows r .. r + step of ifftshift(amps)
+        shifted[:, :h] = src[:, h:]
+        shifted[:, h:] = src[:, :h]
+        spectrum[:, r:r + step] = np.fft.fft(shifted, axis=1).T
+    for r in range(0, n, step):
+        spectrum[r:r + step] = np.fft.fft(spectrum[r:r + step], axis=1)
     index = np.arange(n)
-    index[n // 2:] += size - n
-    spectrum = np.fft.fft2(np.fft.ifftshift(amps))
-    rows = np.empty((n, size), dtype=np.complex128)
-    step = min(_BLOCK, n // 2)
+    index[h:] += size - n
+    half = size // 2
     padded = np.zeros((step, size), dtype=np.complex128)
     for r in range(0, n, step):
-        padded[:, index] = spectrum[r:r + step]
-        rows[r:r + step] = np.fft.fftshift(np.fft.ifft(padded, axis=1), axes=1)
-    return rows
+        padded[:, index] = spectrum[:, r:r + step].T
+        t = np.fft.ifft(padded, axis=1)
+        cols[:half, r:r + step] = t[:, half:].T
+        cols[half:, r:r + step] = t[:, :half].T
+    return cols
 
 
-def _column_block(rows: np.ndarray, factor: int, c: int) -> np.ndarray:
-    """Columns c .. c + _BLOCK of the upsampled field, the last of them an
-    overlap column shared with the next block (absent at the right edge).
+def _column_block(cols: np.ndarray, factor: int, c: int) -> np.ndarray:
+    """Columns c .. c + _BLOCK of the upsampled field, transposed, the last
+    of them an overlap column shared with the next block (absent at the
+    right edge).
 
-    The block's columns of _upsampled_rows are put back on the n * factor
-    rows they hold in the padded array, zeros between, transformed along
-    axis 0, scaled and stored with their row halves swapped.  Together the
+    The block's rows of _upsampled_cols are put back on the n * factor
+    positions they hold in the padded array, zeros between, transformed
+    along axis 1, scaled and stored with their halves swapped.  Together the
     swaps are the fftshift, and each 1-D transform is the one a whole-array
     pass makes, so the blocks put side by side are the upsampled field bit
     for bit.  With factor 1 a block is a view of the field's own columns.
     """
     if factor == 1:
-        return rows[:, c:c + _BLOCK + 1]
-    n, size = rows.shape
+        return cols[c:c + _BLOCK + 1]
+    size, n = cols.shape
     index = np.arange(n)
     index[n // 2:] += size - n
-    width = min(_BLOCK + 1, size - c)
-    padded = np.zeros((size, width), dtype=np.complex128)
-    padded[index] = rows[:, c:c + width]
-    t = np.fft.ifft(padded, axis=0)
+    half = size // 2
+    padded = np.zeros((min(_BLOCK + 1, size - c), size), dtype=np.complex128)
+    padded[:, index] = cols[c:c + len(padded)]
+    t = np.fft.ifft(padded, axis=1)
     t *= factor * factor
-    return np.concatenate([t[size // 2:], t[:size // 2]])
+    padded[:, :half] = t[:, half:]
+    padded[:, half:] = t[:, :half]
+    return padded
 
 
 def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
@@ -415,11 +439,16 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
     weights w0 = 1 - t and w1 = 1 - w0 on each axis, the four corners
     summed from 0.0 in row-major order as (value * row weight) * column
     weight, and the parts joined as re + 1j * im.  The blocks of samples
-    are found from one int16 array holding each sample's block.  The rings
-    are transformed a block of radii at a time, and only the harmonics
-    asked for are kept.  map_coordinates run on each block gives the same
-    bits, but at n = 1024 it raises a fresh process's peak RSS by 34 MiB
-    against the gather's 9 MiB, and beam-sim's by 12 MB.
+    are found from one int16 array holding each sample's block.  The
+    samples are stored a column block after another, each block's in ring
+    order, in the flat start of the first pass's array, whose rows the
+    blocks made so far no longer need, wherever each block's samples fit
+    there (n >= 1024 at factor 2), and in an array of their own elsewhere.  The
+    rings are gathered back out a block of radii at a time, from the count
+    of samples each (ring block, column block) pair holds, and transformed;
+    only the harmonics asked for are kept.  map_coordinates run on each
+    block gives the same bits, but at n = 1024 it raises a fresh process's
+    peak RSS by 34 MiB against the gather's 9 MiB, and beam-sim's by 12 MB.
     """
     l_values = list(l_values)
     for l in l_values:  # a float or a bool would be truncated to an order
@@ -429,27 +458,37 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
     total = field.total_power()
     if total == 0.0:
         raise ValueError("zero-power field")
-    n_theta = 1024
+    n_theta = _N_THETA
     if np.any(np.abs(l_values) >= n_theta // 2):
         raise ValueError(f"|l| must be < {n_theta // 2}")
     up = 2 if field.n <= _UPSAMPLED_UP_TO else 1
-    rows = _upsampled_rows(field.amps, up)
+    cols = _upsampled_cols(field.amps, up)
     n = field.n * up
     pitch = field.pitch / up
     n_r = n // 2 - 1
     radii = (np.arange(n_r) + 0.5) * pitch
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    # the column block of each ring sample, in ring-major order
+    # the column block of each ring sample, in ring-major order, and the
+    # samples each (ring block, column block) pair holds
+    n_blocks = -(-n // _BLOCK)
     owner = np.empty((n_r, n_theta), dtype=np.int16)
-    for r in range(0, n_r, _BLOCK):
-        cols = radii[r:r + _BLOCK, None] * cos_t[None, :] / pitch + n // 2
-        owner[r:r + _BLOCK] = np.floor(cols) // _BLOCK
-    owner = owner.ravel()
-    polar = np.empty(n_r * n_theta, dtype=np.complex128)
+    counts = np.empty((-(-n_r // _BLOCK), n_blocks), dtype=np.intp)
+    for b, r in enumerate(range(0, n_r, _BLOCK)):
+        x = radii[r:r + _BLOCK, None] * cos_t[None, :] / pitch + n // 2
+        owner[r:r + _BLOCK] = np.floor(x) // _BLOCK
+        counts[b] = np.bincount(owner[r:r + _BLOCK].ravel(), minlength=n_blocks)
+    per_block = counts.sum(axis=0)
+    start = np.cumsum(per_block) - per_block  # of each column block's samples
+    done = np.minimum(np.arange(1, n_blocks + 1) * _BLOCK, n) * field.n  # cols read by then
+    if up > 1 and np.all(start + per_block <= done):
+        store = cols.reshape(-1)
+    else:
+        store = np.empty(n_r * n_theta, dtype=np.complex128)
     for c in range(0, n, _BLOCK):
-        block = _column_block(rows, up, c)
+        block = _column_block(cols, up, c)
         samples = np.flatnonzero(owner == c // _BLOCK)
+        out = store[start[c // _BLOCK]:]
         for s in range(0, len(samples), _SAMPLE_CHUNK):
             k = samples[s:s + _SAMPLE_CHUNK]
             ring, angle = np.divmod(k, n_theta)
@@ -464,16 +503,25 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
             im = np.zeros(len(k))
             for di, wy in ((0, wy0), (1, 1.0 - wy0)):
                 for dj, wx in ((0, wx0), (1, 1.0 - wx0)):
-                    v = block[i + di, j + dj]
+                    v = block[j + dj, i + di]
                     re += v.real * wy * wx
                     im += v.imag * wy * wx
-            polar[k] = re + 1j * im
-    del rows, block, owner
-    polar = polar.reshape(n_r, n_theta)
+            out[s:s + len(k)] = re + 1j * im
+    del block
+    at = start + np.cumsum(counts, axis=0) - counts  # where each pair's samples start
     harmonics = l_values % n_theta
     a_l = np.empty((len(l_values), n_r), dtype=np.complex128)  # a_l(r), one row per order
-    for r in range(0, n_r, _BLOCK):
-        coeffs = np.fft.fft(polar[r:r + _BLOCK], axis=1) / n_theta
+    for b, r in enumerate(range(0, n_r, _BLOCK)):
+        rings = owner[r:r + _BLOCK]
+        order = np.argsort(rings.ravel(), kind="stable")  # by column block, then ring order
+        polar = np.empty(rings.shape, dtype=np.complex128)
+        flat = polar.reshape(-1)
+        placed = 0
+        for c in np.flatnonzero(counts[b]):
+            count = counts[b, c]
+            flat[order[placed:placed + count]] = store[at[b, c]:at[b, c] + count]
+            placed += count
+        coeffs = np.fft.fft(polar, axis=1) / n_theta
         a_l[:, r:r + _BLOCK] = coeffs[:, harmonics].T
     # power in order l: 2 pi * integral |a_l(r)|^2 r dr
     ring_weight = 2.0 * math.pi * radii * pitch

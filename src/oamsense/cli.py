@@ -29,9 +29,10 @@ it per file, the handler checks, computes, fills its temp files and returns
 its stdout lines; it never prints to stdout.  main then renames the set into
 --out, in a fixed order, and prints those lines and a "wrote" line.  A failed
 run exits 2 with one error line, no stdout, and no output, temp file or --out
-directory that it created.  Config errors come before --out is made; a
-handler's own checks (domain, sampling, lattice, data file) come after, so
-when both are bad, the error names --out.
+directory that it created, also when it runs out of memory, in this process
+or in beam-sim's worker (a grid.n too large for the machine).  Config errors
+come before --out is made; a handler's own checks (domain, sampling, lattice,
+data file) come after, so when both are bad, the error names --out.
 
 beam-sim runs in two halves on two cores: one worker forked after the config
 checks builds the target mode and writes intensity_target.csv and
@@ -631,8 +632,8 @@ def cmd_beam_sim(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
                                                target, z_eval=z_eval)
         else:
             metrics = beams.grating_metrics(design, lam, n, pitch, w0, z_eval)
-        # the spectrum's compact upsampled rows (32 MiB at n = 1024) are freed
-        # before the rasters are built
+        # the spectrum's first pass (32 MiB at n = 1024), which also holds its
+        # ring samples, is freed before the rasters are built
         l_values = list(range(target.l - 3, target.l + 4))
         fractions = beams.azimuthal_spectrum(metrics.output, l_values)
         _save_rasters(metrics.output, temps["intensity_swg.csv"], temps["phase_swg.csv"])
@@ -747,8 +748,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.command, args.preset, args.config)
         with _outputs(args.out, command.outputs) as temps:
             lines = command.run(args, cfg, temps)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # MemoryError: a grid too large for the machine, in this process or a worker
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     paths = [str(args.out / name) for name in command.outputs]
     # 1-2 outputs are named; 3+ (today only beam-sim's rasters) by their directory

@@ -356,11 +356,14 @@ def grating_scan_full_grid(design, lams, n, pitch, w0, z_eval=0.0):
     return results
 
 
-def save_raster_per_cell(matrix, path) -> None:
-    """Raster export formatting every cell with its own repr(float(v))."""
+def save_raster_per_cell(matrix, path, text=None) -> None:
+    """Raster export formatting every cell with its own repr(float(v)), or
+    writing text[i][j] in its place where `text` is given and that entry is
+    not None."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(matrix):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for i, row in enumerate(np.asarray(matrix)):
+            fh.write(",".join(repr(float(v)) if text is None or text[i][j] is None else text[i][j]
+                              for j, v in enumerate(row)) + "\n")
 
 
 def write_budget_sweep_per_row(path, axis_name, axis_values, budgets) -> None:
@@ -424,16 +427,16 @@ def fourier_upsample_all_rows(amps, factor):
     return np.fft.fftshift(up)
 
 
-def azimuthal_spectrum_whole(field, l_values, up=None):
+def azimuthal_spectrum_whole(field, l_values, up=None, n_theta=1024):
     """beams.azimuthal_spectrum with every step done on whole arrays: the
     all-row upsampling, every polar sample of every ring in one
     map_coordinates call per part, and the FFT of every ring kept.  `up`
-    overrides the upsampling factor (2 up to n = 2048, else 1)."""
+    overrides the upsampling factor (2 up to n = 2048, else 1), and
+    `n_theta` the samples per ring."""
     from scipy.ndimage import map_coordinates
 
     l_values = np.asarray(list(l_values), dtype=int)
     total = field.total_power()
-    n_theta = 1024
     if up is None:
         up = 2 if field.n <= 2048 else 1
     amps = fourier_upsample_all_rows(field.amps, up) if up > 1 else field.amps

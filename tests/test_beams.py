@@ -351,10 +351,11 @@ class TestAzimuthalSpectrum:
     @staticmethod
     def _assert_blocks_equal(amps, factor, block, whole):
         """beams._column_block at every block start, with the block width
-        patched to `block`, against the whole upsampled field."""
+        patched to `block`, against the whole upsampled field.  A block is
+        returned transposed, one row per column of the field."""
         with mock.patch.object(beams, "_BLOCK", block):
-            rows = beams._upsampled_rows(amps, factor)
-            blocks = [(c, beams._column_block(rows, factor, c))
+            cols = beams._upsampled_cols(amps, factor)
+            blocks = [(c, np.ascontiguousarray(beams._column_block(cols, factor, c).T))
                       for c in range(0, amps.shape[0] * factor, block)]
         # side by side without their overlap columns, the blocks are the field
         joined = np.concatenate([b[:, :block] for _, b in blocks], axis=1)
@@ -416,6 +417,16 @@ class TestAzimuthalSpectrum:
         assert np.array_equal(beams.azimuthal_spectrum(out, ls).view(np.uint64),
                               azimuthal_spectrum_whole(out, ls).view(np.uint64))
 
+    def test_beam_sim_grating_matches_whole_arrays(self):
+        # beam-sim's grid, where the ring samples are stored in the first
+        # pass's array
+        layout = swg.generate_layout(swg.SWGDesign())
+        out = beams.apply_mask(beams.make_gaussian(1024, 50e-9, LAM, W0),
+                               swg.layout_to_mask(layout, 1024, 50e-9))
+        ls = range(-2, 5)
+        assert np.array_equal(beams.azimuthal_spectrum(out, ls).view(np.uint64),
+                              azimuthal_spectrum_whole(out, ls).view(np.uint64))
+
     @pytest.mark.parametrize("order", [1.5, True, np.float64(1.0), np.bool_(True), "1"])
     def test_non_integer_order_rejected(self, gauss, order):
         with pytest.raises(ValueError, match=re.escape(f"order {order!r} is not an integer")):
@@ -427,12 +438,37 @@ class TestAzimuthalSpectrum:
         for ls in ([-1, 0, 1, 2], np.arange(-1, 3), [np.int8(-1), 0, np.uint16(1), np.int64(2)]):
             assert np.array_equal(beams.azimuthal_spectrum(out, ls), fracs)
 
-    def test_traced_peak_below_four_fields(self):
-        # the compact first pass and the column blocks, never the 2n x 2n grid
+    def test_traced_peak_below_three_fields(self):
+        # the first pass, which then holds the ring samples, and the column
+        # blocks: never the 2n x 2n grid, the n x n spectrum or its own rings
         field = beams.apply_mask(beams.make_gaussian(1024, 50e-9, LAM, W0),
                                  beams.vortex_mask(1024, 50e-9, 1))
         peak, _ = traced_peak(beams.azimuthal_spectrum, field, [1])
-        assert peak < 4 * field.amps.nbytes
+        assert peak < 3 * field.amps.nbytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([32, 64, 128, 256]),
+           st.sampled_from([8, 16, 64, 256, 1024]).flatmap(lambda n_theta: st.tuples(
+               st.just(n_theta),
+               st.lists(st.integers(1 - n_theta // 2, n_theta // 2 - 1), min_size=1, max_size=6))),
+           st.sampled_from([4, 16, 64]), st.integers(0, 2**32 - 1))
+    @example(32, (8, [1, -1]), 4, 1)  # every block's samples fit in the first pass's array
+    @example(32, (64, [1, -1]), 4, 1)  # the first half's fit, the rest's do not
+    @example(256, (1024, [1, -1]), 64, 1)  # only the first two blocks' fit
+    @example(32, (56, [1, -1]), 4, 1)  # one block's would cover the column the next one shares
+    def test_sample_stores_match_whole_arrays(self, n, rings, block, seed):
+        # the ring samples go into the first pass's array when every column
+        # block's fit there, as with few angles per ring, and into one of
+        # their own otherwise
+        n_theta, ls = rings
+        rng = np.random.default_rng(seed)
+        field = beams.ScalarField(n=n, pitch=100e-9, lam=LAM,
+                                  amps=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        with mock.patch.object(beams, "_N_THETA", n_theta), \
+                mock.patch.object(beams, "_BLOCK", block):
+            fracs = beams.azimuthal_spectrum(field, ls)
+        assert np.array_equal(fracs.view(np.uint64),
+                              azimuthal_spectrum_whole(field, ls, n_theta=n_theta).view(np.uint64))
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([64, 128, 256]), st.integers(0, 2**32 - 1),
@@ -846,6 +882,14 @@ class TestFieldIO:
             beams.save_raster(matrix, fast)
             save_raster_per_cell(matrix, slow)
             assert fast.read_bytes() == slow.read_bytes()
+
+    def test_raster_traced_peak_below_two_rasters(self, tmp_path):
+        # a block of lines at a time: no whole-raster array of indices, cell
+        # strings or row lists beside beam-sim's 8 MiB grating intensity
+        out = beams.grating_metrics(swg.SWGDesign(), LAM, 1024, 50e-9, W0).output
+        intensity = np.abs(out.amps) ** 2
+        peak, _ = traced_peak(beams.save_raster, intensity, tmp_path / "intensity.csv")
+        assert peak < 2 * intensity.nbytes
 
     @pytest.mark.parametrize("matrix", [
         np.arange(12, dtype=np.int64).reshape(3, 4) - 6,

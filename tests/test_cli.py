@@ -622,22 +622,29 @@ class TestBeamSim:
         assert short >= 1
 
     @pytest.mark.parametrize("found", [False, True], ids=["new-out", "found-out"])
-    @pytest.mark.parametrize("case", ["edge", "parent-raises", "worker-raises", "worker-dies"])
+    @pytest.mark.parametrize("case", ["edge", "parent-raises", "parent-oom", "worker-raises",
+                                      "worker-oom", "worker-dies"])
     def test_failed_run_leaves_nothing(self, tmp_path, capsys, monkeypatch, case, found):
+        # the out-of-memory cases raise MemoryError without allocating: with a
+        # message, as numpy's is, and bare, as the interpreter's is
         save_raster = beams.save_raster
 
         def failing_worker(matrix, path):  # the parent writes only the *_swg rasters
             if "_target" in Path(path).name:
                 if case == "worker-dies":
                     os._exit(3)
+                if case == "worker-oom":
+                    raise MemoryError
                 raise OSError("injected worker failure")
             save_raster(matrix, path)
 
         def failing_parent(*args, **kwargs):
+            if case == "parent-oom":
+                raise MemoryError("injected parent out of memory")
             raise ValueError("injected parent failure")
 
         w0 = "3e-7" if case == "edge" else "1.5e-6"
-        if case == "parent-raises":
+        if case.startswith("parent"):
             monkeypatch.setattr(beams, "azimuthal_spectrum", failing_parent)
         elif case.startswith("worker"):
             monkeypatch.setattr(beams, "save_raster", failing_worker)
@@ -654,7 +661,9 @@ class TestBeamSim:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert {"edge": "config key beam.w0_m", "parent-raises": "injected parent failure",
+                "parent-oom": "injected parent out of memory",
                 "worker-raises": "injected worker failure",
+                "worker-oom": "error: MemoryError",
                 "worker-dies": "target raster worker"}[case] in err
         assert multiprocessing.active_children() == []
         assert threading.enumerate() == threads
