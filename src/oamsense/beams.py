@@ -515,12 +515,8 @@ def azimuthal_spectrum(field: ScalarField, l_values) -> np.ndarray:
         rings = owner[r:r + _BLOCK]
         order = np.argsort(rings.ravel(), kind="stable")  # by column block, then ring order
         polar = np.empty(rings.shape, dtype=np.complex128)
-        flat = polar.reshape(-1)
-        placed = 0
-        for c in np.flatnonzero(counts[b]):
-            count = counts[b, c]
-            flat[order[placed:placed + count]] = store[at[b, c]:at[b, c] + count]
-            placed += count
+        polar.reshape(-1)[order] = np.concatenate(
+            [store[at[b, c]:at[b, c] + counts[b, c]] for c in range(n_blocks)])
         coeffs = np.fft.fft(polar, axis=1) / n_theta
         a_l[:, r:r + _BLOCK] = coeffs[:, harmonics].T
     # power in order l: 2 pi * integral |a_l(r)|^2 r dr

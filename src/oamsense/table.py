@@ -18,7 +18,9 @@ A table is turned into lines a block of at most _BLOCK_CELLS cells (whole
 rows, at least one) at a time, so no whole-table array of indices, cell
 strings or row lists is held.  A table of one block, such as every table a
 preset writes but a raster, maps its cells onto their distinct magnitudes
-with np.unique's inverse.  A larger one takes its sorted distinct magnitudes
+with np.unique's inverse, which is faster there than the searchsorted of
+larger tables: on a 2001 x 8 table, sending it through their path made
+table.rows 5-24% slower in the median.  A larger one takes its sorted distinct magnitudes
 from one in-place sort of a masked copy, freed before any text is made,
 and maps each block onto them with searchsorted.  Exporting beam-sim's
 n = 1024 grating intensity so traces a peak of 9.2 MiB, where formatting it
