@@ -16,7 +16,9 @@ swg.aperture_d_m, swg.lattice_a_m or swg.design_lambda_m is set.  The
 exception: with the bundled lookup, swg-gen's layout is the same at every
 beam.lambda_sig_m.  A bound is physical where there is one: beam.delta_l
 must be > 0, since a beam that carries no OAM change exerts no torque and
-its budget's p_min_w would be inf on every row.
+its budget's p_min_w would be inf on every row.  beam-sim's grating needs
+swg.aperture_d_m >= 2 * swg.lattice_a_m: a smaller aperture holds only the
+pillar at its centre, and one pillar spans no lattice to rasterize.
 
 Every output is a comma-separated table written by table.write_table, and
 every CSV row printed to stdout comes from table.rows: a cell is
@@ -524,14 +526,30 @@ def _design(cfg: dict, design_lambda: float) -> swg.SWGDesign:
 _LATTICE_RTOL = 1e-9
 
 
+def _lattice_key(cfg: dict, lattice: float) -> str:
+    """swg.lattice_a_m, with its default value when the config leaves it unset."""
+    return ("swg.lattice_a_m" if cfg["swg.lattice_a_m"] is not None
+            else f"swg.lattice_a_m (default {lattice!r})")
+
+
 def _check_resolves_lattice(cfg: dict, pitch: float, lattice: float) -> None:
     """Raise ConfigError naming the keys unless pitch < lattice/4 (swg.pillar_index)."""
     limit = lattice / 4.0
     if pitch > limit or math.isclose(pitch, limit, rel_tol=_LATTICE_RTOL):
-        source = ("swg.lattice_a_m" if cfg["swg.lattice_a_m"] is not None
-                  else f"swg.lattice_a_m (default {lattice!r})")
         raise ConfigError(f"config key grid.pitch_m = {pitch!r} does not resolve the pillar "
-                          f"lattice: it must be below {source} / 4 = {limit!r}")
+                          f"lattice: it must be below {_lattice_key(cfg, lattice)} / 4 = "
+                          f"{limit!r}")
+
+
+def _check_holds_two_pillars(cfg: dict, aperture: float, lattice: float) -> None:
+    """Raise ConfigError naming the keys unless aperture >= 2 * lattice: a
+    smaller aperture holds only the pillar at its centre, which spans no
+    lattice (swg.pillar_index)."""
+    if aperture < 2.0 * lattice:
+        key = (f"swg.aperture_d_m = {aperture!r}" if cfg["swg.aperture_d_m"] is not None
+               else f"swg.aperture_d_m (default {aperture!r})")
+        raise ConfigError(f"config key {key} holds one pillar: it must be at least 2 * "
+                          f"{_lattice_key(cfg, lattice)} = {2.0 * lattice!r}")
 
 
 #: glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
@@ -613,6 +631,7 @@ def cmd_beam_sim(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     else:
         design = _design(cfg, _derived(cfg, "swg.design_lambda_m", _signal_in_lookup(cfg)))
         _check_resolves_lattice(cfg, pitch, design.lattice_a)
+        _check_holds_two_pillars(cfg, design.aperture_d, design.lattice_a)
     if w0 < 4.0 * pitch:
         raise ConfigError(f"config key beam.w0_m = {w0!r} is under-sampled: it must be "
                           f">= 4 * grid.pitch_m = {4.0 * pitch!r}")

@@ -592,6 +592,36 @@ class TestBeamSim:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[swg]\naperture_d_m = 3e-7\n",
+         "config key swg.aperture_d_m = 3e-07 holds one pillar: it must be at least "
+         "2 * swg.lattice_a_m (default 3.6e-07) = 7.2e-07"),
+        ("[swg]\naperture_d_m = 7.9e-7\nlattice_a_m = 4e-7\n",
+         "config key swg.aperture_d_m = 7.9e-07 holds one pillar: it must be at least "
+         "2 * swg.lattice_a_m = 8e-07"),
+        ("[swg]\nlattice_a_m = 1.5e-5\n",
+         "config key swg.aperture_d_m (default 2e-05) holds one pillar: it must be at least "
+         "2 * swg.lattice_a_m = 3e-05"),
+    ], ids=["default-lattice", "set-lattice", "default-aperture"])
+    def test_one_pillar_aperture_names_its_keys(self, tmp_path, capsys, text, message):
+        # one pillar spans no lattice: the grating would light the whole grid
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 64\npitch_m = 8e-8\n[beam]\nw0_m = 1e-6\n" + text)
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_two_lattice_aperture_runs(self, tmp_path, capsys):
+        # the smallest aperture beam-sim accepts holds the centre pillar and
+        # its neighbours along x, and lights only their footprint
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 64\npitch_m = 8e-8\n[beam]\nw0_m = 1e-6\n"
+                       "[swg]\naperture_d_m = 7.2e-7\n")
+        assert cli.main(["beam-sim", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        intensity = np.loadtxt(tmp_path / "intensity_swg.csv", delimiter=",")
+        assert 0 < np.count_nonzero(intensity) < 64 * 64 / 4
+        assert "t_swg" in capsys.readouterr().out
+
     def test_lattice_limit_passes_only_resolved_pitches(self):
         # the largest pitch the edge check passes is one the grating accepts,
         # including lattices whose measured spacing reads below lattice_a

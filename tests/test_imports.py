@@ -1,9 +1,9 @@
 """Package import hygiene: every dependency between oamsense modules is a
 module-level import, so the import graph can be read off the module tops,
-scoring a field imports no scipy.optimize and taking its azimuthal spectrum
-no scipy.ndimage, `import oamsense` imports each submodule only when it is
-first used, and every public function or class of the package has a
-caller outside the tests."""
+scoring a field imports no scipy.optimize, taking its azimuthal spectrum
+no scipy.ndimage and an swg-gen run no scipy.spatial, `import oamsense`
+imports each submodule only when it is first used, and every public
+function or class of the package has a caller outside the tests."""
 
 import ast
 import os
@@ -15,6 +15,16 @@ import oamsense
 
 MODULES = sorted(Path(oamsense.__file__).resolve().parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports this checkout's oamsense;
+    raise if it fails."""
+    src = str(Path(oamsense.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                   stdout=subprocess.DEVNULL)
 
 
 def benchmark_traced() -> list[tuple[str, str]]:
@@ -86,10 +96,7 @@ def test_waist_search_does_not_import_scipy_optimize():
         "                         beams.LGIndex(0, 1, 1.5e-6))\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
     )
-    src = str(Path(oamsense.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    run_fresh(code)
 
 
 def test_spectrum_does_not_import_scipy_ndimage():
@@ -103,10 +110,21 @@ def test_spectrum_does_not_import_scipy_ndimage():
         "beams.azimuthal_spectrum(m.output, range(-2, 5))\n"
         "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage imported'\n"
     )
-    src = str(Path(oamsense.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    run_fresh(code)
+
+
+def test_swg_gen_does_not_import_scipy_spatial():
+    # only pillar_index imports it (about 37 MB of RSS): a layout is generated
+    # and exported without it
+    code = (
+        "import sys, tempfile\n"
+        "from oamsense import cli\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    assert cli.main(['swg-gen', '--out', out]) == 0\n"
+        "assert 'oamsense.swg' in sys.modules\n"
+        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial imported'\n"
+    )
+    run_fresh(code)
 
 
 def test_package_imports_submodules_on_first_access():
@@ -123,10 +141,7 @@ def test_package_imports_submodules_on_first_access():
         "from oamsense import beams\n"
         "assert beams is oamsense.beams and beams.swg is oamsense.swg\n"
     )
-    src = str(Path(oamsense.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    run_fresh(code)
 
 
 def test_every_public_name_has_a_caller():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from memory import traced_peak
 from oamsense import beams, swg
 from oracles import (
     export_layout_per_row,
@@ -169,22 +170,74 @@ class TestMask:
             mask = swg.layout_to_mask(retuned, 256, 80e-9)
             assert mask.tobytes() == swg.gather_mask(retuned, index).tobytes()
 
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.sampled_from([32, 64, 128, 256, 512]), pitch_frac=st.floats(0.05, 0.24),
-           aperture_lattices=st.floats(3.0, 80.0), delta_l=st.integers(0, 3))
-    def test_pillar_index_matches_meshgrid_oracle(self, n, pitch_frac, aperture_lattices,
-                                                  delta_l):
-        # footprints inside the grid and clipped by it
-        design = swg.SWGDesign(delta_l=delta_l)
-        design = swg.SWGDesign(aperture_d=aperture_lattices * design.lattice_a, delta_l=delta_l)
-        layout = swg.generate_layout(design)
-        pitch = pitch_frac * design.lattice_a
+    @staticmethod
+    def _assert_index_is_oracle(layout, n, pitch):
         inside, nearest = swg.pillar_index(layout, n, pitch)
         expected_inside, expected_nearest = pillar_index_meshgrid(layout, n, pitch)
         assert inside.dtype == expected_inside.dtype
         assert np.array_equal(inside, expected_inside)
         assert nearest.dtype == expected_nearest.dtype
         assert np.array_equal(nearest, expected_nearest)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([32, 64, 128, 256, 512]), pitch_frac=st.floats(0.05, 0.24),
+           aperture_lattices=st.floats(2.0, 80.0), delta_l=st.integers(0, 3),
+           lattice=st.one_of(st.just(360e-9), st.floats(320e-9, 1000e-9)),
+           shuffle=st.randoms(use_true_random=False) | st.none())
+    def test_pillar_index_matches_meshgrid_oracle(self, n, pitch_frac, aperture_lattices,
+                                                  delta_l, lattice, shuffle):
+        # footprints inside the grid and clipped by it, from three pillars
+        # up; the lattice decides most pixels and cKDTree the rest
+        design = swg.SWGDesign(aperture_d=aperture_lattices * lattice, lattice_a=lattice,
+                               delta_l=delta_l)
+        layout = swg.generate_layout(design)
+        if shuffle is not None:
+            layout = layout[shuffle.sample(range(len(layout)), len(layout))]
+        self._assert_index_is_oracle(layout, n, pitch_frac * lattice)
+
+    @pytest.mark.parametrize("n, pitch", [(512, 80e-9), (1024, 50e-9)])
+    @pytest.mark.parametrize("order", ["raster", "shuffled", "repeated"])
+    def test_default_design_index_is_oracle(self, n, pitch, order):
+        # the two grids the benchmark scores, where 3.1% and 1.4% of the
+        # footprint pixels tie between two pillars; a site that holds two
+        # pillars is left to the tree
+        layout = swg.generate_layout(swg.SWGDesign())
+        if order == "shuffled":
+            layout = layout[np.random.default_rng(7).permutation(len(layout))]
+        elif order == "repeated":
+            layout = np.concatenate([layout, layout[:50]]).view(np.recarray)
+        self._assert_index_is_oracle(layout, n, pitch)
+
+    @pytest.mark.parametrize("pillar", [0, 1000, "middle", -1])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_pillar_off_the_lattice_raises(self, pillar, axis):
+        layout = swg.generate_layout(swg.SWGDesign())
+        k = len(layout) // 2 if pillar == "middle" else pillar
+        layout[axis][k] += 0.1 * swg.SWGDesign.lattice_a
+        with pytest.raises(ValueError, match="not on one hexagonal lattice"):
+            swg.pillar_index(layout, 256, 80e-9)
+
+    def test_two_pillars_index_and_one_raises(self):
+        # an aperture of exactly two lattice constants holds the centre
+        # pillar and its neighbours; a smaller one holds the centre alone
+        a = swg.SWGDesign.lattice_a
+        layout = swg.generate_layout(swg.SWGDesign(aperture_d=2.0 * a))
+        assert len(layout) >= 3
+        self._assert_index_is_oracle(layout, 64, 80e-9)
+        single = swg.generate_layout(swg.SWGDesign(aperture_d=np.nextafter(2.0 * a, 0.0)))
+        assert len(single) == 1
+        with pytest.raises(ValueError, match="layout of one pillar"):
+            swg.pillar_index(single, 64, 80e-9)
+
+    def test_pillar_index_traced_peak_below_whole_grid_index(self):
+        # built a block of rows at a time (4.9 MiB): a whole-grid sum of
+        # squares and a whole-footprint tree query trace 9.1 MiB here, and
+        # the lattice arithmetic on the whole footprint at once 20.3 MiB
+        layout = swg.generate_layout(swg.SWGDesign())
+        swg.pillar_index(layout, 64, 80e-9)  # imports scipy.spatial untraced
+        peak, (inside, _) = traced_peak(swg.pillar_index, layout, 1024, 50e-9)
+        assert inside.shape == (1024, 1024)
+        assert peak <= 9.1 * 2**20
 
     def test_pillar_index_checks_match_mask(self):
         layout = swg.generate_layout(swg.SWGDesign())
@@ -195,6 +248,7 @@ class TestMask:
             return str(info.value)
 
         for args, expected in (((layout[:0], 64, 80e-9), "empty layout"),
+                               ((layout[:1], 64, 80e-9), "layout of one pillar"),
                                ((layout, 128, 120e-9), "pitch 1.2e-07 too coarse")):
             text = message(swg.pillar_index, *args)
             assert text == message(swg.layout_to_mask, *args)
