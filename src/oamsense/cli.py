@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -741,7 +742,10 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The oam-sense argument parser, built once per process: COMMANDS and
+    PRESETS do not change after import."""
     parser = argparse.ArgumentParser(
         prog="oam-sense",
         description="Torsional optomechanical OAM sensor: design sweeps and noise budgets",

@@ -33,7 +33,7 @@ class PoleError(ValueError):
 
 
 class FitError(RuntimeError):
-    """Least-squares fit failed to converge; carries the best residual norm."""
+    """Coupling fit failed or did not resolve g_m; carries the residual norm."""
 
     def __init__(self, message: str, residual_norm: float):
         super().__init__(message)
@@ -151,6 +151,13 @@ class FitGmResult:
 FIT_FREQUENCY_LIMIT = 0.5 * float(np.finfo(np.float64).max) ** 0.25
 
 
+#: Relative tolerance of fit_gm's stopping rule.
+FIT_TOLERANCE = 1e-15
+
+#: Residual evaluations fit_gm may make before it gives up.
+FIT_MAX_EVALUATIONS = 200
+
+
 def fit_gm(
     anticrossing,
     omega1_model: tuple[float, float],
@@ -162,16 +169,31 @@ def fit_gm(
     anticrossing is a sequence of (l_s_um, omega_minus, omega_plus) rows in
     rad/s.  omega1_model = (intercept, slope) is the starting affine model of
     the tuned branch, omega1(l_s) = intercept + slope * l_s_um; omega2 is the
-    fixed branch.  A least-squares fit of the hybrid eigenfrequencies over
-    (g_m, intercept, slope) is returned; with fit_omega2 the fixed branch
-    frequency is optimized as well.  Branch frequencies above
-    FIT_FREQUENCY_LIMIT would overflow when squared in the fit; they raise
-    FitError before any is squared.  A fit whose residual norm is at least
-    the fitted g_m (both in rad/s) has not resolved the coupling, and
-    raises FitError too.
-    """
-    from scipy.optimize import least_squares
+    fixed branch.  The hybrid eigenfrequencies of hybrid_frequencies are
+    fitted to the two branches by least squares over (g_m, intercept,
+    slope), and over omega2 as well with fit_omega2.
 
+    Method: damped Gauss-Newton (Levenberg-Marquardt; J. J. More, The
+    Levenberg-Marquardt algorithm: implementation and theory, LNM 630, 1978)
+    with the closed-form Jacobian of the branches and the damping scaled by
+    the largest column norms of the Jacobian met so far.  The start is g_m
+    from half the squared-frequency splitting at closest approach, the given
+    omega1_model and omega2.  The model depends on g_m and omega2 only
+    through g_m^4 and omega2^2, so the fit is unconstrained and returns
+    their magnitudes; g_m >= 0 and omega2 >= 0 hold without bounds.  A start
+    at g_m = 0 stays there, since every derivative in g_m vanishes.
+
+    The fit stops when an accepted step lowers the sum of squares by at most
+    FIT_TOLERANCE of it, or when a step is at most FIT_TOLERANCE of the
+    scaled parameter vector.  More than FIT_MAX_EVALUATIONS residual
+    evaluations, or a non-finite step or residual, raise FitError.
+
+    Branch frequencies above FIT_FREQUENCY_LIMIT would overflow when
+    squared; they raise FitError before any is squared.  A fit whose
+    residual norm is at least the fitted g_m (both in rad/s) has not
+    resolved the coupling, and raises FitError too, unless the fit is
+    exact: branches that cross with no splitting give g_m = 0.
+    """
     data = np.asarray(anticrossing, dtype=float)
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 3:
         raise ValueError("need >= 3 rows of (l_s_um, omega_minus, omega_plus)")
@@ -179,49 +201,97 @@ def fit_gm(
     if top > FIT_FREQUENCY_LIMIT:
         raise FitError(f"frequencies up to {top:.4g} rad/s overflow when squared "
                        f"(limit {FIT_FREQUENCY_LIMIT:.4g} rad/s)", math.nan)
-    ls = data[:, 0]
-    w_minus = data[:, 1]
-    w_plus = data[:, 2]
+    # both branches on stacked rows: lower branch, then upper
+    ls = np.tile(data[:, 0], 2)
+    observed = np.concatenate([data[:, 1], data[:, 2]])
+    sign = np.repeat([-1.0, 1.0], len(data))
 
-    def branches(params):
+    def residuals(params):
+        """Residuals (lower - omega_minus, upper - omega_plus) and what the
+        Jacobian reuses of them."""
         g, a, b = params[0], params[1], params[2]
         w2 = params[3] if fit_omega2 else omega2
         w1 = a + b * ls
         s = 0.5 * (w1**2 + w2**2)
         d = 0.5 * (w1**2 - w2**2)
         disc = np.sqrt(d * d + g**4)
-        lower = np.sqrt(np.maximum(s - disc, 0.0))
-        upper = np.sqrt(s + disc)
-        return lower, upper
+        branch = np.sqrt(np.maximum(s + sign * disc, 0.0))
+        return branch - observed, (g, w1, w2, d, disc, branch)
 
-    def residuals(params):
-        lower, upper = branches(params)
-        return np.concatenate([lower - w_minus, upper - w_plus])
+    def jacobian(parts):
+        # d(omega_pm)/dp = (ds/dp +- dD/dp) / (2 omega_pm), D = sqrt(d^2 + g^4);
+        # 0 where D = 0 and where the lower branch is clamped at 0
+        g, w1, w2, d, disc, branch = parts
+        inv_disc = np.divide(1.0, disc, out=np.zeros_like(disc), where=disc > 0.0)
+        half_inv = np.divide(0.5, branch, out=np.zeros_like(branch), where=branch > 0.0)
+        d_w1 = w1 + sign * (d * w1 * inv_disc)
+        columns = [sign * (2.0 * g**3 * inv_disc), d_w1, d_w1 * ls]
+        if fit_omega2:
+            columns.append(w2 - sign * (d * w2 * inv_disc))
+        return np.column_stack(columns) * half_inv[:, None]
+
+    def fail(reason, norm):
+        return FitError(f"coupling fit did not converge: {reason} "
+                        f"(residual norm {norm:.4g} rad/s)", norm)
 
     # Half the squared-frequency splitting at closest approach estimates g_m^2.
-    g_init = max(float(np.min(0.5 * (w_plus**2 - w_minus**2))), 0.0) ** 0.5
-    x0 = [g_init, omega1_model[0], omega1_model[1]]
-    lo = [0.0, -np.inf, -np.inf]
-    hi = [np.inf, np.inf, np.inf]
-    if fit_omega2:
-        x0.append(omega2)
-        lo.append(0.0)
-        hi.append(np.inf)
-    result = least_squares(
-        residuals, x0=np.array(x0), bounds=(lo, hi), max_nfev=2000, x_scale="jac"
-    )
-    norm = float(np.linalg.norm(result.fun))
-    if not result.success:
-        raise FitError(f"coupling fit did not converge: {result.message}", norm)
-    g_m = float(result.x[0])
-    if norm >= g_m:
+    g_init = max(float(np.min(0.5 * (data[:, 2]**2 - data[:, 1]**2))), 0.0) ** 0.5
+    x = np.array([g_init, omega1_model[0], omega1_model[1]]
+                 + ([omega2] if fit_omega2 else []), dtype=float)
+    eye = np.eye(len(x))
+    with np.errstate(all="ignore"):  # non-finite values raise FitError below
+        r, parts = residuals(x)
+        cost = float(r @ r)
+        if not math.isfinite(cost):
+            raise fail("the start gives a non-finite residual", math.inf)
+        jac = jacobian(parts)
+        scale = np.linalg.norm(jac, axis=0)
+        scale[scale == 0.0] = 1.0
+        damping, growth = 1e-3, 2.0
+        evaluations = 1
+        while cost > 0.0:
+            if evaluations >= FIT_MAX_EVALUATIONS:
+                raise fail(f"{evaluations} evaluations", math.sqrt(cost))
+            # minimise |J step + r|^2 + damping |scale * step|^2
+            scaled = np.linalg.lstsq(
+                np.vstack([jac / scale, math.sqrt(damping) * eye]),
+                np.concatenate([-r, np.zeros(len(x))]), rcond=None)[0]
+            step = scaled / scale
+            if not np.all(np.isfinite(step)):
+                raise fail("non-finite step", math.sqrt(cost))
+            small = np.linalg.norm(scaled) <= FIT_TOLERANCE * np.linalg.norm(scale * x)
+            r_new, parts_new = residuals(x + step)
+            evaluations += 1
+            cost_new = float(r_new @ r_new)
+            if not math.isfinite(cost_new):
+                raise fail("non-finite residual", math.sqrt(cost))
+            linear = r + jac @ step
+            predicted = cost - float(linear @ linear)
+            if cost_new < cost and predicted > 0.0:
+                ratio = (cost - cost_new) / predicted
+                decrease = cost - cost_new
+                x, r, cost = x + step, r_new, cost_new
+                if decrease <= FIT_TOLERANCE * (cost + decrease) or small:
+                    break
+                jac = jacobian(parts_new)
+                scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                growth = 2.0
+            elif small:
+                break
+            else:
+                damping *= growth
+                growth *= 2.0
+    norm = float(np.linalg.norm(r))
+    g_m = abs(float(x[0]))
+    if norm > 0.0 and norm >= g_m:
         raise FitError(f"residual norm {norm:.4g} rad/s is not below the fitted coupling "
                        f"{g_m:.4g} rad/s: the data do not resolve g_m", norm)
     return FitGmResult(
         g_m=g_m,
-        omega1_intercept=float(result.x[1]),
-        omega1_slope=float(result.x[2]),
-        omega2=float(result.x[3]) if fit_omega2 else float(omega2),
+        omega1_intercept=float(x[1]),
+        omega1_slope=float(x[2]),
+        omega2=abs(float(x[3])) if fit_omega2 else float(omega2),
         residual_norm=norm,
     )
 

@@ -585,3 +585,65 @@ def load_layout(path):
             raise ValueError(f"bad layout header; expected {swg.LAYOUT_HEADER!r}")
         rows = np.loadtxt(fh, delimiter=",", dtype=swg.LAYOUT_DTYPE, ndmin=1)
     return rows.view(np.recarray)
+
+
+def fit_gm_least_squares(anticrossing, omega1_model, omega2, fit_omega2=False):
+    """mechanics.fit_gm as scipy.optimize.least_squares solves it: a bounded
+    trust-region fit (g_m >= 0, and omega2 >= 0 when fitted) from the same
+    start, with the same overflow and resolution checks."""
+    from scipy.optimize import least_squares
+
+    from oamsense import mechanics
+
+    data = np.asarray(anticrossing, dtype=float)
+    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 3:
+        raise ValueError("need >= 3 rows of (l_s_um, omega_minus, omega_plus)")
+    top = float(np.max(np.abs(data[:, 1:])))
+    if top > mechanics.FIT_FREQUENCY_LIMIT:
+        raise mechanics.FitError(f"frequencies up to {top:.4g} rad/s overflow when squared "
+                                 f"(limit {mechanics.FIT_FREQUENCY_LIMIT:.4g} rad/s)", math.nan)
+    ls = data[:, 0]
+    w_minus = data[:, 1]
+    w_plus = data[:, 2]
+
+    def branches(params):
+        g, a, b = params[0], params[1], params[2]
+        w2 = params[3] if fit_omega2 else omega2
+        w1 = a + b * ls
+        s = 0.5 * (w1**2 + w2**2)
+        d = 0.5 * (w1**2 - w2**2)
+        disc = np.sqrt(d * d + g**4)
+        lower = np.sqrt(np.maximum(s - disc, 0.0))
+        upper = np.sqrt(s + disc)
+        return lower, upper
+
+    def residuals(params):
+        lower, upper = branches(params)
+        return np.concatenate([lower - w_minus, upper - w_plus])
+
+    # Half the squared-frequency splitting at closest approach estimates g_m^2.
+    g_init = max(float(np.min(0.5 * (w_plus**2 - w_minus**2))), 0.0) ** 0.5
+    x0 = [g_init, omega1_model[0], omega1_model[1]]
+    lo = [0.0, -np.inf, -np.inf]
+    hi = [np.inf, np.inf, np.inf]
+    if fit_omega2:
+        x0.append(omega2)
+        lo.append(0.0)
+        hi.append(np.inf)
+    result = least_squares(
+        residuals, x0=np.array(x0), bounds=(lo, hi), max_nfev=2000, x_scale="jac"
+    )
+    norm = float(np.linalg.norm(result.fun))
+    if not result.success:
+        raise mechanics.FitError(f"coupling fit did not converge: {result.message}", norm)
+    g_m = float(result.x[0])
+    if norm >= g_m:
+        raise mechanics.FitError(f"residual norm {norm:.4g} rad/s is not below the fitted "
+                                 f"coupling {g_m:.4g} rad/s: the data do not resolve g_m", norm)
+    return mechanics.FitGmResult(
+        g_m=g_m,
+        omega1_intercept=float(result.x[1]),
+        omega1_slope=float(result.x[2]),
+        omega2=float(result.x[3]) if fit_omega2 else float(omega2),
+        residual_norm=norm,
+    )

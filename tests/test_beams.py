@@ -808,7 +808,9 @@ class TestWavelengthScan:
         # 2.16 fields (34.6 MiB): the kept output field and its scoring; a
         # whole-grid scan peaked at 5.5 fields, with the n x n mask, the
         # masked field and its binning at once, and the footprint scan at
-        # 3.8 while it built a whole complex Gaussian
+        # 3.8 while it built a whole complex Gaussian.  A small grating
+        # first: the first pillar_index of a process imports scipy.spatial
+        beams.grating_metrics(swg.SWGDesign(), 840e-9, 64, 80e-9, 1e-6)
         peak, m = traced_peak(beams.grating_metrics, swg.SWGDesign(), 840e-9, 1024, 50e-9, 5e-6)
         assert peak < 2.5 * m.output.amps.nbytes
 

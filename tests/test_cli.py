@@ -838,11 +838,11 @@ class TestFitGm:
 
     @pytest.mark.filterwarnings("error")
     def test_unresolved_coupling_is_a_group_error(self, tmp_path, capsys):
-        # once written as g_m = 1.6e-11 Hz with a residual of 2.5e45
+        # a lower branch above the upper one, near 1e60 Hz: no model reaches it
         data = tmp_path / "cross.csv"
         data.write_text("w_h_um,l_s_um,f_minus_hz,f_plus_hz\n"
-                        "7.0,9.0,1e60,1e60\n7.0,10.0,1e60,1.1e60\n"
-                        "7.0,11.0,1e60,1.2e60\n")
+                        "7.0,9.0,1.2e60,1e60\n7.0,10.0,1.2e60,1.1e60\n"
+                        "7.0,11.0,1.2e60,1.0e60\n")
         assert cli.main(["fit-gm", str(data), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
         header, rows = read_csv(tmp_path / "gm_fit.csv")

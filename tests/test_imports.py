@@ -1,9 +1,10 @@
 """Package import hygiene: every dependency between oamsense modules is a
 module-level import, so the import graph can be read off the module tops,
-scoring a field imports no scipy.optimize, taking its azimuthal spectrum
-no scipy.ndimage and an swg-gen run no scipy.spatial, `import oamsense`
-imports each submodule only when it is first used, and every public
-function or class of the package has a caller outside the tests."""
+scoring a field and a fit-gm run import no scipy.optimize, taking its
+azimuthal spectrum no scipy.ndimage and an swg-gen run no scipy.spatial,
+`import oamsense` imports each submodule only when it is first used, and
+every public function or class of the package has a caller outside the
+tests."""
 
 import ast
 import os
@@ -94,6 +95,19 @@ def test_waist_search_does_not_import_scipy_optimize():
         "gauss = beams.make_gaussian(64, 100e-9, 840e-9, 1.5e-6)\n"
         "beams.conversion_metrics(gauss, beams.vortex_mask(64, 100e-9, 1),\n"
         "                         beams.LGIndex(0, 1, 1.5e-6))\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+    )
+    run_fresh(code)
+
+
+def test_fit_gm_does_not_import_scipy_optimize():
+    # the coupling fit is in-house: scipy.optimize adds about 48 MB of RSS
+    code = (
+        "import sys, tempfile\n"
+        "from oamsense import cli\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    assert cli.main(['fit-gm', 'bundled', '--out', out]) == 0\n"
+        "assert 'oamsense.mechanics' in sys.modules\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
     )
     run_fresh(code)

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from oamsense import device, mechanics
 from oracles import (  # noqa: F401
+    fit_gm_least_squares,
     radial_fidelity,
     random_stable_model,
     rk4_steady_state,
@@ -31,6 +32,24 @@ def model_fig2b(g_m_hz=5e5, q_m=500.0):
         gamma1=tw["omega_m"] / q_m, gamma2=bo["omega_m"] / q_m,
         g_m=TWO_PI * g_m_hz,
     )
+
+
+def coupling_standard_error(data, fit, fit_omega2):
+    """Standard error of a fitted g_m: sqrt of the g_m entry of
+    s^2 (J^T J)^-1, with J by central differences of the branch residuals."""
+    def residuals(p):
+        w1 = p[1] + p[2] * data[:, 0]
+        w2 = p[3] if fit_omega2 else fit.omega2
+        s, d = 0.5 * (w1**2 + w2**2), 0.5 * (w1**2 - w2**2)
+        disc = np.sqrt(d * d + p[0] ** 4)
+        return np.concatenate([np.sqrt(s - disc) - data[:, 1], np.sqrt(s + disc) - data[:, 2]])
+
+    p = np.array([fit.g_m, fit.omega1_intercept, fit.omega1_slope, fit.omega2][:3 + fit_omega2])
+    steps = 1e-6 * np.abs(p)
+    jac = np.column_stack([(residuals(p + h) - residuals(p - h)) / (2.0 * h[k])
+                           for k, h in enumerate(np.diag(steps))])
+    dof = jac.shape[0] - jac.shape[1]
+    return math.sqrt(np.linalg.inv(jac.T @ jac)[0, 0] * fit.residual_norm**2 / dof)
 
 
 def response_at(model, f_d, omega_d):
@@ -298,15 +317,69 @@ class TestFitGm:
             mechanics.fit_gm(rows, (scale, 0.0), scale)
         assert math.isnan(info.value.residual_norm)
 
-    def test_residual_above_coupling_raises_fit_error(self):
-        # branches 1e60 Hz apart from any model the fit can reach: it ends
-        # at g_m = 1e-10 rad/s with a residual norm of 1.4e45 rad/s
+    def test_exact_fit_near_1e60_hz_gives_zero(self):
+        # g_m = 0 reproduces these branches exactly from the start: an exact
+        # fit resolves the coupling, as for test_zero_splitting_gives_zero
         rows = TWO_PI * np.array([[9.0 / TWO_PI, 1e60, 1e60], [10.0 / TWO_PI, 1e60, 1.1e60],
                                   [11.0 / TWO_PI, 1e60, 1.2e60]])
+        result = mechanics.fit_gm(rows, (TWO_PI * 1e59, TWO_PI * 1e59), TWO_PI * 1e60,
+                                  fit_omega2=True)
+        assert result.g_m == 0.0
+        assert result.residual_norm == 0.0
+
+    def test_residual_above_coupling_raises_fit_error(self):
+        # a lower branch above the upper one, near 1e60 Hz: no model reaches it
+        rows = TWO_PI * np.array([[9.0 / TWO_PI, 1.2e60, 1e60], [10.0 / TWO_PI, 1.2e60, 1.1e60],
+                                  [11.0 / TWO_PI, 1.2e60, 1.0e60]])
         with pytest.raises(mechanics.FitError, match="do not resolve g_m") as info:
             mechanics.fit_gm(rows, (TWO_PI * 1e59, TWO_PI * 1e59), TWO_PI * 1e60,
                              fit_omega2=True)
         assert info.value.residual_norm > 1e40
+
+    def test_non_finite_start_raises_fit_error(self):
+        # the tuned branch squares to inf at the start: no NaN reaches a result
+        data = self.synth(TWO_PI * 0.5e6, TWO_PI * 11.71e6, -TWO_PI * 0.575e6,
+                          TWO_PI * 5.96e6, np.arange(8.0, 12.5, 0.5))
+        with pytest.raises(mechanics.FitError, match="did not converge") as info:
+            mechanics.fit_gm(data, (1e200, 0.0), TWO_PI * 5.96e6)
+        assert info.value.residual_norm == math.inf
+
+    def test_evaluation_cap_raises_fit_error(self, monkeypatch):
+        monkeypatch.setattr(mechanics, "FIT_MAX_EVALUATIONS", 3)
+        intercept, slope, omega2 = TWO_PI * 11.71e6, -TWO_PI * 0.575e6, TWO_PI * 5.96e6
+        data = self.synth(TWO_PI * 0.5e6, intercept, slope, omega2, np.arange(8.0, 12.5, 0.5))
+        with pytest.raises(mechanics.FitError, match="did not converge: 3 evaluations") as info:
+            mechanics.fit_gm(data, (intercept * 1.02, slope * 0.9), omega2)
+        assert info.value.residual_norm > 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(g_mhz=st.floats(0.2, 3.0), noise=st.floats(0.0, 1e-3),
+           fit_omega2=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_least_squares_oracle(self, g_mhz, noise, fit_omega2, seed):
+        # the oracle stops at least_squares' default tolerances: a relative
+        # cost change of 1e-8.  Where the data barely resolve g_m, that
+        # leaves the oracle's g_m up to ~1e-4 of itself off the minimum
+        # (~4e-5 of its standard error), so g_m may differ by 1e-3 standard
+        # errors there; the residual norm may exceed the oracle's only by
+        # rounding of the branch frequencies
+        rng = np.random.default_rng(seed)
+        intercept, slope, omega2 = TWO_PI * 11.71e6, -TWO_PI * 0.575e6, TWO_PI * 5.96e6
+        data = self.synth(TWO_PI * g_mhz * 1e6, intercept, slope, omega2,
+                          np.arange(8.0, 12.25, 0.25), rng=rng, noise=noise)
+        start = (intercept * (1.0 + 0.02 * rng.uniform(-1, 1)),
+                 slope * (1.0 + 0.1 * rng.uniform(-1, 1)))
+        w2 = omega2 * (1.0 + 0.01 * rng.uniform(-1, 1)) if fit_omega2 else omega2
+        try:
+            expected = fit_gm_least_squares(data, start, w2, fit_omega2=fit_omega2)
+        except mechanics.FitError:
+            with pytest.raises(mechanics.FitError, match="do not resolve g_m"):
+                mechanics.fit_gm(data, start, w2, fit_omega2=fit_omega2)
+            return
+        result = mechanics.fit_gm(data, start, w2, fit_omega2=fit_omega2)
+        floor = np.finfo(float).eps * float(np.linalg.norm(data[:, 1:]))
+        assert result.residual_norm <= expected.residual_norm * (1.0 + 1e-9) + floor
+        sigma = coupling_standard_error(data, result, fit_omega2)
+        assert abs(result.g_m - expected.g_m) <= 1e-6 * expected.g_m + 1e-3 * sigma
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 3"):
