@@ -58,9 +58,9 @@ def column(path, name):
      "4320fbc7d10de90ee373d6bac991cf2ccb6c6680747d41cf484f7cd765a56aee"),
     (["mech-response", "--preset", "paper-fig2b"], "response.csv",
      "89d6f319799f9d0cd776ac7fca234c20a0862541a163667aaf6a3aaee1c69eee"),
-    # as written line by line, before gm_fit.csv went through table.write_table
+    # the bundled crossings' fit, to the last digit of each cell
     (["fit-gm", "bundled"], "gm_fit.csv",
-     "bb9e6900b607772e615bc3cd9c395b1580123006f143d35f0fbb705bec371573"),
+     "4b0f9ad70dcb362ce01c433808b7df0a57307a45e289c47107084578636f30d8"),
     # beam-sim's rasters on a small grid, as written by the handler that
     # committed and printed its own output set
     (["beam-sim", "--config", "grating.cfg"], "intensity_swg.csv",
@@ -122,10 +122,10 @@ def write_partial_crossings(path):
     (["mech-response", "--preset", "paper-fig2b"],
      "e82d95bc221a821dcb7dc8dd029a062caf2a85a294b9c2980dab8f3dd22da554"),
     (["fit-gm", "bundled"],
-     "75bc3c707f3b11651ed106a7c367cb47d283c6d47a5b97e5ad286a00981a89a6"),
+     "a4850311dc15766cfedaad9e03badad63b7f1739b0961370bb65d6cb242c6bbe"),
     # one row of each kind: a fit, and an error: cell for the starved group
     (["fit-gm", "cross.csv"],
-     "264b37334a76acf12f4b42f8be32494b24e0f28cd3dbe24c555fff82ff26a3b3"),
+     "689e9e3287249cf3e209f798c57e9de7a9aa49988fcfbc773657b01f1971fd72"),
     # the "wrote ... and ..." and "wrote rasters in ..." forms
     (["pulse-budget", "--preset", "paper-fig8"],
      "e927071561e8a7f6b405693b5287c83ffa33e5e2d768d1b7496baeccacef1fec"),
