@@ -16,9 +16,10 @@ swg.aperture_d_m, swg.lattice_a_m or swg.design_lambda_m is set.  The
 exception: with the bundled lookup, swg-gen's layout is the same at every
 beam.lambda_sig_m.  A bound is physical where there is one: beam.delta_l
 must be > 0, since a beam that carries no OAM change exerts no torque and
-its budget's p_min_w would be inf on every row.  beam-sim's grating needs
-swg.aperture_d_m >= 2 * swg.lattice_a_m: a smaller aperture holds only the
-pillar at its centre, and one pillar spans no lattice to rasterize.
+its budget's p_min_w would be inf on every row.  A pillar grating, in
+beam-sim and in swg-gen alike, needs swg.aperture_d_m >= 2 * swg.lattice_a_m:
+a smaller aperture holds only the pillar at its centre, and one pillar spans
+no lattice to rasterize or to lay out.
 
 Every output is a comma-separated table written by table.write_table, and
 every CSV row printed to stdout comes from table.rows: a cell is
@@ -55,7 +56,6 @@ import functools
 import itertools
 import math
 import os
-import secrets
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
@@ -380,12 +380,15 @@ def _outputs(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
 
     Each temp name is unique to this call and sits in out itself, so
     concurrent runs into one directory do not collide and each rename is
-    atomic.  If anything fails (BaseException) before the renames, every
+    atomic.  A name is <name>.<pid>.<8 hex digits>.tmp, its random part four
+    bytes of os.urandom: the bytes secrets.token_hex(4) draws, without
+    importing secrets, which loads hashlib and OpenSSL's libcrypto (about
+    3.6 MB of memory per process) for nothing else.  If anything fails (BaseException) before the renames, every
     temp file and every directory this call created for out is removed, and
     the exception propagates.
     """
     created = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
-    temps = {name: out / f"{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp" for name in names}
+    temps = {name: out / f"{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp" for name in names}
     try:
         out.mkdir(parents=True, exist_ok=True)
         yield temps
@@ -669,6 +672,7 @@ def cmd_beam_sim(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
 
 def cmd_swg_gen(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     design = _design(cfg, _signal_in_lookup(cfg))
+    _check_holds_two_pillars(cfg, design.aperture_d, design.lattice_a)
     layout = swg.generate_layout(design)
     swg.export_layout(layout, temps["layout.csv"])
     diameters, counts = np.unique(layout.diameter, return_counts=True)

@@ -416,6 +416,22 @@ class TestPulseBudget:
             assert n_min[k] == pytest.approx(tau[k] / (10.0 * HBAR * f_rep), rel=1e-9)
 
 
+# a config whose aperture holds only the centre pillar, and the error that
+# beam-sim and swg-gen both give for it
+ONE_PILLAR_APERTURES = [
+    ("[swg]\naperture_d_m = 3e-7\n",
+     "config key swg.aperture_d_m = 3e-07 holds one pillar: it must be at least "
+     "2 * swg.lattice_a_m (default 3.6e-07) = 7.2e-07"),
+    ("[swg]\naperture_d_m = 7.9e-7\nlattice_a_m = 4e-7\n",
+     "config key swg.aperture_d_m = 7.9e-07 holds one pillar: it must be at least "
+     "2 * swg.lattice_a_m = 8e-07"),
+    ("[swg]\nlattice_a_m = 1.5e-5\n",
+     "config key swg.aperture_d_m (default 2e-05) holds one pillar: it must be at least "
+     "2 * swg.lattice_a_m = 3e-05"),
+]
+ONE_PILLAR_APERTURE_IDS = ["default-lattice", "set-lattice", "default-aperture"]
+
+
 class TestBeamSim:
     def test_default_swg_run(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -592,17 +608,8 @@ class TestBeamSim:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text, message", [
-        ("[swg]\naperture_d_m = 3e-7\n",
-         "config key swg.aperture_d_m = 3e-07 holds one pillar: it must be at least "
-         "2 * swg.lattice_a_m (default 3.6e-07) = 7.2e-07"),
-        ("[swg]\naperture_d_m = 7.9e-7\nlattice_a_m = 4e-7\n",
-         "config key swg.aperture_d_m = 7.9e-07 holds one pillar: it must be at least "
-         "2 * swg.lattice_a_m = 8e-07"),
-        ("[swg]\nlattice_a_m = 1.5e-5\n",
-         "config key swg.aperture_d_m (default 2e-05) holds one pillar: it must be at least "
-         "2 * swg.lattice_a_m = 3e-05"),
-    ], ids=["default-lattice", "set-lattice", "default-aperture"])
+    @pytest.mark.parametrize("text, message", ONE_PILLAR_APERTURES,
+                             ids=ONE_PILLAR_APERTURE_IDS)
     def test_one_pillar_aperture_names_its_keys(self, tmp_path, capsys, text, message):
         # one pillar spans no lattice: the grating would light the whole grid
         cfg = tmp_path / "run.cfg"
@@ -784,6 +791,30 @@ class TestSwgGen:
         assert cli.main(["swg-gen", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "layout.csv").read_bytes()).hexdigest()
         assert digest == "3205491cc0f1b1b5990c405d8e546f45febb7434159ce014824c7111b312942f"
+
+    @pytest.mark.parametrize("text, message", [
+        *ONE_PILLAR_APERTURES,
+        # a 1 nm aperture: the one 110 nm pillar would be wider than it
+        ("[swg]\naperture_d_m = 1e-9\n",
+         "config key swg.aperture_d_m = 1e-09 holds one pillar: it must be at least "
+         "2 * swg.lattice_a_m (default 3.6e-07) = 7.2e-07"),
+    ], ids=[*ONE_PILLAR_APERTURE_IDS, "one-nanometre"])
+    def test_one_pillar_aperture_names_its_keys(self, tmp_path, capsys, text, message):
+        # swg-gen refuses the layouts that beam-sim refuses to rasterize
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli.main(["swg-gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_two_lattice_aperture_runs(self, tmp_path):
+        # the smallest aperture swg-gen accepts lays out the centre pillar and
+        # its neighbours
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[swg]\naperture_d_m = 7.2e-7\n")
+        assert cli.main(["swg-gen", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(load_layout(tmp_path / "layout.csv")) > 1
 
     def test_zero_shift_histogram(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1468,8 +1499,9 @@ class TestOutputFiles:
             assert getattr(cli, command.run.__name__) is command.run
 
     def test_atomic_write_temp_names(self, tmp_path):
-        # cli._outputs: temp names are unique per call and sit in the target
-        # directory, and a failure leaves nothing
+        # cli._outputs: temp names are unique per call, sit in the target
+        # directory and read <name>.<pid>.<8 hex digits>.tmp, and a failure
+        # leaves nothing
         seen = []
         for _ in range(2):
             with pytest.raises(RuntimeError), cli._outputs(tmp_path, ["out.csv"]) as temps:
@@ -1478,6 +1510,7 @@ class TestOutputFiles:
                 raise RuntimeError("writer failed")
         assert seen[0] != seen[1]
         assert all(p.parent == tmp_path for p in seen)
+        assert all(re.fullmatch(r"out\.csv\.\d+\.[0-9a-f]{8}\.tmp", p.name) for p in seen)
         assert list(tmp_path.iterdir()) == []
         with cli._outputs(tmp_path, ["out.csv"]) as temps:
             temps["out.csv"].write_text("done")

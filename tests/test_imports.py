@@ -2,9 +2,10 @@
 module-level import, so the import graph can be read off the module tops,
 scoring a field and a fit-gm run import no scipy.optimize, taking its
 azimuthal spectrum no scipy.ndimage and an swg-gen run no scipy.spatial,
-`import oamsense` imports each submodule only when it is first used, and
-every public function or class of the package has a caller outside the
-tests."""
+the five subcommands other than beam-sim import neither OpenSSL (secrets,
+hashlib) nor numpy.random, `import oamsense` imports each submodule only
+when it is first used, and every public function or class of the package
+has a caller outside the tests."""
 
 import ast
 import os
@@ -137,6 +138,26 @@ def test_swg_gen_does_not_import_scipy_spatial():
         "    assert cli.main(['swg-gen', '--out', out]) == 0\n"
         "assert 'oamsense.swg' in sys.modules\n"
         "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial imported'\n"
+    )
+    run_fresh(code)
+
+
+def test_non_beam_runs_do_not_import_openssl():
+    # temp names come from os.urandom: secrets would load hashlib and
+    # OpenSSL's libcrypto (about 3.6 MB of RSS), and numpy.random loads secrets
+    code = (
+        "import sys, tempfile\n"
+        "from oamsense import cli\n"
+        "runs = [['noise-sweep', '--preset', 'paper-fig5'],\n"
+        "        ['pulse-budget', '--preset', 'paper-fig8'],\n"
+        "        ['mech-response', '--preset', 'paper-fig2b'],\n"
+        "        ['swg-gen'], ['fit-gm', 'bundled']]\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    for argv in runs:\n"
+        "        assert cli.main(argv + ['--out', out]) == 0, argv\n"
+        "loaded = [m for m in ('secrets', 'hashlib', '_hashlib', 'numpy.random')\n"
+        "          if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
     )
     run_fresh(code)
 
