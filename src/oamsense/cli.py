@@ -380,12 +380,13 @@ def _outputs(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
 
     Each temp name is unique to this call and sits in out itself, so
     concurrent runs into one directory do not collide and each rename is
-    atomic.  A name is <name>.<pid>.<8 hex digits>.tmp, its random part four
-    bytes of os.urandom: the bytes secrets.token_hex(4) draws, without
-    importing secrets, which loads hashlib and OpenSSL's libcrypto (about
-    3.6 MB of memory per process) for nothing else.  If anything fails (BaseException) before the renames, every
-    temp file and every directory this call created for out is removed, and
-    the exception propagates.
+    atomic.  A name is <name>.<pid>.<8 hex digits>.tmp.  The hex digits are
+    four bytes of os.urandom, the source secrets.token_hex(4) reads; secrets
+    itself is not imported, because it loads hashlib and with it OpenSSL's
+    libcrypto, about 3.6 MB of memory in every process that runs the CLI.
+    If anything fails (BaseException) before the renames, every temp file
+    and every directory this call created for out is removed, and the
+    exception propagates.
     """
     created = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
     temps = {name: out / f"{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp" for name in names}
@@ -548,7 +549,7 @@ def _check_resolves_lattice(cfg: dict, pitch: float, lattice: float) -> None:
 def _check_holds_two_pillars(cfg: dict, aperture: float, lattice: float) -> None:
     """Raise ConfigError naming the keys unless aperture >= 2 * lattice: a
     smaller aperture holds only the pillar at its centre, which spans no
-    lattice (swg.pillar_index)."""
+    lattice (swg.pillar_index) and is no grating (swg-gen)."""
     if aperture < 2.0 * lattice:
         key = (f"swg.aperture_d_m = {aperture!r}" if cfg["swg.aperture_d_m"] is not None
                else f"swg.aperture_d_m (default {aperture!r})")
@@ -572,14 +573,15 @@ def _map_large_blocks() -> None:
     8 and 16 MiB arrays at n = 1024 are carved from the heap.  The holes they
     leave stay resident, and where they fall depends on the small objects
     allocated in between: in one process running beam-sim at n = 1024 again
-    and again, the peak memory read 171 MB in most such loops and 185-203 MB
-    in some.  With a fixed threshold a large array that no free heap block
-    fits is mapped on its own and unmapped when freed, and the peak is that
-    of the live arrays.  The trim threshold is fixed at twice as much, the
-    pair glibc's own rule keeps: left at its 128 KiB default, the heap would
-    be cut back and faulted in again around each 2 MiB column block of the
-    spectrum.  Elsewhere than glibc this does nothing; if glibc refuses a
-    value, its own setting stays.
+    and again (the beam_sim benchmark), the peak memory read 137.3-140.6 MB
+    (median 138.1) without this call and 127.9-131.0 MB (median 128.9) with
+    it, in 10 alternating pairs.  With a fixed threshold a large array that
+    no free heap block fits is mapped on its own and unmapped when freed,
+    and the peak is that of the live arrays.  The trim threshold is fixed at
+    twice as much, the pair glibc's own rule keeps: left at its 128 KiB
+    default, the heap would be cut back and faulted in again around each
+    2 MiB column block of the spectrum.  Elsewhere than glibc this does
+    nothing; if glibc refuses a value, its own setting stays.
     """
     if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}) \
             or not os.confstr("CS_GNU_LIBC_VERSION"):
