@@ -3,8 +3,10 @@
 Subcommands: mech-response, noise-sweep, pulse-budget, beam-sim, swg-gen,
 fit-gm.  Runs are configured by flat INI-style files (``[section]`` headers,
 ``key = value`` lines, SI unit suffixes on keys) optionally layered on top of
-a named preset.  The table ``KEYS`` is the list of config keys: each one's
-type, bound, default and the subcommands that read it.  A config file may set
+a named preset.  The table ``KEYS`` holds each config key as data: its
+default, the subcommands that read it and its domain: a kind (float, int,
+bool or str), bounds gt, ge and le, an auto flag, choices and a rule named
+in RULES, from which Key.parse derives each check.  A config file may set
 only the keys its subcommand reads, and every value is checked before any
 output is written.  A subcommand reads only the keys it uses: changing one
 changes stdout or an output file, or exits 2 naming the key.  So noise-sweep
@@ -133,69 +135,65 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-Parser = Callable[[str], object]
+#: The rules an int key may name, besides its bounds; a name is its error's text.
+RULES: dict[str, Callable[[int], bool]] = {
+    "a power of two >= 32": lambda n: n >= 32 and n & (n - 1) == 0,
+    "1 or -1": lambda s: s in (-1, 1),
+}
+
+#: The words a bool key reads, in any letter case.
+BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+            **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _number(integer: bool = False, gt: float | None = None, ge: float | None = None,
-            le: float | None = None) -> Parser:
-    """Parser of a finite float, or an integer, with optional bounds."""
-    def parse(raw: str) -> float | int:
+class Key(NamedTuple):
+    """A config key: its default, its readers and its domain.  A number has bounds
+    gt, ge and le, a rule named in RULES, and auto (the text "auto" is a value too);
+    a str takes one of its choices, in any letter case, or else any text but ''."""
+
+    default: object  # None: the subcommand derives (or requires) the value
+    commands: tuple[str, ...]
+    kind: type = float
+    gt: float | None = None
+    ge: float | None = None
+    le: float | None = None
+    auto: bool = False
+    choices: tuple[str, ...] = ()
+    rule: str | None = None
+
+    def parse(self, raw: str) -> object:
+        """The value raw gives this key, or ValueError with the rest of the error line."""
+        if self.kind is bool:
+            if raw.lower() not in BOOLEANS:
+                raise ValueError("is not a boolean")
+            return BOOLEANS[raw.lower()]
+        if self.choices:
+            if raw.lower() not in self.choices:
+                raise ValueError(f"is not one of {', '.join(self.choices)}")
+            return raw.lower()
+        if self.kind is str:
+            if not raw:
+                raise ValueError("is empty")
+            return raw
+        if self.auto and raw == "auto":
+            return raw
         try:
             value = float(raw)
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
             raise ValueError("is not a finite number")
-        if integer and not value.is_integer():
+        if self.kind is int and not value.is_integer():
             raise ValueError("is not an integer")
-        if gt is not None and not value > gt:
-            raise ValueError(f"must be > {gt:g}")
-        if ge is not None and not value >= ge:
-            raise ValueError(f"must be >= {ge:g}")
-        if le is not None and not value <= le:
-            raise ValueError(f"must be <= {le:g}")
-        return int(value) if integer else value
-    return parse
-
-
-def _choice(values: dict[str, object], what: str) -> Parser:
-    """Parser of one of the names in `values`, in any letter case."""
-    def parse(raw: str) -> object:
-        if raw.lower() not in values:
-            raise ValueError(f"is not {what}")
-        return values[raw.lower()]
-    return parse
-
-
-_FLOAT = _number()
-_INT = _number(integer=True)
-_POSITIVE = _number(gt=0.0)
-_NONNEGATIVE = _number(ge=0.0)
-_FRACTION = _number(gt=0.0, le=1.0)  # in (0, 1]
-_BOOL = _choice({**dict.fromkeys(("1", "true", "yes", "on"), True),
-                 **dict.fromkeys(("0", "false", "no", "off"), False)}, "a boolean")
-
-
-def _int_where(test: Callable[[int], bool], what: str) -> Parser:
-    """Parser of an integer for which test(value) holds."""
-    def parse(raw: str) -> int:
-        value = _INT(raw)
-        if not test(value):
-            raise ValueError(f"is not {what}")
-        return value
-    return parse
-
-
-def _auto_or_positive(raw: str) -> float | str:
-    return raw if raw == "auto" else _POSITIVE(raw)
-
-
-class Key(NamedTuple):
-    """A config key: its parser (with any bound), default and readers."""
-
-    parse: Parser
-    default: object  # None: the subcommand derives (or requires) the value
-    commands: tuple[str, ...]
+        if self.gt is not None and not value > self.gt:
+            raise ValueError(f"must be > {self.gt:g}")
+        if self.ge is not None and not value >= self.ge:
+            raise ValueError(f"must be >= {self.ge:g}")
+        if self.le is not None and not value <= self.le:
+            raise ValueError(f"must be <= {self.le:g}")
+        if self.rule is not None and not RULES[self.rule](int(value)):
+            raise ValueError(f"is not {self.rule}")
+        return int(value) if self.kind is int else value
 
 
 _MECH = ("mech-response",)
@@ -203,52 +201,49 @@ _BUDGET = ("noise-sweep", "pulse-budget")
 _GRATING = ("beam-sim", "swg-gen")
 
 KEYS: dict[str, Key] = {
-    "device.dataset": Key(str, None, _MECH + _BUDGET),  # a dataset file, or 'bundled'
-    "device.branch": Key(_choice({b: b for b in device.BRANCHES},
-                                 f"one of {', '.join(device.BRANCHES)}"), "twist-like", _BUDGET),
-    "mechanics.l_s_um": Key(_FLOAT, 12.0, _MECH),
-    "mechanics.q_m": Key(_POSITIVE, 500.0, _MECH),
-    "mechanics.g_m_hz": Key(_NONNEGATIVE, 5e5, _MECH),
-    "mechanics.f_d_n": Key(_FLOAT, 1e-15, _MECH),
-    "mechanics.f_min_hz": Key(_POSITIVE, None, _MECH),  # from the mode frequencies
-    "mechanics.f_max_hz": Key(_POSITIVE, None, _MECH),
-    "mechanics.n_points": Key(_number(integer=True, ge=2), 1501, _MECH),
-    "sweep.l_s_min_um": Key(_FLOAT, None, _BUDGET),  # from the dataset domain
-    "sweep.l_s_max_um": Key(_FLOAT, None, _BUDGET),
-    "sweep.l_s_step_um": Key(_POSITIVE, 0.25, _BUDGET),
-    "sweep.l_s_ncav_um": Key(_FLOAT, 10.0, ("pulse-budget",)),
-    "sweep.n_cav_min": Key(_POSITIVE, 1e-5, ("pulse-budget",)),
-    "sweep.n_cav_max": Key(_POSITIVE, 1e-1, ("pulse-budget",)),
-    "sweep.n_cav_points": Key(_number(integer=True, ge=2), 41, ("pulse-budget",)),
-    "readout.lambda0_m": Key(_POSITIVE, 1.428e-6, _BUDGET),
-    "readout.q_o": Key(_POSITIVE, 1e6, _BUDGET),
-    "readout.dip_depth": Key(_FRACTION, 1.0, _BUDGET),
-    "readout.p_det_w": Key(_auto_or_positive, 1e-7, _BUDGET),
-    "readout.eta_qe": Key(_FRACTION, 1.0, _BUDGET),
-    "readout.p_dn_w": Key(_NONNEGATIVE, 2.5e-12, _BUDGET),
-    "readout.n_cav": Key(_NONNEGATIVE, 0.0, _BUDGET),
-    "environment.t_k": Key(_NONNEGATIVE, None, _BUDGET),  # per subcommand
-    "environment.q_m": Key(_NONNEGATIVE, 0.0, _BUDGET),  # 0: the dataset's Q
-    "beam.lambda_sig_m": Key(_POSITIVE, 8.4e-7, _BUDGET + _GRATING),
-    "beam.delta_l": Key(_POSITIVE, 1.0, _BUDGET),  # 0 exerts no torque: p_min_w would be inf
-    "beam.eta_conv": Key(_FRACTION, 1.0, _BUDGET),
-    "beam.contrast": Key(_FRACTION, 1.0, _BUDGET),
-    "beam.f_rep_hz": Key(_auto_or_positive, "auto", ("pulse-budget",)),
-    "beam.bandwidth_hz": Key(_POSITIVE, 1.0, ("pulse-budget",)),
-    "beam.w0_m": Key(_POSITIVE, 5e-6, ("beam-sim",)),
-    "grid.n": Key(_int_where(lambda n: n >= 32 and n & (n - 1) == 0, "a power of two >= 32"),
-                  1024, ("beam-sim",)),
-    "grid.pitch_m": Key(_POSITIVE, 50e-9, ("beam-sim",)),
-    "swg.aperture_d_m": Key(_POSITIVE, None, _GRATING),  # swg.SWGDesign's default
-    "swg.lattice_a_m": Key(_POSITIVE, None, _GRATING),  # swg.SWGDesign's default
-    "swg.delta_l": Key(_INT, 1, _GRATING),
-    "swg.design_lambda_m": Key(_number(ge=swg.LOOKUP_LAMBDA_RANGE[0],
-                                       le=swg.LOOKUP_LAMBDA_RANGE[1]),
-                               None, ("beam-sim",)),  # beam.lambda_sig_m
-    "swg.phase_sign": Key(_int_where(lambda s: s in (-1, 1), "1 or -1"), 1, _GRATING),
-    "swg.z_eval_m": Key(_FLOAT, 0.0, ("beam-sim",)),
-    "swg.ideal_vortex": Key(_BOOL, False, ("beam-sim",)),
-    "fit.f2_hz": Key(_FLOAT, 0.0, ("fit-gm",)),  # <= 0: fitted with the coupling
+    "device.dataset": Key(None, _MECH + _BUDGET, str),  # a dataset file, or 'bundled'
+    "device.branch": Key("twist-like", _BUDGET, str, choices=device.BRANCHES),
+    "mechanics.l_s_um": Key(12.0, _MECH),
+    "mechanics.q_m": Key(500.0, _MECH, gt=0.0),
+    "mechanics.g_m_hz": Key(5e5, _MECH, ge=0.0),
+    "mechanics.f_d_n": Key(1e-15, _MECH),
+    "mechanics.f_min_hz": Key(None, _MECH, gt=0.0),  # from the mode frequencies
+    "mechanics.f_max_hz": Key(None, _MECH, gt=0.0),
+    "mechanics.n_points": Key(1501, _MECH, int, ge=2),
+    "sweep.l_s_min_um": Key(None, _BUDGET),  # from the dataset domain
+    "sweep.l_s_max_um": Key(None, _BUDGET),
+    "sweep.l_s_step_um": Key(0.25, _BUDGET, gt=0.0),
+    "sweep.l_s_ncav_um": Key(10.0, ("pulse-budget",)),
+    "sweep.n_cav_min": Key(1e-5, ("pulse-budget",), gt=0.0),
+    "sweep.n_cav_max": Key(1e-1, ("pulse-budget",), gt=0.0),
+    "sweep.n_cav_points": Key(41, ("pulse-budget",), int, ge=2),
+    "readout.lambda0_m": Key(1.428e-6, _BUDGET, gt=0.0),
+    "readout.q_o": Key(1e6, _BUDGET, gt=0.0),
+    "readout.dip_depth": Key(1.0, _BUDGET, gt=0.0, le=1.0),
+    "readout.p_det_w": Key(1e-7, _BUDGET, gt=0.0, auto=True),
+    "readout.eta_qe": Key(1.0, _BUDGET, gt=0.0, le=1.0),
+    "readout.p_dn_w": Key(2.5e-12, _BUDGET, ge=0.0),
+    "readout.n_cav": Key(0.0, _BUDGET, ge=0.0),
+    "environment.t_k": Key(None, _BUDGET, ge=0.0),  # per subcommand
+    "environment.q_m": Key(0.0, _BUDGET, ge=0.0),  # 0: the dataset's Q
+    "beam.lambda_sig_m": Key(8.4e-7, _BUDGET + _GRATING, gt=0.0),
+    "beam.delta_l": Key(1.0, _BUDGET, gt=0.0),  # 0 exerts no torque: p_min_w would be inf
+    "beam.eta_conv": Key(1.0, _BUDGET, gt=0.0, le=1.0),
+    "beam.contrast": Key(1.0, _BUDGET, gt=0.0, le=1.0),
+    "beam.f_rep_hz": Key("auto", ("pulse-budget",), gt=0.0, auto=True),
+    "beam.bandwidth_hz": Key(1.0, ("pulse-budget",), gt=0.0),
+    "beam.w0_m": Key(5e-6, ("beam-sim",), gt=0.0),
+    "grid.n": Key(1024, ("beam-sim",), int, rule="a power of two >= 32"),
+    "grid.pitch_m": Key(50e-9, ("beam-sim",), gt=0.0),
+    "swg.aperture_d_m": Key(None, _GRATING, gt=0.0),  # swg.SWGDesign's default
+    "swg.lattice_a_m": Key(None, _GRATING, gt=0.0),  # swg.SWGDesign's default
+    "swg.delta_l": Key(1, _GRATING, int),
+    "swg.design_lambda_m": Key(None, ("beam-sim",), ge=swg.LOOKUP_LAMBDA_RANGE[0],
+                               le=swg.LOOKUP_LAMBDA_RANGE[1]),  # beam.lambda_sig_m
+    "swg.phase_sign": Key(1, _GRATING, int, rule="1 or -1"),
+    "swg.z_eval_m": Key(0.0, ("beam-sim",)),
+    "swg.ideal_vortex": Key(False, ("beam-sim",), bool),
+    "fit.f2_hz": Key(0.0, ("fit-gm",)),  # <= 0: fitted with the coupling
 }
 
 
@@ -261,6 +256,8 @@ def resolve_config(command: str, preset: str | None, config_path: str | None) ->
     """
     scope = {name: key for name, key in KEYS.items() if command in key.commands}
     raw = dict(PRESETS[preset]) if preset is not None else {}
+    if config_path == "":  # Path("") is the working directory
+        raise ConfigError("--config is empty: give a config file")
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
@@ -687,6 +684,8 @@ def cmd_fit_gm(args, cfg: dict, temps: dict[str, Path]) -> list[str]:
     data_path = args.data
     if data_path == "bundled":
         data_path = device.sample_anticrossing_path()
+    elif not data_path:  # Path("") is the working directory
+        raise ConfigError("fit-gm data argument is empty: give a file, or 'bundled'")
     elif not Path(data_path).exists():
         raise ConfigError(f"fit-gm data file not found: {data_path}")
 

@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oamsense
 from oamsense import beams, cli, device, noise, swg
 from oracles import (budget_columns_per_point, budget_per_point, interpolate_per_call,
                      load_layout, save_raster_per_cell, write_budget_sweep_per_row)
+from strategies import RULE_VALUES, raw_values
 from test_imports import benchmark_traced
 
 TWO_PI = 2.0 * math.pi
@@ -971,6 +973,24 @@ class TestConfigHandling:
         assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("argv, message", [
+        (["noise-sweep", "--preset", "paper-fig5", "--config", "empty.cfg"],
+         "config key device.dataset = '' is empty"),
+        (["fit-gm", ""], "fit-gm data argument is empty: give a file, or 'bundled'"),
+        (["swg-gen", "--config", ""], "--config is empty: give a config file"),
+    ])
+    def test_empty_path_names_its_source(self, tmp_path, capsys, monkeypatch, argv, message):
+        # Path("") is the working directory, which exists: an empty path is
+        # refused by name, not opened as "."
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.cfg").write_text("[device]\ndataset =\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("command, preset, section, key, value", [
         ("noise-sweep", "paper-fig5", "environment", "t_k", "nan"),
         ("swg-gen", None, "swg", "delta_l", "1.5"),
@@ -1378,6 +1398,69 @@ class TestKeysRead:
         # every design wavelength (tests/test_swg.py), so swg-gen's signal
         # wavelength moves nothing; the benchmark's swg-gen jobs set it
         assert ignored == {("swg-gen", "beam.lambda_sig_m")}
+
+
+def _bounds(*names):
+    """(key, bound) for every bound of the given names that a KEYS entry sets."""
+    return [(key, bound) for key in sorted(cli.KEYS) for bound in names
+            if getattr(cli.KEYS[key], bound) is not None]
+
+
+_RELATION = {"gt": ">", "ge": ">=", "le": "<="}
+
+
+class TestKeyDomains:
+    # each key's domain is data (cli.Key's fields), and these properties
+    # are read from it: none restates a bound by hand
+    @pytest.mark.parametrize("name", sorted(cli.KEYS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_drawn_value_parses(self, name, data):
+        key = cli.KEYS[name]
+        value = key.parse(data.draw(raw_values(key)))
+        assert type(value) is key.kind or key.auto and value == "auto"
+
+    @pytest.mark.parametrize("name, bound", _bounds("ge", "le"))
+    def test_closed_bound_accepts_itself(self, name, bound):
+        edge = getattr(cli.KEYS[name], bound)
+        assert cli.KEYS[name].parse(repr(edge)) == edge
+
+    @pytest.mark.parametrize("name, bound", _bounds("gt"))
+    def test_open_bound_refuses_itself(self, name, bound):
+        edge = cli.KEYS[name].gt
+        with pytest.raises(ValueError, match=f"^{re.escape(f'must be > {edge:g}')}$"):
+            cli.KEYS[name].parse(repr(edge))
+
+    @pytest.mark.parametrize("name, bound", _bounds("gt", "ge", "le"))
+    def test_value_past_a_bound_is_refused(self, name, bound):
+        key = cli.KEYS[name]
+        edge = getattr(key, bound)
+        outward = 1 if bound == "le" else -1
+        past = edge + outward if key.kind is int else math.nextafter(edge, outward * math.inf)
+        message = f"must be {_RELATION[bound]} {edge:g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            key.parse(repr(past))
+
+    def test_every_rule_has_a_strategy(self):
+        assert set(RULE_VALUES) == set(cli.RULES)
+
+    @pytest.mark.parametrize("name", [name for name in sorted(cli.KEYS) if cli.KEYS[name].rule])
+    @settings(max_examples=50, deadline=None)
+    @given(value=st.integers(-2**40, 2**40))
+    def test_rule_refusal_names_the_rule(self, name, value):
+        key = cli.KEYS[name]
+        if cli.RULES[key.rule](value):
+            assert key.parse(str(value)) == value
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'is not {key.rule}')}$"):
+                key.parse(str(value))
+
+    def test_docstring_names_only_keys(self):
+        # the module docstring's prose names keys by section.key; a renamed
+        # key, or a misspelt one, is caught here
+        sections = "|".join(sorted({name.split(".")[0] for name in cli.KEYS}))
+        named = set(re.findall(rf"\b(?:{sections})\.[a-z0-9_]+", cli.__doc__))
+        assert named and named <= set(cli.KEYS), named - set(cli.KEYS)
 
 
 class TestEntryPoint:
